@@ -15,10 +15,14 @@
       [--docs] — the timing phase below still covers the full size with
       an exact row-count cross-check between all three drains.
 
-   2. No serial regression.  The [~jobs:1] dispatch must stay within 5%
-      of the plain block-stream drain (PR 3's single-thread path) on
-      total time over the mix at full size — jobs=1 takes the identical
-      streaming code path, so this guards the dispatch itself.
+   2. Serial dispatch.  [Exec.run_compiled ~jobs:1] must run every
+      entry on the block driver: its stats record zero morsels and no
+      helper domain is spawned ([Pool.total_spawned]).  The check is
+      counter-based, so it holds on any host.  The wall-clock ratio of
+      the jobs=1 dispatch to the plain block-stream drain is still
+      measured, printed and written to the JSON, but does not gate: the
+      two sides are the same code path, so the ratio only measures host
+      noise.
 
    3. Speedup.  Median ns/row speedup of jobs=4 over jobs=1 across the
       mix at n_docs=3200 must reach 1.8x.  This bound needs hardware:
@@ -26,7 +30,8 @@
       reports at least 4 cores; on smaller hosts the measurement still
       runs and is reported, the JSON records
       ["speedup_gate_enforced": false], and the bound is skipped with a
-      visible reason (divergence and regression checks always apply).
+      visible reason (divergence and serial-dispatch checks always
+      apply).
 
    Run with:     dune exec bench/parallel.exe
    Assert mode:  dune exec bench/parallel.exe -- --assert [--docs N]
@@ -49,7 +54,6 @@ let query_q =
 let reps = 5
 let min_median_speedup = 1.8
 let jobs_hi = 4
-let max_serial_regression = 1.05
 let parity_docs = 800 (* materialized four-way comparison cap *)
 let naive_docs = 200 (* the O(n*m) list-oracle cap *)
 
@@ -197,7 +201,7 @@ let median xs =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* PR 3's single-thread path: stream-count the block drain. *)
+(* The block driver: stream-count the block drain. *)
 let drain_serial ctx compiled () =
   let b = P.Exec.open_compiled ctx compiled in
   let n = ref 0 in
@@ -229,14 +233,13 @@ let measure_side f =
   in
   (!rows, median times)
 
-(* The serial-regression comparison times the *same* code path twice
+(* The informational jobs=1 ratio times the *same* code path twice
    (jobs=1 dispatches to the plain drain), so measure the two sides
    interleaved rep by rep with alternating order — back-to-back blocks
    (or a fixed order) let GC debt from one side's run land on the
-   other's clock and masquerade as a dispatch cost against the 5%
-   bound.  Each side reports its median (for the table) and its minimum
-   (for the regression ratio: the min of two identical code paths is
-   far less sensitive to interference on a busy host). *)
+   other's clock.  Each side reports its median (for the table) and its
+   minimum (for the ratio: the min of two identical code paths is far
+   less sensitive to interference on a busy host). *)
 let measure_interleaved fa fb =
   Gc.compact ();
   ignore (fa ());
@@ -281,6 +284,22 @@ let measure_entry ctx (name, plan) =
   { name; rows = rows_p; serial_min; jobs1_s; jobs1_min; par_s;
     speedup = jobs1_s /. par_s }
 
+(* jobs=1 through the real dispatch ([run_compiled], clamped as the CLI
+   runs it): the morsels recorded in its per-node stats over the whole
+   mix, and the helper domains it spawned. *)
+let serial_dispatch ctx entries =
+  let spawned_before = P.Pool.total_spawned () in
+  let morsels =
+    List.fold_left
+      (fun acc (_, plan) ->
+        let compiled = P.Exec.compile ctx plan in
+        let stats = P.Exec.make_stats compiled in
+        ignore (P.Exec.run_compiled ~stats ~jobs:1 ctx compiled);
+        Array.fold_left ( + ) acc stats.P.Exec.node_morsels)
+      0 entries
+  in
+  (morsels, P.Pool.total_spawned () - spawned_before)
+
 (* ------------------------------------------------------------------ *)
 (* JSON emission (BENCH_parallel.json)                                 *)
 (* ------------------------------------------------------------------ *)
@@ -288,7 +307,8 @@ let measure_entry ctx (name, plan) =
 let per_row r t = t /. float_of_int (max 1 r.rows) *. 1e9
 
 let write_json path ~n_docs ~paras ~seed ~cores ~enforced results
-    ~median_speedup ~serial_ratio ~divergences =
+    ~median_speedup ~serial_ratio ~jobs1_morsels ~jobs1_spawned ~divergences
+    =
   let oc = open_out path in
   let entry r =
     Printf.sprintf
@@ -311,12 +331,15 @@ let write_json path ~n_docs ~paras ~seed ~cores ~enforced results
     \  \"entries\": [\n%s\n  ],\n\
     \  \"median_speedup\": %.2f,\n\
     \  \"serial_regression\": %.3f,\n\
+    \  \"jobs1_morsels\": %d,\n\
+    \  \"jobs1_domains_spawned\": %d,\n\
     \  \"divergences\": %d,\n\
     \  \"speedup_gate_enforced\": %b\n\
      }\n"
     n_docs paras seed P.Exec.block_size P.Exec.morsel_size jobs_hi cores reps
     (String.concat ",\n" (List.map entry results))
-    median_speedup serial_ratio (List.length divergences) enforced;
+    median_speedup serial_ratio jobs1_morsels jobs1_spawned
+    (List.length divergences) enforced;
   close_out oc
 
 (* ------------------------------------------------------------------ *)
@@ -364,14 +387,20 @@ let () =
   let serial_ratio =
     total (fun r -> r.jobs1_min) /. total (fun r -> r.serial_min)
   in
+  let jobs1_morsels, jobs1_spawned = serial_dispatch ctx (entries schema) in
   let enforced = cores >= jobs_hi in
   Printf.printf "\nmedian speedup at jobs=%d: %.2fx (bound %.1fx%s)\n" jobs_hi
     median_speedup min_median_speedup
     (if enforced then "" else ", NOT enforced on this host");
-  Printf.printf "jobs=1 total vs plain serial drain: %.3fx (bound %.2fx)\n"
-    serial_ratio max_serial_regression;
+  Printf.printf
+    "jobs=1 total vs plain serial drain: %.3fx (informational, same code \
+     path)\n"
+    serial_ratio;
+  Printf.printf "jobs=1 dispatch: %d morsel(s) recorded, %d domain(s) spawned\n"
+    jobs1_morsels jobs1_spawned;
   write_json json_path ~n_docs ~paras ~seed ~cores ~enforced results
-    ~median_speedup ~serial_ratio ~divergences:diverged;
+    ~median_speedup ~serial_ratio ~jobs1_morsels ~jobs1_spawned
+    ~divergences:diverged;
   Printf.printf "wrote %s\n" json_path;
   let failed = ref false in
   if diverged <> [] then begin
@@ -380,10 +409,10 @@ let () =
       (String.concat ", " diverged);
     failed := true
   end;
-  if serial_ratio > max_serial_regression then begin
+  if jobs1_morsels <> 0 || jobs1_spawned <> 0 then begin
     Printf.printf
-      "FAIL: jobs=1 dispatch is %.3fx the plain serial drain (bound %.2fx)\n"
-      serial_ratio max_serial_regression;
+      "FAIL: jobs=1 left the block driver (%d morsels, %d domains spawned)\n"
+      jobs1_morsels jobs1_spawned;
     failed := true
   end;
   if enforced then begin
@@ -396,7 +425,7 @@ let () =
   else
     Printf.printf
       "SKIP: speedup bound needs >= %d cores, host reports %d (divergence \
-       and serial-regression checks still enforced)\n"
+       and serial-dispatch checks still enforced)\n"
       jobs_hi cores;
   if not !failed then
     Printf.printf "OK: %d/%d results identical under jobs in {2,%d}%s\n"

@@ -21,8 +21,10 @@ let seed_arg =
 let jobs_arg =
   let doc =
     "Worker domains for query execution: 1 (default) is the serial block \
-     executor, N >= 2 the morsel-driven parallel executor (same results, \
-     same row order)."
+     executor, N >= 2 requests the morsel-driven parallel executor (same \
+     results, same row order).  Requests are clamped to the host's \
+     recommended domain count, and plans whose every extent fits in one \
+     morsel run serially."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -194,6 +196,12 @@ let explain_cmd =
       | Error msg -> `Error (false, "cannot optimize: " ^ msg)
       | Ok () ->
         let opt, compiled = Engine.optimize_compiled engine logical in
+        (* the per-node morsel/partition columns follow the executor that
+           actually ran: [run_compiled] clamps [jobs] the same way *)
+        let ran_parallel =
+          Soqm_physical.Exec.effective_jobs (Engine.exec_ctx db) jobs compiled
+          > 1
+        in
         let actuals =
           if analyze then begin
             let ns = Soqm_physical.Exec.make_stats compiled in
@@ -220,7 +228,7 @@ let explain_cmd =
           | Some ns ->
             let cid = c.Soqm_physical.Plan.cid in
             let parallel =
-              if jobs > 1 then
+              if ran_parallel then
                 Printf.sprintf " morsels=%d parts=%d"
                   ns.Soqm_physical.Exec.node_morsels.(cid)
                   ns.Soqm_physical.Exec.node_partitions.(cid)
@@ -264,7 +272,8 @@ let explain_cmd =
      statistics) and the number of steps fused into one-pass kernels \
      ($(b,fused=)); with $(b,--analyze), also the actual rows and blocks \
      observed by executing the plan (plus per-node morsel and partition \
-     counts when $(b,--jobs) is at least 2, and disk pages touched / bytes \
+     counts when the clamped $(b,--jobs) runs the parallel executor, and \
+     disk pages touched / bytes \
      decoded when run against a paged database, $(b,--db))."
   in
   Cmd.v

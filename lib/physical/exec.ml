@@ -565,20 +565,6 @@ module Rowbuf = struct
     if b.n = Array.length b.rows then b.rows else Array.sub b.rows 0 b.n
 end
 
-(* One output row per member of the set [f row], inserted via [ins];
-   shared by the serial flat kernels and the morsel-parallel ones. *)
-let expand_rows ins rows f =
-  let acc = Rowbuf.create () in
-  for i = 0 to Array.length rows - 1 do
-    let row = rows.(i) in
-    match f row with
-    | Value.Set members ->
-      List.iter (fun v -> Rowbuf.push acc (ins row v)) members
-    | Value.Null -> ()
-    | v -> error "flat operator produced non-set %s" (Value.to_string v)
-  done;
-  Rowbuf.contents acc
-
 let slot_getter = function
   | Plan.SSlot i -> fun (row : Value.t array) -> row.(i)
   | Plan.SConst v -> fun _ -> v
@@ -608,95 +594,290 @@ let op_applier op (args : Plan.slot_operand array) : Relation.Row.t -> Value.t =
       with Runtime.Error msg -> error "%s" msg)
   | _ -> fun row -> eval_op op (args_of getters row)
 
-(* -- fused kernels --------------------------------------------------- *)
+(* -- row work, written once ------------------------------------------ *)
 
-(* The serial path memoizes with one shared table per step; the parallel
-   path must not share tables across domains, so each worker gets its
-   own ([per_worker_memo]).  This record abstracts the difference for
-   the shared step compiler below. *)
+(* Memo tables for property reads and method calls, handed out per
+   worker: [memo f ~w] is worker [w]'s memoized [f].  The block driver
+   runs as worker 0 on one table per operator; the morsel scheduler must
+   not share a table across domains, so each worker gets its own.  The
+   result rows are unaffected — only the property-read / method-call
+   tallies may exceed the serial run's (each worker warms its own
+   cache). *)
 type memoizer = { memo : 'a 'b. ('a -> 'b) -> w:int -> 'a -> 'b }
 
-let shared_memo =
-  { memo = (fun f -> let m = memoized1 f in fun ~w:_ key -> m key) }
+let shared_memo = { memo = (fun f -> let m = memoized1 f in fun ~w:_ -> m) }
+
+let per_worker_memo jobs =
+  {
+    memo =
+      (fun f ->
+        let ms = Array.init (max 1 jobs) (fun _ -> memoized1 f) in
+        fun ~w -> ms.(w));
+  }
+
+let prop_access ctx (mk : memoizer) p =
+  mk.memo (fun rv ->
+      try Runtime.access ctx.store rv p
+      with Runtime.Error msg -> error "%s" msg)
+
+(* Registers are plain rows, so a method call reads its receiver and
+   arguments the same way from either. *)
+let method_call ctx (mk : memoizer) m recv args :
+    w:int -> Relation.Row.t -> Value.t =
+  let grecv = receiver_getter recv in
+  let getters = Array.map slot_getter args in
+  let call =
+    mk.memo (fun (rv, avs) ->
+        try Runtime.invoke ctx.store rv m avs
+        with Runtime.Error msg -> error "%s" msg)
+  in
+  fun ~w ->
+    let call = call ~w in
+    fun row -> call (grecv row, args_of getters row)
+
+(* Rejection marker returned by row functions for a dropped row: a
+   private one-slot array, physically distinct from every row a kernel
+   emits (including the zero-width rows of [Unit] and empty
+   projections).  Returning it instead of [None] keeps the surviving-row
+   path free of option boxing. *)
+let rejected : Relation.Row.t = [| Value.Null |]
+
+(* The row loop of every 1:1 or row-dropping operator (filter, maps,
+   projections, fused chains, dedup, diff): [f row] is the output row,
+   or [rejected].  Survivors fill one [hi - lo] buffer, trimmed only when
+   something was dropped; pass-through operators reuse their input
+   rows. *)
+let keep_rows (f : Relation.Row.t -> Relation.Row.t)
+    (rows : Relation.Row.t array) lo hi =
+  let n = hi - lo in
+  let buf = Array.make n [||] in
+  let k = ref 0 in
+  for i = lo to hi - 1 do
+    let out = f rows.(i) in
+    if out != rejected then begin
+      buf.(!k) <- out;
+      incr k
+    end
+  done;
+  if !k = n then buf else Array.sub buf 0 !k
+
+(* The row loop of every 1:n operator (flattens, join probes): one
+   output row [out row x] per partner [x] in [items row], in list
+   order. *)
+let expand_rows (items : Relation.Row.t -> 'a list)
+    (out : Relation.Row.t -> 'a -> Relation.Row.t) (rows : Relation.Row.t array)
+    lo hi =
+  let acc = Rowbuf.create () in
+  for i = lo to hi - 1 do
+    let row = rows.(i) in
+    List.iter (fun x -> Rowbuf.push acc (out row x)) (items row)
+  done;
+  Rowbuf.contents acc
+
+let set_members = function
+  | Value.Set members -> members
+  | Value.Null -> []
+  | v -> error "flat operator produced non-set %s" (Value.to_string v)
+
+(* A scan's row work: rows for the head of [xs] until [buf] is full;
+   returns the count and the rest of the list.  Scans walk their result
+   list, so the extent is never materialized as one big (major-heap)
+   array. *)
+let scan_fill (row : 'a -> Relation.Row.t) xs (buf : Relation.Row.t array) =
+  let cap = Array.length buf in
+  let rec take k = function
+    | x :: rest when k < cap ->
+      buf.(k) <- row x;
+      take (k + 1) rest
+    | rest -> (k, rest)
+  in
+  take 0 xs
+
+type cursor = { mutable li : int; mutable ri : int }
+
+(* The nested loop's row work: advance the (left row, right row) cursor
+   over [lrows.(..hi-1)] x [rrows], writing kept merged pairs into [buf]
+   from index [k] until it is full or the left rows run out; returns the
+   fill count.  The cursor lets the block driver resume mid-left-row, so
+   no per-left-block cross product is ever materialized. *)
+let nested_fill merged_of keep (rrows : Relation.Row.t array)
+    (lrows : Relation.Row.t array) hi cur (buf : Relation.Row.t array) k =
+  let nr = Array.length rrows and cap = Array.length buf in
+  let k = ref k in
+  while !k < cap && cur.li < hi do
+    if cur.ri >= nr then begin
+      cur.li <- cur.li + 1;
+      cur.ri <- 0
+    end
+    else begin
+      let merged = merged_of lrows.(cur.li) rrows.(cur.ri) in
+      cur.ri <- cur.ri + 1;
+      if keep merged then begin
+        buf.(!k) <- merged;
+        incr k
+      end
+    end
+  done;
+  !k
+
+(* First-occurrence dedup, keyed by the one kept value (no per-row key
+   array) or by the copied row: [first_occurrence srcs ()] is a fresh
+   filter mapping a row to its projection the first time that projection
+   appears and to [rejected] afterwards. *)
+let first_occurrence (srcs : int array) :
+    unit -> Relation.Row.t -> Relation.Row.t =
+  match srcs with
+  | [| i |] ->
+    fun () ->
+      let seen = Hashtbl.create 256 in
+      fun row ->
+        let v = row.(i) in
+        if Hashtbl.mem seen v then rejected
+        else begin
+          (* [add], not [replace]: the membership check just ran, so
+             the cheaper no-search insert is safe *)
+          Hashtbl.add seen v ();
+          [| v |]
+        end
+  | _ ->
+    let proj = make_copier srcs in
+    fun () ->
+      let seen = Relation.RowTbl.create 256 in
+      fun row ->
+        let projected = proj row in
+        if Relation.RowTbl.mem seen projected then rejected
+        else begin
+          Relation.RowTbl.add seen projected ();
+          projected
+        end
+
+(* Join build row work: bucket the build rows by key, match lists in
+   build-input order (reverse iteration + prepend), the table sized to
+   the build side up front (growing rehashes every entry, roughly
+   doubling build cost).  Single-column keys are the [Value.t] itself;
+   equi-join keys skip [Null] (DESIGN.md §7). *)
+let find_values tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key)
+
+let find_rows tbl key =
+  Option.value ~default:[] (Relation.RowTbl.find_opt tbl key)
+
+let bucket_values ~skip_null slot (rows : Relation.Row.t array) =
+  let tbl = Hashtbl.create (max 16 (Array.length rows)) in
+  for i = Array.length rows - 1 downto 0 do
+    let row = rows.(i) in
+    match row.(slot) with
+    | Value.Null when skip_null -> ()
+    | key -> Hashtbl.replace tbl key (row :: find_values tbl key)
+  done;
+  tbl
+
+let bucket_rows key (rows : Relation.Row.t array) =
+  let tbl = Relation.RowTbl.create (max 16 (Array.length rows)) in
+  for i = Array.length rows - 1 downto 0 do
+    let row = rows.(i) in
+    let k = key row in
+    Relation.RowTbl.replace tbl k (row :: find_rows tbl k)
+  done;
+  tbl
+
+let row_set (rows : Relation.Row.t array) =
+  let tbl = Relation.RowTbl.create (max 16 (Array.length rows)) in
+  Array.iter (fun row -> Relation.RowTbl.replace tbl row ()) rows;
+  tbl
+
+(* Probe-side lookup over the build tables: a lone table (the block
+   driver, or a build side under one morsel) is read directly, with no
+   per-row hash; partitioned tables are picked by the key's hash. *)
+let lookup_in tables hash find =
+  match tables with
+  | [| t |] -> find t
+  | _ ->
+    let mask = Array.length tables - 1 in
+    fun key -> find tables.(hash key land mask) key
+
+(* -- fused kernels --------------------------------------------------- *)
 
 (* Compile a fused chain's steps into per-row register kernels: each
    step reads/writes the register buffer in place and reports whether
    the row survives (filters short-circuit the rest of the chain).
    Registers are plain [Value.t array]s, so the slot/receiver getters
-   apply unchanged. *)
+   apply unchanged.  Memo tables are made once; [~w] picks a worker's. *)
 let fused_steps_of ctx (mk : memoizer) (f : Plan.fused) :
-    (w:int -> Value.t array -> bool) array =
-  Array.map
-    (fun (step : Plan.fstep) ->
-      match step with
-      | Plan.FFilter (cmp, x, y) ->
-        (* operands resolved at compile time: the hot slot/const shapes
-           index the registers directly instead of paying an unknown
-           getter call per operand per row *)
-        (match x, y with
-        | Plan.SSlot i, Plan.SSlot j ->
-          fun ~w:_ regs -> Value.truthy (eval_cmp cmp regs.(i) regs.(j))
-        | Plan.SSlot i, Plan.SConst v ->
-          fun ~w:_ regs -> Value.truthy (eval_cmp cmp regs.(i) v)
-        | Plan.SConst v, Plan.SSlot j ->
-          fun ~w:_ regs -> Value.truthy (eval_cmp cmp v regs.(j))
-        | Plan.SConst u, Plan.SConst v ->
-          fun ~w:_ _ -> Value.truthy (eval_cmp cmp u v))
-      | Plan.FProp (r, p, recv) ->
-        let access =
-          mk.memo (fun rv ->
-              try Runtime.access ctx.store rv p
-              with Runtime.Error msg -> error "%s" msg)
-        in
-        fun ~w regs ->
-          regs.(r) <- access ~w regs.(recv);
-          true
-      | Plan.FMeth (r, m, recv, args) ->
-        let grecv = receiver_getter recv in
-        let getters = Array.map slot_getter args in
-        let call =
-          mk.memo (fun (rv, avs) ->
-              try Runtime.invoke ctx.store rv m avs
-              with Runtime.Error msg -> error "%s" msg)
-        in
-        fun ~w regs ->
-          regs.(r) <- call ~w (grecv regs, args_of getters regs);
-          true
-      | Plan.FOp (r, op, xs) ->
-        (* same direct-indexing specialization for the common arities *)
-        (match op, xs with
-        | Restricted.OpIdent, [| Plan.SSlot i |] ->
-          fun ~w:_ regs ->
-            regs.(r) <- regs.(i);
-            true
-        | Restricted.OpIdent, [| Plan.SConst v |] ->
-          fun ~w:_ regs ->
-            regs.(r) <- v;
-            true
-        | Restricted.OpBin b, [| Plan.SSlot i; Plan.SSlot j |] ->
-          fun ~w:_ regs ->
-            regs.(r) <-
-              (try Runtime.eval_binop b regs.(i) regs.(j)
-               with Runtime.Error msg -> error "%s" msg);
-            true
-        | Restricted.OpBin b, [| Plan.SSlot i; Plan.SConst v |] ->
-          fun ~w:_ regs ->
-            regs.(r) <-
-              (try Runtime.eval_binop b regs.(i) v
-               with Runtime.Error msg -> error "%s" msg);
-            true
-        | Restricted.OpBin b, [| Plan.SConst v; Plan.SSlot j |] ->
-          fun ~w:_ regs ->
-            regs.(r) <-
-              (try Runtime.eval_binop b v regs.(j)
-               with Runtime.Error msg -> error "%s" msg);
-            true
-        | _ ->
-          let apply = op_applier op xs in
-          fun ~w:_ regs ->
-            regs.(r) <- apply regs;
-            true))
-    f.Plan.fsteps
+    w:int -> (Value.t array -> bool) array =
+  let steps =
+    Array.map
+      (fun (step : Plan.fstep) : (w:int -> Value.t array -> bool) ->
+        match step with
+        | Plan.FFilter (cmp, x, y) ->
+          (* operands resolved at compile time: the hot slot/const
+             shapes index the registers directly instead of paying an
+             unknown getter call per operand per row *)
+          let test =
+            match x, y with
+            | Plan.SSlot i, Plan.SSlot j ->
+              fun regs -> Value.truthy (eval_cmp cmp regs.(i) regs.(j))
+            | Plan.SSlot i, Plan.SConst v ->
+              fun regs -> Value.truthy (eval_cmp cmp regs.(i) v)
+            | Plan.SConst v, Plan.SSlot j ->
+              fun regs -> Value.truthy (eval_cmp cmp v regs.(j))
+            | Plan.SConst u, Plan.SConst v ->
+              fun _ -> Value.truthy (eval_cmp cmp u v)
+          in
+          fun ~w:_ -> test
+        | Plan.FProp (r, p, recv) ->
+          let access = prop_access ctx mk p in
+          fun ~w ->
+            let access = access ~w in
+            fun regs ->
+              regs.(r) <- access regs.(recv);
+              true
+        | Plan.FMeth (r, m, recv, args) ->
+          let call = method_call ctx mk m recv args in
+          fun ~w ->
+            let call = call ~w in
+            fun regs ->
+              regs.(r) <- call regs;
+              true
+        | Plan.FOp (r, op, xs) ->
+          (* same direct-indexing specialization for the common arities *)
+          let set =
+            match op, xs with
+            | Restricted.OpIdent, [| Plan.SSlot i |] ->
+              fun regs ->
+                regs.(r) <- regs.(i);
+                true
+            | Restricted.OpIdent, [| Plan.SConst v |] ->
+              fun regs ->
+                regs.(r) <- v;
+                true
+            | Restricted.OpBin b, [| Plan.SSlot i; Plan.SSlot j |] ->
+              fun regs ->
+                regs.(r) <-
+                  (try Runtime.eval_binop b regs.(i) regs.(j)
+                   with Runtime.Error msg -> error "%s" msg);
+                true
+            | Restricted.OpBin b, [| Plan.SSlot i; Plan.SConst v |] ->
+              fun regs ->
+                regs.(r) <-
+                  (try Runtime.eval_binop b regs.(i) v
+                   with Runtime.Error msg -> error "%s" msg);
+                true
+            | Restricted.OpBin b, [| Plan.SConst v; Plan.SSlot j |] ->
+              fun regs ->
+                regs.(r) <-
+                  (try Runtime.eval_binop b v regs.(j)
+                   with Runtime.Error msg -> error "%s" msg);
+                true
+            | _ ->
+              let apply = op_applier op xs in
+              fun regs ->
+                regs.(r) <- apply regs;
+                true
+          in
+          fun ~w:_ -> set)
+      f.Plan.fsteps
+  in
+  fun ~w -> Array.map (fun step -> step ~w) steps
 
 (* Whether the fused output row is the whole register file in order.
    True for every chain not topped by a projection (the output layout
@@ -751,109 +932,364 @@ let make_seeder ~fin_width ~fregs : Relation.Row.t -> Relation.Row.t =
       Array.blit r 0 s 0 fin_width;
       s
 
-(* Rejection marker for the fused row kernel: the empty-array atom,
-   physically distinct from every register buffer (those are at least
-   the input row's width, and relations never carry zero-width rows).
-   Returning it instead of [None] keeps the surviving-row path free of
-   option boxing. *)
-let fused_rejected : Relation.Row.t = [||]
-
 (* Top-level, not nested below: a nested [let rec] would capture its
    environment and heap-allocate one closure per row. *)
-let rec run_steps (steps : (w:int -> Value.t array -> bool) array) ~w regs i n
-    =
-  i >= n || (steps.(i) ~w regs && run_steps steps ~w regs (i + 1) n)
+let rec run_steps (steps : (Value.t array -> bool) array) regs i n =
+  i >= n || (steps.(i) regs && run_steps steps regs (i + 1) n)
 
-(* Collapse the step array into one conjunction at open time: short
-   chains — the common case — dispatch each step from a register of the
-   caller, with no per-row array indexing or loop bookkeeping. *)
-let step_runner (steps : (w:int -> Value.t array -> bool) array) :
-    w:int -> Value.t array -> bool =
+(* Collapse the step array into one conjunction: short chains — the
+   common case — dispatch each step from a register of the caller, with
+   no per-row array indexing or loop bookkeeping. *)
+let step_runner (steps : (Value.t array -> bool) array) :
+    Value.t array -> bool =
   match steps with
   | [| a |] -> a
-  | [| a; b |] -> fun ~w regs -> a ~w regs && b ~w regs
-  | [| a; b; c |] -> fun ~w regs -> a ~w regs && b ~w regs && c ~w regs
-  | [| a; b; c; d |] ->
-    fun ~w regs -> a ~w regs && b ~w regs && c ~w regs && d ~w regs
+  | [| a; b |] -> fun regs -> a regs && b regs
+  | [| a; b; c |] -> fun regs -> a regs && b regs && c regs
+  | [| a; b; c; d |] -> fun regs -> a regs && b regs && c regs && d regs
   | [| a; b; c; d; e |] ->
-    fun ~w regs ->
-      a ~w regs && b ~w regs && c ~w regs && d ~w regs && e ~w regs
+    fun regs -> a regs && b regs && c regs && d regs && e regs
   | [| a; b; c; d; e; f |] ->
-    fun ~w regs ->
-      a ~w regs && b ~w regs && c ~w regs && d ~w regs && e ~w regs
-      && f ~w regs
-  | _ -> fun ~w regs -> run_steps steps ~w regs 0 (Array.length steps)
+    fun regs -> a regs && b regs && c regs && d regs && e regs && f regs
+  | _ -> fun regs -> run_steps steps regs 0 (Array.length steps)
 
-(* One row through the chain: seed registers, run the steps (filters
-   short-circuit), return the register file — the caller reads (or
-   keeps) it before the next row builds a fresh one. *)
-let fused_row run ~seed ~w row =
-  let regs = seed row in
-  if run ~w regs then regs else fused_rejected
+(* One row through the chain for worker [w]: seed registers, run the
+   steps (filters short-circuit), return the register file or
+   [rejected] — the caller reads (or keeps) it before the next row
+   builds a fresh one. *)
+let fused_eval ctx mk (f : Plan.fused) :
+    w:int -> Relation.Row.t -> Relation.Row.t =
+  let steps = fused_steps_of ctx mk f in
+  let seed = make_seeder ~fin_width:f.Plan.fin_width ~fregs:f.Plan.fregs in
+  fun ~w ->
+    let run = step_runner (steps ~w) in
+    fun row ->
+      let regs = seed row in
+      if run regs then regs else rejected
+
+(* -- operator shapes -------------------------------------------------- *)
+
+(* A kernel runs an operator's row work over input rows [lo, hi) and
+   returns its output rows in order.  It is staged on the worker index:
+   [kernel ~w] picks worker [w]'s memo tables once, so the per-row loop
+   never sees [w].  The block driver calls [kernel ~w:0] once per input
+   block; the morsel scheduler once per morsel. *)
+type rows_fn = Relation.Row.t array -> int -> int -> Relation.Row.t array
+type kernel = w:int -> rows_fn
+
+(* How a compiled node is driven.  Both schedulers interpret the same
+   shape, built by [shape_of] from the same kernels, so an operator's
+   row work exists once and only the scheduling differs:
+   - [Scan]: a leaf, rows built by [row] from a result list;
+   - [Stream]: a streaming kernel over the input's rows;
+   - [Dedup]: a kernel that keeps first occurrences of [key], given a
+     [first_occurrence] filter — serially one per stream, in parallel
+     one per morsel plus one over the concatenated survivors;
+   - [Probe]: a pipeline breaker on its build side ([right]), whose
+     rows [build] into a table (or one per hash partition, [part]
+     giving a build row's hash, negative for "never matches"), then a
+     streaming probe of [left];
+   - [Nested]: the nested loop's [nested_fill] over a materialized
+     right side;
+   - [Union]: left rows, then right rows. *)
+type shape =
+  | Scan : {
+      items : 'a list;
+      row : 'a -> Relation.Row.t;
+      fetch : bool;  (** rows are object fetches (full scans) *)
+    }
+      -> shape
+  | Stream : { input : Plan.compiled; kernel : kernel } -> shape
+  | Dedup : {
+      input : Plan.compiled;
+      key : int array;
+      dedup : (Relation.Row.t -> Relation.Row.t) -> kernel;
+    }
+      -> shape
+  | Probe : {
+      left : Plan.compiled;
+      right : Plan.compiled;
+      part : Relation.Row.t -> int;
+      build : Relation.Row.t array -> 'tbl;
+      probe : 'tbl array -> rows_fn;
+      charge : bool;  (** outputs count as produced tuples *)
+    }
+      -> shape
+  | Nested : {
+      left : Plan.compiled;
+      right : Plan.compiled;
+      fill :
+        Relation.Row.t array ->
+        Relation.Row.t array ->
+        int ->
+        cursor ->
+        Relation.Row.t array ->
+        int ->
+        int;
+    }
+      -> shape
+  | Union : Plan.compiled * Plan.compiled -> shape
+
+(* Where an execution accounts its work: the block counter always,
+   per-node actuals when an [--analyze] stats sink is attached. *)
+type sink = { cnt : Counters.t; stats : node_stats option }
+
+(* The one accounting path of both schedulers: [n] rows of node [cid]
+   emitted as [blocks] blocks (plus the parallel-only morsel and
+   partition counts). *)
+let record sink cid ?(morsels = 0) ?(partitions = 0) ~blocks n =
+  Counters.charge_blocks sink.cnt blocks;
+  match sink.stats with
+  | None -> ()
+  | Some s ->
+    s.node_rows.(cid) <- s.node_rows.(cid) + n;
+    s.node_blocks.(cid) <- s.node_blocks.(cid) + blocks;
+    s.node_morsels.(cid) <- s.node_morsels.(cid) + morsels;
+    s.node_partitions.(cid) <- s.node_partitions.(cid) + partitions
+
+let pure f ~w:_ = f
+
+(* Open a compiled node: resolve its leaf results (scans run here, and
+   an attached disk store charges its traffic) and build its kernels
+   against [mk]'s memo tables. *)
+let shape_of ctx (mk : memoizer) sink (c : Plan.compiled) : shape =
+  let width (input : Plan.compiled) = Relation.Layout.width input.Plan.layout in
+  let map input at (value : w:int -> Relation.Row.t -> Value.t) =
+    let ins = make_inserter ~at ~width:(width input) in
+    Stream
+      {
+        input;
+        kernel =
+          (fun ~w ->
+            let value = value ~w in
+            keep_rows (fun row -> ins row (value row)));
+      }
+  in
+  let flat input at (value : w:int -> Relation.Row.t -> Value.t) =
+    let ins = make_inserter ~at ~width:(width input) in
+    Stream
+      {
+        input;
+        kernel =
+          (fun ~w ->
+            let value = value ~w in
+            expand_rows (fun row -> set_members (value row)) ins);
+      }
+  in
+  let prop p recv =
+    let access = prop_access ctx mk p in
+    fun ~w ->
+      let access = access ~w in
+      fun (row : Relation.Row.t) -> access row.(recv)
+  in
+  let obj o = [| Value.Obj o |] in
+  let leaf row items = Scan { items; row; fetch = false } in
+  match c.Plan.cop with
+  | Plan.CUnit -> leaf (fun () -> [||]) [ () ]
+  | Plan.CFullScan cls ->
+    let oids =
+      try Object_store.extent ctx.store cls
+      with Invalid_argument msg -> error "%s" msg
+    in
+    (* an attached disk store drives the scan's traffic model through
+       its buffer pool (charging pool counters) and reports the pages
+       touched and bytes decoded — whole pages for a row-slotted class,
+       chunk metadata for a columnar one *)
+    (match ctx.scan_cost ~cls, sink.stats with
+    | Some (pages, bytes), Some s ->
+      let cid = c.Plan.cid in
+      s.node_pages.(cid) <- s.node_pages.(cid) + pages;
+      s.node_bytes.(cid) <- s.node_bytes.(cid) + bytes
+    | _ -> ());
+    Scan { items = oids; row = obj; fetch = true }
+  | Plan.CIndexScan (cls, prop, key) -> (
+    match ctx.probe_index ~cls ~prop key with
+    | Some oids -> leaf obj oids
+    | None -> error "no index on %s.%s" cls prop)
+  | Plan.CRangeScan (cls, prop, lo, hi) -> (
+    match ctx.probe_range ~cls ~prop ~lo ~hi with
+    | Some oids -> leaf obj oids
+    | None -> error "no ordered index on %s.%s" cls prop)
+  | Plan.CMethodScan (cls, m, args) -> (
+    match
+      try Runtime.invoke ctx.store (Value.Cls cls) m args
+      with Runtime.Error msg -> error "%s" msg
+    with
+    | Value.Set members -> leaf (fun v -> [| v |]) members
+    | v ->
+      error "method scan %s->%s produced non-set %s" cls m (Value.to_string v))
+  | Plan.CFilter (cmp, x, y, input) ->
+    let gx = slot_getter x and gy = slot_getter y in
+    Stream
+      {
+        input;
+        kernel =
+          pure
+            (keep_rows (fun row ->
+                 if Value.truthy (eval_cmp cmp (gx row) (gy row)) then row
+                 else rejected));
+      }
+  | Plan.CNestedLoop (pred, merge, left, right) ->
+    let keep =
+      match pred with
+      | None -> fun _ -> true
+      | Some (cmp, i, j) ->
+        fun (merged : Value.t array) ->
+          Value.truthy (eval_cmp cmp merged.(i) merged.(j))
+    in
+    Nested { left; right; fill = nested_fill (make_merger merge) keep }
+  | Plan.CHashJoin (ls, rs, merge, left, right) ->
+    (* Null keys never match (DESIGN.md §7): not built, not probed *)
+    let merged_of = make_merger merge in
+    Probe
+      {
+        left;
+        right;
+        charge = true;
+        part =
+          (fun row ->
+            match row.(rs) with Value.Null -> -1 | key -> Hashtbl.hash key);
+        build = bucket_values ~skip_null:true rs;
+        probe =
+          (fun tables ->
+            let find = lookup_in tables Hashtbl.hash find_values in
+            expand_rows
+              (fun lrow ->
+                match lrow.(ls) with Value.Null -> [] | key -> find key)
+              merged_of);
+      }
+  | Plan.CNaturalJoin ([| il |], [| ir |], merge, left, right) ->
+    (* one shared column: key by the value itself (structural match, so
+       Nulls {e do} join — unlike the equi-join above) *)
+    let merged_of = make_merger merge in
+    Probe
+      {
+        left;
+        right;
+        charge = true;
+        part = (fun row -> Hashtbl.hash row.(ir));
+        build = bucket_values ~skip_null:false ir;
+        probe =
+          (fun tables ->
+            let find = lookup_in tables Hashtbl.hash find_values in
+            expand_rows (fun lrow -> find lrow.(il)) merged_of);
+      }
+  | Plan.CNaturalJoin (kl, kr, merge, left, right) ->
+    (* structural match on the shared columns: Nulls {e do} match,
+       mirroring KeyTbl-based natural join / intersection *)
+    let merged_of = make_merger merge in
+    let key_l = make_copier kl and key_r = make_copier kr in
+    Probe
+      {
+        left;
+        right;
+        charge = true;
+        part = (fun row -> Relation.Row.hash (key_r row));
+        build = bucket_rows key_r;
+        probe =
+          (fun tables ->
+            let find = lookup_in tables Relation.Row.hash find_rows in
+            expand_rows (fun lrow -> find (key_l lrow)) merged_of);
+      }
+  | Plan.CUnion (left, right) -> Union (left, right)
+  | Plan.CDiff (left, right) ->
+    Probe
+      {
+        left;
+        right;
+        charge = false;
+        part = Relation.Row.hash;
+        build = row_set;
+        probe =
+          (fun tables ->
+            (* an empty exclusion set (constant-false restrictions are a
+               common rewriting residue) makes diff a pass-through,
+               skipping the per-row hash entirely *)
+            if Array.for_all (fun t -> Relation.RowTbl.length t = 0) tables
+            then keep_rows Fun.id
+            else
+              let excluded =
+                lookup_in tables Relation.Row.hash Relation.RowTbl.mem
+              in
+              keep_rows (fun row -> if excluded row then rejected else row));
+      }
+  | Plan.CMapProp (at, p, recv, input) -> map input at (prop p recv)
+  | Plan.CMapMeth (at, m, recv, args, input) ->
+    map input at (method_call ctx mk m recv args)
+  | Plan.CMapOp (at, op, args, input) ->
+    map input at (pure (op_applier op args))
+  | Plan.CFlatProp (at, p, recv, input) -> flat input at (prop p recv)
+  | Plan.CFlatMeth (at, m, recv, args, input) ->
+    flat input at (method_call ctx mk m recv args)
+  | Plan.CFlatOp (at, op, args, input) ->
+    flat input at (pure (op_applier op args))
+  | Plan.CProject (srcs, input) when Plan.keyed_projection srcs input ->
+    (* the kept slots cover a key of the input, so rows are already
+       distinct: copy-out only, no dedup table (DESIGN.md §9) *)
+    Stream { input; kernel = pure (keep_rows (make_copier srcs)) }
+  | Plan.CProject (srcs, input) ->
+    Dedup { input; key = srcs; dedup = (fun first ~w:_ -> keep_rows first) }
+  | Plan.CFused (f, input) ->
+    let eval = fused_eval ctx mk f in
+    (* the chain, then [out] on each surviving register file *)
+    let chain_then out ~w =
+      let eval = eval ~w in
+      keep_rows (fun row ->
+          let regs = eval row in
+          if regs == rejected then regs else out regs)
+    in
+    if f.Plan.fdedup && not f.Plan.fkeyed then
+      (* dedup mirrors the standalone projection: values keyed directly
+         when one column survives, the copied row otherwise *)
+      Dedup { input; key = f.Plan.fout; dedup = chain_then }
+    else if fused_out_is_regs f then
+      (* the register file is the output row: one allocation per
+         surviving row, no copy-out *)
+      Stream { input; kernel = (fun ~w -> keep_rows (eval ~w)) }
+    else Stream { input; kernel = chain_then (make_copier f.Plan.fout) }
+
+let drain_blocks b =
+  let rec go acc =
+    match b.next_block () with None -> acc | Some rows -> go (rows :: acc)
+  in
+  let blocks = List.rev (go []) in
+  b.close_blocks ();
+  blocks
+
+let drain_rows b = Array.concat (drain_blocks b)
+
+(* ------------------------------------------------------------------ *)
+(* Block driver: pulls [block_size]-row blocks through the kernels.    *)
+(* Pipeline breakers (join/diff build sides, the nested loop's right   *)
+(* side) drain their input lazily, on the first probe block, exactly   *)
+(* as the streaming interpreter does.                                   *)
+(* ------------------------------------------------------------------ *)
 
 let open_compiled ?stats ctx (root : Plan.compiled) : biter =
-  let cnt = counters ctx in
-  (* Every emitted block is recorded against its operator's [cid]:
-     the block counter always, per-node rows/blocks when an [--analyze]
-     stats sink is attached. *)
-  let record cid (rows : Relation.Row.t array) =
-    Counters.charge_block cnt;
-    (match stats with
-    | Some s ->
-      s.node_rows.(cid) <- s.node_rows.(cid) + Array.length rows;
-      s.node_blocks.(cid) <- s.node_blocks.(cid) + 1
-    | None -> ());
+  let sink = { cnt = counters ctx; stats } in
+  let emit cid rows =
+    record sink cid ~blocks:1 (Array.length rows);
     Some rows
   in
-  (* Emit single-column blocks straight off a scan's result list — the
-     extent is never materialized as one big (major-heap) array. *)
-  let scan_blocks ?(charge = false) cid f xs =
+  let scan cid ~fetch row xs =
     let remaining = ref xs in
     let next_block () =
       match !remaining with
       | [] -> None
       | xs ->
         let buf = Array.make block_size [||] in
-        let k = ref 0 in
-        let rec take xs =
-          if !k = block_size then xs
-          else
-            match xs with
-            | [] -> []
-            | x :: rest ->
-              if charge then Counters.charge_object_fetch cnt;
-              buf.(!k) <- [| f x |];
-              incr k;
-              take rest
-        in
-        remaining := take xs;
-        let out = if !k = block_size then buf else Array.sub buf 0 !k in
-        record cid out
+        let k, rest = scan_fill row xs buf in
+        remaining := rest;
+        if fetch then Counters.charge_object_fetches sink.cnt k;
+        emit cid (if k = block_size then buf else Array.sub buf 0 k)
     in
     { next_block; close_blocks = (fun () -> remaining := []) }
   in
-  (* Chunk a fully materialized row array into blocks. *)
-  let of_rows cid (rows : Relation.Row.t array) =
-    let n = Array.length rows in
-    let pos = ref 0 in
-    {
-      next_block =
-        (fun () ->
-          if !pos >= n then None
-          else begin
-            let k = min block_size (n - !pos) in
-            let out = Array.sub rows !pos k in
-            pos := !pos + k;
-            record cid out
-          end);
-      close_blocks = (fun () -> pos := n);
-    }
-  in
-  (* Pull input blocks, expand each into an output row array, re-chunk
+  (* Pull input blocks, run the kernel over each, re-chunk its output
      into blocks of at most [block_size].  [charge] marks operators
      whose outputs count as produced tuples (parity with the
      interpreted executor's accounting). *)
-  let expanding ~charge cid input expand =
+  let stream ?(charge = true) cid input (f : rows_fn) =
     let pending = ref [||] in
     let pos = ref 0 in
     let rec next_block () =
@@ -872,269 +1308,67 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
             o
           end
         in
-        if charge then Counters.charge_tuples cnt (Array.length out);
-        record cid out
+        if charge then Counters.charge_tuples sink.cnt (Array.length out);
+        emit cid out
       end
       else
         match input.next_block () with
         | None -> None
         | Some rows ->
-          pending := expand rows;
+          pending := f rows 0 (Array.length rows);
           pos := 0;
           next_block ()
     in
     { next_block; close_blocks = input.close_blocks }
   in
-  let drain_rows b =
-    let rec go acc =
-      match b.next_block () with None -> acc | Some rows -> go (rows :: acc)
-    in
-    let blocks = List.rev (go []) in
-    b.close_blocks ();
-    Array.concat blocks
-  in
-  (* Keep-subset kernel shared by filter/diff/project: [keep] decides
-     per row (and may transform it). *)
-  let filtering ~charge cid input keep =
-    expanding ~charge cid input (fun rows ->
-        let n = Array.length rows in
-        let buf = Array.make n [||] in
-        let k = ref 0 in
-        for i = 0 to n - 1 do
-          match keep rows.(i) with
-          | Some row ->
-            buf.(!k) <- row;
-            incr k
-          | None -> ()
-        done;
-        if !k = n then buf else Array.sub buf 0 !k)
-  in
-  (* Pure-predicate variant of [filtering]: rows pass unchanged, so no
-     per-row [Some] allocation. *)
-  let selecting ~charge cid input pred =
-    expanding ~charge cid input (fun rows ->
-        let n = Array.length rows in
-        let buf = Array.make n [||] in
-        let k = ref 0 in
-        for i = 0 to n - 1 do
-          let row = rows.(i) in
-          if pred row then begin
-            buf.(!k) <- row;
-            incr k
-          end
-        done;
-        if !k = n then buf else Array.sub buf 0 !k)
-  in
   let rec go (c : Plan.compiled) : biter =
     let cid = c.Plan.cid in
-    match c.Plan.cop with
-    | Plan.CUnit -> of_rows cid [| [||] |]
-    | Plan.CFullScan cls ->
-      let oids =
-        try Object_store.extent ctx.store cls
-        with Invalid_argument msg -> error "%s" msg
-      in
-      (* an attached disk store drives the scan's traffic model through
-         its buffer pool (charging pool counters) and reports the pages
-         touched and bytes decoded — whole pages for a row-slotted
-         class, chunk metadata for a columnar one *)
-      (match ctx.scan_cost ~cls with
-      | Some (pages, bytes) -> (
-        match stats with
-        | Some s ->
-          s.node_pages.(cid) <- s.node_pages.(cid) + pages;
-          s.node_bytes.(cid) <- s.node_bytes.(cid) + bytes
-        | None -> ())
-      | None -> ());
-      scan_blocks ~charge:true cid (fun o -> Value.Obj o) oids
-    | Plan.CIndexScan (cls, prop, key) -> (
-      match ctx.probe_index ~cls ~prop key with
-      | Some oids -> scan_blocks cid (fun o -> Value.Obj o) oids
-      | None -> error "no index on %s.%s" cls prop)
-    | Plan.CRangeScan (cls, prop, lo, hi) -> (
-      match ctx.probe_range ~cls ~prop ~lo ~hi with
-      | Some oids -> scan_blocks cid (fun o -> Value.Obj o) oids
-      | None -> error "no ordered index on %s.%s" cls prop)
-    | Plan.CMethodScan (cls, m, args) -> (
-      match
-        try Runtime.invoke ctx.store (Value.Cls cls) m args
-        with Runtime.Error msg -> error "%s" msg
-      with
-      | Value.Set members -> scan_blocks cid Fun.id members
-      | v ->
-        error "method scan %s->%s produced non-set %s" cls m (Value.to_string v))
-    | Plan.CFilter (cmp, x, y, input) ->
-      let gx = slot_getter x and gy = slot_getter y in
-      selecting ~charge:true cid (go input) (fun row ->
-          Value.truthy (eval_cmp cmp (gx row) (gy row)))
-    | Plan.CNestedLoop (pred, merge, left, right) ->
-      (* Direct block producer: a [block_size] output buffer is filled
-         from the (left row, right row) cursor pair — no intermediate
-         per-left-block materialization of the cross product. *)
+    match shape_of ctx shared_memo sink c with
+    | Scan { items; row; fetch } -> scan cid ~fetch row items
+    | Stream { input; kernel } -> stream cid (go input) (kernel ~w:0)
+    | Dedup { input; key; dedup } ->
+      stream cid (go input) (dedup (first_occurrence key ()) ~w:0)
+    | Probe { left; right; build; probe; charge; part = _ } ->
+      let probe = lazy (probe [| build (drain_rows (go right)) |]) in
+      stream ~charge cid (go left) (fun rows lo hi ->
+          Lazy.force probe rows lo hi)
+    | Nested { left; right; fill } ->
+      (* a [block_size] output buffer is filled straight from the pair
+         cursor — no intermediate per-left-block cross product *)
       let right_rows = lazy (drain_rows (go right)) in
-      let merged_of = make_merger merge in
-      let keep =
-        match pred with
-        | None -> fun _ -> true
-        | Some (cmp, i, j) ->
-          fun (merged : Value.t array) ->
-            Value.truthy (eval_cmp cmp merged.(i) merged.(j))
-      in
       let left = go left in
       let lrows = ref [||] in
-      let li = ref 0 in
-      let ri = ref 0 in
+      let cur = { li = 0; ri = 0 } in
       let done_ = ref false in
       let rec next_block () =
         if !done_ then None
         else begin
           let rrows = Lazy.force right_rows in
-          let nr = Array.length rrows in
           let buf = Array.make block_size [||] in
-          let k = ref 0 in
-          let rec fill () =
-            if !k >= block_size then ()
-            else if !li >= Array.length !lrows then
+          let rec fill_from k =
+            let k = fill rrows !lrows (Array.length !lrows) cur buf k in
+            if k = block_size then k
+            else
               match left.next_block () with
-              | None -> done_ := true
+              | None ->
+                done_ := true;
+                k
               | Some rows ->
                 lrows := rows;
-                li := 0;
-                ri := 0;
-                fill ()
-            else if !ri >= nr then begin
-              incr li;
-              ri := 0;
-              fill ()
-            end
-            else begin
-              let merged = merged_of (!lrows).(!li) rrows.(!ri) in
-              incr ri;
-              if keep merged then begin
-                buf.(!k) <- merged;
-                incr k
-              end;
-              fill ()
-            end
+                cur.li <- 0;
+                cur.ri <- 0;
+                fill_from k
           in
-          fill ();
-          if !k = 0 then next_block ()
+          let k = fill_from 0 in
+          if k = 0 then next_block ()
           else begin
-            let out = if !k = block_size then buf else Array.sub buf 0 !k in
-            Counters.charge_tuples cnt !k;
-            record cid out
+            Counters.charge_tuples sink.cnt k;
+            emit cid (if k = block_size then buf else Array.sub buf 0 k)
           end
         end
       in
       { next_block; close_blocks = left.close_blocks }
-    | Plan.CHashJoin (ls, rs, merge, left, right) ->
-      (* Null keys never match (DESIGN.md §7): skipped on build and
-         probe, exactly like the interpreted executor. *)
-      let merged_of = make_merger merge in
-      (* build side bucketed once (match lists in right-input order), so
-         a probe is one lookup — no [find_all] list allocation *)
-      let table =
-        lazy
-          (let rrows = drain_rows (go right) in
-           (* sized to the build side up front: growing a hashtable
-              rehashes every entry, roughly doubling build cost *)
-           let tbl = Hashtbl.create (max 16 (Array.length rrows)) in
-           for ri = Array.length rrows - 1 downto 0 do
-             let rrow = rrows.(ri) in
-             match rrow.(rs) with
-             | Value.Null -> ()
-             | key ->
-               Hashtbl.replace tbl key
-                 (rrow
-                 ::
-                 (match Hashtbl.find_opt tbl key with
-                 | Some prev -> prev
-                 | None -> []))
-           done;
-           tbl)
-      in
-      expanding ~charge:true cid (go left) (fun lrows ->
-          let tbl = Lazy.force table in
-          let acc = Rowbuf.create () in
-          for li = 0 to Array.length lrows - 1 do
-            let lrow = lrows.(li) in
-            match lrow.(ls) with
-            | Value.Null -> ()
-            | key -> (
-              match Hashtbl.find_opt tbl key with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                  matches)
-          done;
-          Rowbuf.contents acc)
-    | Plan.CNaturalJoin ([| il |], [| ir |], merge, left, right) ->
-      (* one shared column: key by the value itself (structural match,
-         so Nulls {e do} join — unlike the equi-join above) *)
-      let merged_of = make_merger merge in
-      let table =
-        lazy
-          (let rrows = drain_rows (go right) in
-           let tbl = Hashtbl.create (max 16 (Array.length rrows)) in
-           for ri = Array.length rrows - 1 downto 0 do
-             let rrow = rrows.(ri) in
-             let key = rrow.(ir) in
-             Hashtbl.replace tbl key
-               (rrow
-               ::
-               (match Hashtbl.find_opt tbl key with
-               | Some prev -> prev
-               | None -> []))
-           done;
-           tbl)
-      in
-      expanding ~charge:true cid (go left) (fun lrows ->
-          let tbl = Lazy.force table in
-          let acc = Rowbuf.create () in
-          for li = 0 to Array.length lrows - 1 do
-            let lrow = lrows.(li) in
-            match Hashtbl.find_opt tbl lrow.(il) with
-            | None -> ()
-            | Some matches ->
-              List.iter
-                (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                matches
-          done;
-          Rowbuf.contents acc)
-    | Plan.CNaturalJoin (kl, kr, merge, left, right) ->
-      (* structural match on the shared columns: Nulls {e do} match,
-         mirroring KeyTbl-based natural join / intersection. *)
-      let merged_of = make_merger merge in
-      let key_l = make_copier kl in
-      let key_r = make_copier kr in
-      let table =
-        lazy
-          (let rrows = drain_rows (go right) in
-           let tbl = Relation.RowTbl.create (max 16 (Array.length rrows)) in
-           Array.iter
-             (fun rrow ->
-               let key = key_r rrow in
-               match Relation.RowTbl.find_opt tbl key with
-               | Some prev -> Relation.RowTbl.replace tbl key (rrow :: prev)
-               | None -> Relation.RowTbl.add tbl key [ rrow ])
-             rrows;
-           tbl)
-      in
-      expanding ~charge:true cid (go left) (fun lrows ->
-          let tbl = Lazy.force table in
-          let acc = Rowbuf.create () in
-          for li = 0 to Array.length lrows - 1 do
-            let lrow = lrows.(li) in
-            match Relation.RowTbl.find_opt tbl (key_l lrow) with
-            | None -> ()
-            | Some matches ->
-              List.iter
-                (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                matches
-          done;
-          Rowbuf.contents acc)
-    | Plan.CUnion (left, right) ->
+    | Union (left, right) ->
       let left = go left in
       let right = lazy (go right) in
       let on_right = ref false in
@@ -1142,10 +1376,10 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
         if !on_right then
           match (Lazy.force right).next_block () with
           | None -> None
-          | Some rows -> record cid rows
+          | Some rows -> emit cid rows
         else
           match left.next_block () with
-          | Some rows -> record cid rows
+          | Some rows -> emit cid rows
           | None ->
             on_right := true;
             next_block ()
@@ -1157,178 +1391,24 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
             left.close_blocks ();
             if Lazy.is_val right then (Lazy.force right).close_blocks ());
       }
-    | Plan.CDiff (left, right) ->
-      (* the probe is decided once the exclusion side is drained: an
-         empty exclusion set (constant-false restrictions are a common
-         rewriting residue) makes diff a pass-through, skipping the
-         per-row hash entirely *)
-      let pred =
-        lazy
-          (let rrows = drain_rows (go right) in
-           if Array.length rrows = 0 then fun _ -> true
-           else begin
-             let tbl = Relation.RowTbl.create (Array.length rrows) in
-             Array.iter (fun row -> Relation.RowTbl.replace tbl row ()) rrows;
-             fun row -> not (Relation.RowTbl.mem tbl row)
-           end)
-      in
-      selecting ~charge:false cid (go left) (fun row -> (Lazy.force pred) row)
-    | Plan.CMapProp (at, p, recv, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let access =
-        memoized1 (fun rv ->
-            try Runtime.access ctx.store rv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      expanding ~charge:true cid (go input)
-        (Array.map (fun row -> ins row (access row.(recv))))
-    | Plan.CMapMeth (at, m, recv, args, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let grecv = receiver_getter recv in
-      let getters = Array.map slot_getter args in
-      let call =
-        memoized1 (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      expanding ~charge:true cid (go input)
-        (Array.map (fun row -> ins row (call (grecv row, args_of getters row))))
-    | Plan.CMapOp (at, op, args, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let apply = op_applier op args in
-      expanding ~charge:true cid (go input)
-        (Array.map (fun row -> ins row (apply row)))
-    | Plan.CFlatProp (at, p, recv, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let access =
-        memoized1 (fun rv ->
-            try Runtime.access ctx.store rv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      expanding ~charge:true cid (go input) (fun rows ->
-          expand_rows ins rows (fun row -> access row.(recv)))
-    | Plan.CFlatMeth (at, m, recv, args, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let grecv = receiver_getter recv in
-      let getters = Array.map slot_getter args in
-      let call =
-        memoized1 (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      expanding ~charge:true cid (go input) (fun rows ->
-          expand_rows ins rows (fun row -> call (grecv row, args_of getters row)))
-    | Plan.CFlatOp (at, op, args, input) ->
-      let ins = make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout) in
-      let apply = op_applier op args in
-      expanding ~charge:true cid (go input) (fun rows ->
-          expand_rows ins rows apply)
-    | Plan.CProject (srcs, input) when Plan.keyed_projection srcs input ->
-      (* the kept slots cover a key of the input, so rows are already
-         distinct: copy-out only, no dedup table (DESIGN.md §9) *)
-      let proj = make_copier srcs in
-      expanding ~charge:true cid (go input) (fun rows -> Array.map proj rows)
-    | Plan.CProject ([| i |], input) ->
-      (* single-column projection: dedup keyed by the value itself, no
-         per-row key array *)
-      let seen = Hashtbl.create 256 in
-      filtering ~charge:true cid (go input) (fun row ->
-          let v = row.(i) in
-          if Hashtbl.mem seen v then None
-          else begin
-            (* [add], not [replace]: the membership check just ran, so
-               the cheaper no-search insert is safe *)
-            Hashtbl.add seen v ();
-            Some [| v |]
-          end)
-    | Plan.CProject (srcs, input) ->
-      let proj = make_copier srcs in
-      let seen = Relation.RowTbl.create 256 in
-      filtering ~charge:true cid (go input) (fun row ->
-          let projected = proj row in
-          if Relation.RowTbl.mem seen projected then None
-          else begin
-            Relation.RowTbl.add seen projected ();
-            Some projected
-          end)
-    | Plan.CFused (f, input) ->
-      let run = step_runner (fused_steps_of ctx shared_memo f) in
-      let seed = make_seeder ~fin_width:f.Plan.fin_width ~fregs:f.Plan.fregs in
-      let eval_regs row = fused_row run ~seed ~w:0 row in
-      if f.Plan.fdedup && not f.Plan.fkeyed then
-        (* dedup mirrors the standalone projection kernels: values keyed
-           directly when one column survives, RowTbl otherwise *)
-        (match f.Plan.fout with
-        | [| src |] ->
-          let seen = Hashtbl.create 256 in
-          filtering ~charge:true cid (go input) (fun row ->
-              let regs = eval_regs row in
-              if regs == fused_rejected then None
-              else
-                let v = regs.(src) in
-                if Hashtbl.mem seen v then None
-                else begin
-                  Hashtbl.add seen v ();
-                  Some [| v |]
-                end)
-        | srcs ->
-          let proj = make_copier srcs in
-          let seen = Relation.RowTbl.create 256 in
-          filtering ~charge:true cid (go input) (fun row ->
-              let regs = eval_regs row in
-              if regs == fused_rejected then None
-              else
-                let projected = proj regs in
-                if Relation.RowTbl.mem seen projected then None
-                else begin
-                  Relation.RowTbl.add seen projected ();
-                  Some projected
-                end))
-      else begin
-        (* non-dedup: the register file is fresh per row, so when the
-           output is the whole file it is emitted as-is — one allocation
-           per surviving row, no option boxing anywhere *)
-        let out_of =
-          if fused_out_is_regs f then Fun.id else make_copier f.Plan.fout
-        in
-        expanding ~charge:true cid (go input) (fun rows ->
-            let n = Array.length rows in
-            let buf = Array.make n [||] in
-            let k = ref 0 in
-            for i = 0 to n - 1 do
-              let regs = eval_regs rows.(i) in
-              if regs != fused_rejected then begin
-                buf.(!k) <- out_of regs;
-                incr k
-              end
-            done;
-            if !k = n then buf else Array.sub buf 0 !k)
-      end
   in
   go root
 
-let drain_blocks b =
-  let rec go acc =
-    match b.next_block () with None -> acc | Some rows -> go (rows :: acc)
-  in
-  let blocks = List.rev (go []) in
-  b.close_blocks ();
-  blocks
-
 (* ------------------------------------------------------------------ *)
-(* Morsel-driven parallel path: every operator materializes its output *)
-(* as one row array; workers claim fixed-size morsels of the input via *)
-(* an atomic cursor and write their results into morsel-indexed slots, *)
-(* so the concatenated output is row-for-row identical to a serial     *)
-(* left-to-right pass no matter which worker ran which morsel.  Joins  *)
-(* and diff partition the build side by key hash and build one table   *)
-(* per partition (each preserving build-input order), so probes are    *)
+(* Morsel scheduler: every operator materializes its output as one row *)
+(* array; workers claim fixed-size morsels of the input via an atomic  *)
+(* cursor, run the operator's kernel on them and write the results     *)
+(* into morsel-indexed slots, so the concatenated output is            *)
+(* row-for-row identical to the block driver's no matter which worker  *)
+(* ran which morsel.  Joins and diff partition the build side by key   *)
+(* hash and build one table per partition with the block driver's      *)
+(* build function (each preserving build-input order), so probes are   *)
 (* lock-free reads of tables published by the pool's join barrier.     *)
 (* ------------------------------------------------------------------ *)
 
 (* 1024 rows per morsel: big enough that the atomic cursor and the
    per-morsel allocations are noise next to the kernel work (a morsel is
-   8 blocks of the serial executor's dispatch unit), small enough that a
+   8 blocks of the block driver's dispatch unit), small enough that a
    3200-document scan still splits into enough morsels to keep four
    workers busy and to absorb skew from expensive rows (method calls). *)
 let morsel_size = 1024
@@ -1343,24 +1423,10 @@ let partition_count jobs =
 let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
     Relation.Row.t array =
   let pool = Pool.global () in
-  let cnt = counters ctx in
+  let sink = { cnt = counters ctx; stats } in
+  let mk = per_worker_memo jobs in
   let nparts = partition_count jobs in
   let morsels_of n = (n + morsel_size - 1) / morsel_size in
-  (* Block accounting mirrors the serial executor: an operator's
-     materialized output counts as ceil(n / block_size) blocks. *)
-  let record cid ~morsels ~partitions (rows : Relation.Row.t array) =
-    let n = Array.length rows in
-    let blocks = (n + block_size - 1) / block_size in
-    Counters.charge_blocks cnt blocks;
-    (match stats with
-    | Some s ->
-      s.node_rows.(cid) <- s.node_rows.(cid) + n;
-      s.node_blocks.(cid) <- s.node_blocks.(cid) + blocks;
-      s.node_morsels.(cid) <- s.node_morsels.(cid) + morsels;
-      s.node_partitions.(cid) <- s.node_partitions.(cid) + partitions
-    | None -> ());
-    rows
-  in
   (* Hand task ids [0, m) to the pool's workers via an atomic cursor. *)
   let parallel_for m (f : w:int -> int -> unit) =
     if m = 1 then f ~w:0 0
@@ -1392,633 +1458,114 @@ let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
       Array.concat (Array.to_list out)
     end
   in
-  (* 1:1 kernels write straight into a preallocated output array. *)
-  let mapped rows (f : w:int -> Relation.Row.t -> Relation.Row.t) =
-    let n = Array.length rows in
-    let out = Array.make n [||] in
-    parallel_for (morsels_of n) (fun ~w i ->
-        let lo = i * morsel_size in
-        let hi = min n (lo + morsel_size) in
-        for j = lo to hi - 1 do
-          out.(j) <- f ~w rows.(j)
-        done);
-    out
-  in
-  (* The serial kernels share one memo table per operator; across
-     domains that would race, so each worker memoizes privately.  The
-     result rows are unaffected — only the property-read / method-call
-     tallies may exceed the serial run's (each worker warms its own
-     cache). *)
-  let per_worker_memo : 'a 'b. ('a -> 'b) -> w:int -> 'a -> 'b =
-   fun f ->
-    let memos = Array.init (max 1 jobs) (fun _ -> Hashtbl.create 64) in
-    fun ~w key ->
-      let memo = memos.(w) in
-      match Hashtbl.find_opt memo key with
-      | Some v -> v
-      | None ->
-        let v = f key in
-        Hashtbl.replace memo key v;
-        v
-  in
   (* Ordered two-phase partitioning of a materialized build side.
      Phase A buckets each morsel into [nparts] per-morsel row buffers
-     (morsel order preserved inside each bucket); phase B concatenates
-     partition [p]'s buckets in morsel order — recovering build-input
-     order — and folds them into that partition's table, one worker per
-     partition.  The pool join between the phases publishes the
-     buckets; the join after phase B publishes the tables to probes. *)
-  let partitioned :
-      'tbl.
-      Relation.Row.t array ->
-      (Relation.Row.t -> int option) ->
-      (Relation.Row.t array -> 'tbl) ->
-      'tbl array =
-   fun rows part_of build ->
+     (morsel order preserved inside each bucket, rows with a negative
+     [part] dropped); phase B concatenates partition [p]'s buckets in
+     morsel order — recovering build-input order — and [build]s that
+     partition's table, one worker per partition.  The pool join
+     between the phases publishes the buckets; the join after phase B
+     publishes the tables to probes.  A build side under one morsel
+     skips both phases: one table on the caller, exactly the block
+     driver's. *)
+  let partitioned rows part build =
     let n = Array.length rows in
-    if nparts = 1 || n <= morsel_size then begin
-      (* build side under one morsel: a single shared table built on the
-         caller — the two-phase bucket/build machinery would cost more
-         than it parallelizes (ROADMAP "partition skew").  [part_of]
-         still filters (Null join keys must not enter the table); probe
-         sites mask the partition index against the table count, which
-         collapses to 0 here. *)
-      let keep = Rowbuf.create () in
-      Array.iter
-        (fun row ->
-          match part_of row with Some _ -> Rowbuf.push keep row | None -> ())
-        rows;
-      [| build (Rowbuf.contents keep) |]
-    end
+    if nparts = 1 || n <= morsel_size then [| build rows |]
     else begin
-    let m = morsels_of n in
-    let buckets = Array.make (max 1 m) [||] in
-    parallel_for m (fun ~w:_ i ->
-        let lo = i * morsel_size in
-        let hi = min n (lo + morsel_size) in
-        let bufs = Array.init nparts (fun _ -> Rowbuf.create ()) in
-        for j = lo to hi - 1 do
-          let row = rows.(j) in
-          match part_of row with
-          | Some p -> Rowbuf.push bufs.(p) row
-          | None -> ()
-        done;
-        buckets.(i) <- Array.map Rowbuf.contents bufs);
-    let tables = Array.make nparts None in
-    parallel_for nparts (fun ~w:_ p ->
-        let parts = Array.init m (fun i -> buckets.(i).(p)) in
-        tables.(p) <- Some (build (Array.concat (Array.to_list parts))));
-    Array.map Option.get tables
+      let m = morsels_of n in
+      let buckets = Array.make m [||] in
+      parallel_for m (fun ~w:_ i ->
+          let lo = i * morsel_size in
+          let hi = min n (lo + morsel_size) in
+          let bufs = Array.init nparts (fun _ -> Rowbuf.create ()) in
+          for j = lo to hi - 1 do
+            let row = rows.(j) in
+            let h = part row in
+            if h >= 0 then Rowbuf.push bufs.(h land (nparts - 1)) row
+          done;
+          buckets.(i) <- Array.map Rowbuf.contents bufs);
+      let tables = Array.make nparts None in
+      parallel_for nparts (fun ~w:_ p ->
+          let parts = List.init m (fun i -> buckets.(i).(p)) in
+          tables.(p) <- Some (build (Array.concat parts)));
+      Array.map Option.get tables
     end
   in
-  let scan_rows cid oids =
-    let oids = Array.of_list oids in
-    let n = Array.length oids in
-    let rows =
-      chunked n (fun ~w:_ ~lo ~hi ->
-          Array.init (hi - lo) (fun i -> [| Value.Obj oids.(lo + i) |]))
-    in
-    record cid ~morsels:(morsels_of n) ~partitions:0 rows
+  (* An operator's materialized output counts as ceil(n / block_size)
+     blocks, so block totals match the block driver's on full blocks. *)
+  let emit ?(charge = false) ?partitions cid ~morsels rows =
+    let n = Array.length rows in
+    if charge then Counters.charge_tuples sink.cnt n;
+    record sink cid ~morsels ?partitions
+      ~blocks:((n + block_size - 1) / block_size)
+      n;
+    rows
+  in
+  let rec drop k xs =
+    match xs with _ :: rest when k > 0 -> drop (k - 1) rest | _ -> xs
   in
   let rec eval (c : Plan.compiled) : Relation.Row.t array =
     let cid = c.Plan.cid in
-    match c.Plan.cop with
-    | Plan.CUnit -> record cid ~morsels:0 ~partitions:0 [| [||] |]
-    | Plan.CFullScan cls ->
-      let oids =
-        try Object_store.extent ctx.store cls
-        with Invalid_argument msg -> error "%s" msg
-      in
-      Counters.charge_object_fetches cnt (List.length oids);
-      (match ctx.scan_cost ~cls with
-      | Some (pages, bytes) -> (
-        match stats with
-        | Some s ->
-          s.node_pages.(cid) <- s.node_pages.(cid) + pages;
-          s.node_bytes.(cid) <- s.node_bytes.(cid) + bytes
-        | None -> ())
-      | None -> ());
-      scan_rows cid oids
-    | Plan.CIndexScan (cls, prop, key) -> (
-      match ctx.probe_index ~cls ~prop key with
-      | Some oids -> scan_rows cid oids
-      | None -> error "no index on %s.%s" cls prop)
-    | Plan.CRangeScan (cls, prop, lo, hi) -> (
-      match ctx.probe_range ~cls ~prop ~lo ~hi with
-      | Some oids -> scan_rows cid oids
-      | None -> error "no ordered index on %s.%s" cls prop)
-    | Plan.CMethodScan (cls, m, args) -> (
-      match
-        try Runtime.invoke ctx.store (Value.Cls cls) m args
-        with Runtime.Error msg -> error "%s" msg
-      with
-      | Value.Set members ->
-        let members = Array.of_list members in
-        let n = Array.length members in
-        let rows =
-          chunked n (fun ~w:_ ~lo ~hi ->
-              Array.init (hi - lo) (fun i -> [| members.(lo + i) |]))
-        in
-        record cid ~morsels:(morsels_of n) ~partitions:0 rows
-      | v ->
-        error "method scan %s->%s produced non-set %s" cls m (Value.to_string v))
-    | Plan.CFilter (cmp, x, y, input) ->
-      let gx = slot_getter x and gy = slot_getter y in
+    match shape_of ctx mk sink c with
+    | Scan { items; row; fetch } ->
+      (* each morsel fills from its own suffix of the result list *)
+      let n = List.length items in
+      let starts = Array.make (morsels_of n) items in
+      for i = 1 to Array.length starts - 1 do
+        starts.(i) <- drop morsel_size starts.(i - 1)
+      done;
+      if fetch then Counters.charge_object_fetches sink.cnt n;
+      emit cid ~morsels:(morsels_of n)
+        (chunked n (fun ~w:_ ~lo ~hi ->
+             let buf = Array.make (hi - lo) [||] in
+             ignore (scan_fill row starts.(lo / morsel_size) buf);
+             buf))
+    | Stream { input; kernel } ->
       let rows = eval input in
       let n = Array.length rows in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let buf = Array.make (hi - lo) [||] in
-            let k = ref 0 in
-            for i = lo to hi - 1 do
-              let row = rows.(i) in
-              if Value.truthy (eval_cmp cmp (gx row) (gy row)) then begin
-                buf.(!k) <- row;
-                incr k
-              end
-            done;
-            if !k = hi - lo then buf else Array.sub buf 0 !k)
+      emit ~charge:true cid ~morsels:(morsels_of n)
+        (chunked n (fun ~w ~lo ~hi -> kernel ~w rows lo hi))
+    | Dedup { input; key; dedup } ->
+      (* first occurrences per morsel in parallel, then once more over
+         the survivors in morsel order: exactly the rows a serial pass
+         keeps, in the same order *)
+      let rows = eval input in
+      let n = Array.length rows in
+      let local =
+        chunked n (fun ~w ~lo ~hi ->
+            dedup (first_occurrence key ()) ~w rows lo hi)
       in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CNestedLoop (pred, merge, left, right) ->
-      let merged_of = make_merger merge in
-      let keep =
-        match pred with
-        | None -> fun _ -> true
-        | Some (cmp, i, j) ->
-          fun (merged : Value.t array) ->
-            Value.truthy (eval_cmp cmp merged.(i) merged.(j))
-      in
+      let merge = first_occurrence (Array.init (Array.length key) Fun.id) () in
+      emit ~charge:true cid ~morsels:(morsels_of n)
+        (keep_rows merge local 0 (Array.length local))
+    | Probe { left; right; part; build; probe; charge } ->
+      (* the build side is evaluated only for a non-empty probe side —
+         exactly when the block driver drains it *)
+      let lrows = eval left in
+      let n = Array.length lrows in
+      if n = 0 then emit cid ~morsels:0 [||]
+      else begin
+        let rrows = eval right in
+        let tables = partitioned rrows part build in
+        let f = probe tables in
+        emit ~charge cid
+          ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
+          ~partitions:(Array.length tables)
+          (chunked n (fun ~w:_ ~lo ~hi -> f lrows lo hi))
+      end
+    | Nested { left; right; fill } ->
       let rrows = eval right in
       let lrows = eval left in
       let n = Array.length lrows in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let acc = Rowbuf.create () in
-            for i = lo to hi - 1 do
-              let lrow = lrows.(i) in
-              for j = 0 to Array.length rrows - 1 do
-                let merged = merged_of lrow rrows.(j) in
-                if keep merged then Rowbuf.push acc merged
-              done
-            done;
-            Rowbuf.contents acc)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CHashJoin (ls, rs, merge, left, right) ->
-      (* Null keys never match (DESIGN.md §7): dropped while bucketing
-         the build side, skipped on probe. *)
-      let merged_of = make_merger merge in
-      let part_of_key key = Hashtbl.hash key land (nparts - 1) in
-      let rrows = eval right in
-      let tables =
-        partitioned rrows
-          (fun row ->
-            match row.(rs) with
-            | Value.Null -> None
-            | key -> Some (part_of_key key))
-          (fun rows ->
-            let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-            (* reverse iteration + prepend: match lists come out in
-               build-input order, same as the serial executor *)
-            for i = Array.length rows - 1 downto 0 do
-              let rrow = rows.(i) in
-              let key = rrow.(rs) in
-              Hashtbl.replace tbl key
-                (rrow
-                ::
-                (match Hashtbl.find_opt tbl key with
-                | Some prev -> prev
-                | None -> []))
-            done;
-            tbl)
-      in
-      let lrows = eval left in
-      let n = Array.length lrows in
-      (* [tables] may have collapsed to a single shared table (tiny build
-         side); masking against its actual length covers both shapes *)
-      let pmask = Array.length tables - 1 in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let acc = Rowbuf.create () in
-            for i = lo to hi - 1 do
-              let lrow = lrows.(i) in
-              match lrow.(ls) with
-              | Value.Null -> ()
-              | key -> (
-                match
-                  Hashtbl.find_opt tables.(part_of_key key land pmask) key
-                with
-                | None -> ()
-                | Some matches ->
-                  List.iter
-                    (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                    matches)
-            done;
-            Rowbuf.contents acc)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid
-        ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
-        ~partitions:(Array.length tables) out
-    | Plan.CNaturalJoin ([| il |], [| ir |], merge, left, right) ->
-      (* structural match on the one shared column: Nulls {e do} join *)
-      let merged_of = make_merger merge in
-      let part_of_key key = Hashtbl.hash key land (nparts - 1) in
-      let rrows = eval right in
-      let tables =
-        partitioned rrows
-          (fun row -> Some (part_of_key row.(ir)))
-          (fun rows ->
-            let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-            for i = Array.length rows - 1 downto 0 do
-              let rrow = rows.(i) in
-              let key = rrow.(ir) in
-              Hashtbl.replace tbl key
-                (rrow
-                ::
-                (match Hashtbl.find_opt tbl key with
-                | Some prev -> prev
-                | None -> []))
-            done;
-            tbl)
-      in
-      let lrows = eval left in
-      let n = Array.length lrows in
-      let pmask = Array.length tables - 1 in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let acc = Rowbuf.create () in
-            for i = lo to hi - 1 do
-              let lrow = lrows.(i) in
-              let key = lrow.(il) in
-              match
-                Hashtbl.find_opt tables.(part_of_key key land pmask) key
-              with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                  matches
-            done;
-            Rowbuf.contents acc)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid
-        ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
-        ~partitions:(Array.length tables) out
-    | Plan.CNaturalJoin (kl, kr, merge, left, right) ->
-      let merged_of = make_merger merge in
-      let key_l = make_copier kl in
-      let key_r = make_copier kr in
-      let part_of_key key = Relation.Row.hash key land (nparts - 1) in
-      let rrows = eval right in
-      let tables =
-        partitioned rrows
-          (fun row -> Some (part_of_key (key_r row)))
-          (fun rows ->
-            let tbl = Relation.RowTbl.create (max 16 (Array.length rows)) in
-            for i = Array.length rows - 1 downto 0 do
-              let rrow = rows.(i) in
-              let key = key_r rrow in
-              Relation.RowTbl.replace tbl key
-                (rrow
-                ::
-                (match Relation.RowTbl.find_opt tbl key with
-                | Some prev -> prev
-                | None -> []))
-            done;
-            tbl)
-      in
-      let lrows = eval left in
-      let n = Array.length lrows in
-      let pmask = Array.length tables - 1 in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            let acc = Rowbuf.create () in
-            for i = lo to hi - 1 do
-              let lrow = lrows.(i) in
-              let key = key_l lrow in
-              match
-                Relation.RowTbl.find_opt tables.(part_of_key key land pmask)
-                  key
-              with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun rrow -> Rowbuf.push acc (merged_of lrow rrow))
-                  matches
-            done;
-            Rowbuf.contents acc)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid
-        ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
-        ~partitions:(Array.length tables) out
-    | Plan.CUnion (left, right) ->
+      emit ~charge:true cid ~morsels:(morsels_of n)
+        (chunked n (fun ~w:_ ~lo ~hi ->
+             let buf = Array.make ((hi - lo) * Array.length rrows) [||] in
+             let k = fill rrows lrows hi { li = lo; ri = 0 } buf 0 in
+             if k = Array.length buf then buf else Array.sub buf 0 k))
+    | Union (left, right) ->
       let l = eval left in
       let r = eval right in
-      record cid ~morsels:0 ~partitions:0 (Array.append l r)
-    | Plan.CDiff (left, right) ->
-      let rrows = eval right in
-      let lrows = eval left in
-      if Array.length rrows = 0 then
-        (* empty exclusion set: diff is a pass-through (same fast path
-           as the serial executor) *)
-        record cid ~morsels:0 ~partitions:0 lrows
-      else begin
-        let part_of row = Relation.Row.hash row land (nparts - 1) in
-        let tables =
-          partitioned rrows
-            (fun row -> Some (part_of row))
-            (fun rows ->
-              let tbl = Relation.RowTbl.create (max 16 (Array.length rows)) in
-              Array.iter (fun row -> Relation.RowTbl.replace tbl row ()) rows;
-              tbl)
-        in
-        let n = Array.length lrows in
-        let pmask = Array.length tables - 1 in
-        let out =
-          chunked n (fun ~w:_ ~lo ~hi ->
-              let buf = Array.make (hi - lo) [||] in
-              let k = ref 0 in
-              for i = lo to hi - 1 do
-                let row = lrows.(i) in
-                if not (Relation.RowTbl.mem tables.(part_of row land pmask) row)
-                then begin
-                  buf.(!k) <- row;
-                  incr k
-                end
-              done;
-              if !k = hi - lo then buf else Array.sub buf 0 !k)
-        in
-        record cid
-          ~morsels:(morsels_of (Array.length rrows) + morsels_of n)
-          ~partitions:(Array.length tables) out
-      end
-    | Plan.CMapProp (at, p, recv, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let access =
-        per_worker_memo (fun rv ->
-            try Runtime.access ctx.store rv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      let rows = eval input in
-      let out = mapped rows (fun ~w row -> ins row (access ~w row.(recv))) in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of (Array.length rows)) ~partitions:0 out
-    | Plan.CMapMeth (at, m, recv, args, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let grecv = receiver_getter recv in
-      let getters = Array.map slot_getter args in
-      let call =
-        per_worker_memo (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      let rows = eval input in
-      let out =
-        mapped rows (fun ~w row ->
-            ins row (call ~w (grecv row, args_of getters row)))
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of (Array.length rows)) ~partitions:0 out
-    | Plan.CMapOp (at, op, args, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let apply = op_applier op args in
-      let rows = eval input in
-      let out = mapped rows (fun ~w:_ row -> ins row (apply row)) in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of (Array.length rows)) ~partitions:0 out
-    | Plan.CFlatProp (at, p, recv, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let access =
-        per_worker_memo (fun rv ->
-            try Runtime.access ctx.store rv p
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      let rows = eval input in
-      let n = Array.length rows in
-      let out =
-        chunked n (fun ~w ~lo ~hi ->
-            expand_rows ins (Array.sub rows lo (hi - lo)) (fun row ->
-                access ~w row.(recv)))
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CFlatMeth (at, m, recv, args, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let grecv = receiver_getter recv in
-      let getters = Array.map slot_getter args in
-      let call =
-        per_worker_memo (fun (rv, avs) ->
-            try Runtime.invoke ctx.store rv m avs
-            with Runtime.Error msg -> error "%s" msg)
-      in
-      let rows = eval input in
-      let n = Array.length rows in
-      let out =
-        chunked n (fun ~w ~lo ~hi ->
-            expand_rows ins (Array.sub rows lo (hi - lo)) (fun row ->
-                call ~w (grecv row, args_of getters row)))
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CFlatOp (at, op, args, input) ->
-      let ins =
-        make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
-      in
-      let apply = op_applier op args in
-      let rows = eval input in
-      let n = Array.length rows in
-      let out =
-        chunked n (fun ~w:_ ~lo ~hi ->
-            expand_rows ins (Array.sub rows lo (hi - lo)) apply)
-      in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of n) ~partitions:0 out
-    | Plan.CProject (srcs, input) when Plan.keyed_projection srcs input ->
-      (* provably-distinct projection (see the serial kernel): a pure
-         1:1 copy-out, fully parallel, no dedup merge *)
-      let proj = make_copier srcs in
-      let rows = eval input in
-      let out = mapped rows (fun ~w:_ row -> proj row) in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:(morsels_of (Array.length out)) ~partitions:0 out
-    | Plan.CProject ([| i |], input) ->
-      (* per-morsel local dedup in parallel, then a serial merge in
-         morsel order: the survivors are exactly the first occurrences
-         a serial pass would keep, in the same order *)
-      let rows = eval input in
-      let n = Array.length rows in
-      let m = morsels_of n in
-      let locals = Array.make (max 1 m) [||] in
-      parallel_for m (fun ~w:_ mi ->
-          let lo = mi * morsel_size in
-          let hi = min n (lo + morsel_size) in
-          let seen = Hashtbl.create 64 in
-          let acc = Rowbuf.create () in
-          for j = lo to hi - 1 do
-            let v = rows.(j).(i) in
-            if not (Hashtbl.mem seen v) then begin
-              Hashtbl.add seen v ();
-              Rowbuf.push acc [| v |]
-            end
-          done;
-          locals.(mi) <- Rowbuf.contents acc);
-      let seen = Hashtbl.create 256 in
-      let acc = Rowbuf.create () in
-      Array.iter
-        (Array.iter (fun row ->
-             let v = row.(0) in
-             if not (Hashtbl.mem seen v) then begin
-               Hashtbl.add seen v ();
-               Rowbuf.push acc row
-             end))
-        locals;
-      let out = Rowbuf.contents acc in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:m ~partitions:0 out
-    | Plan.CProject (srcs, input) ->
-      let proj = make_copier srcs in
-      let rows = eval input in
-      let n = Array.length rows in
-      let m = morsels_of n in
-      let locals = Array.make (max 1 m) [||] in
-      parallel_for m (fun ~w:_ mi ->
-          let lo = mi * morsel_size in
-          let hi = min n (lo + morsel_size) in
-          let seen = Relation.RowTbl.create 64 in
-          let acc = Rowbuf.create () in
-          for j = lo to hi - 1 do
-            let projected = proj rows.(j) in
-            if not (Relation.RowTbl.mem seen projected) then begin
-              Relation.RowTbl.add seen projected ();
-              Rowbuf.push acc projected
-            end
-          done;
-          locals.(mi) <- Rowbuf.contents acc);
-      let seen = Relation.RowTbl.create 256 in
-      let acc = Rowbuf.create () in
-      Array.iter
-        (Array.iter (fun projected ->
-             if not (Relation.RowTbl.mem seen projected) then begin
-               Relation.RowTbl.add seen projected ();
-               Rowbuf.push acc projected
-             end))
-        locals;
-      let out = Rowbuf.contents acc in
-      Counters.charge_tuples cnt (Array.length out);
-      record cid ~morsels:m ~partitions:0 out
-    | Plan.CFused (f, input) ->
-      let run = step_runner (fused_steps_of ctx { memo = per_worker_memo } f) in
-      let seed = make_seeder ~fin_width:f.Plan.fin_width ~fregs:f.Plan.fregs in
-      (* register buffers are fresh per row (see [make_seeder]), so
-         workers share nothing but the steps *)
-      let eval_regs ~w row = fused_row run ~seed ~w row in
-      let rows = eval input in
-      let n = Array.length rows in
-      let m = morsels_of n in
-      if not (f.Plan.fdedup && not f.Plan.fkeyed) then begin
-        let out_of =
-          if fused_out_is_regs f then Fun.id else make_copier f.Plan.fout
-        in
-        let out =
-          chunked n (fun ~w ~lo ~hi ->
-              let buf = Array.make (hi - lo) [||] in
-              let k = ref 0 in
-              for i = lo to hi - 1 do
-                let regs = eval_regs ~w rows.(i) in
-                if regs != fused_rejected then begin
-                  buf.(!k) <- out_of regs;
-                  incr k
-                end
-              done;
-              if !k = hi - lo then buf else Array.sub buf 0 !k)
-        in
-        Counters.charge_tuples cnt (Array.length out);
-        record cid ~morsels:m ~partitions:0 out
-      end
-      else begin
-        (* per-morsel local dedup + serial merge in morsel order: the
-           survivors are exactly the first occurrences a serial pass
-           would keep, in the same order (same argument as the
-           standalone projection kernels above) *)
-        let locals = Array.make (max 1 m) [||] in
-        let out =
-          match f.Plan.fout with
-          | [| src |] ->
-            parallel_for m (fun ~w mi ->
-                let lo = mi * morsel_size in
-                let hi = min n (lo + morsel_size) in
-                let seen = Hashtbl.create 64 in
-                let acc = Rowbuf.create () in
-                for j = lo to hi - 1 do
-                  let regs = eval_regs ~w rows.(j) in
-                  if regs != fused_rejected then begin
-                    let v = regs.(src) in
-                    if not (Hashtbl.mem seen v) then begin
-                      Hashtbl.add seen v ();
-                      Rowbuf.push acc [| v |]
-                    end
-                  end
-                done;
-                locals.(mi) <- Rowbuf.contents acc);
-            let seen = Hashtbl.create 256 in
-            let acc = Rowbuf.create () in
-            Array.iter
-              (Array.iter (fun row ->
-                   let v = row.(0) in
-                   if not (Hashtbl.mem seen v) then begin
-                     Hashtbl.add seen v ();
-                     Rowbuf.push acc row
-                   end))
-              locals;
-            Rowbuf.contents acc
-          | srcs ->
-            let proj = make_copier srcs in
-            parallel_for m (fun ~w mi ->
-                let lo = mi * morsel_size in
-                let hi = min n (lo + morsel_size) in
-                let seen = Relation.RowTbl.create 64 in
-                let acc = Rowbuf.create () in
-                for j = lo to hi - 1 do
-                  let regs = eval_regs ~w rows.(j) in
-                  if regs != fused_rejected then begin
-                    let projected = proj regs in
-                    if not (Relation.RowTbl.mem seen projected) then begin
-                      Relation.RowTbl.add seen projected ();
-                      Rowbuf.push acc projected
-                    end
-                  end
-                done;
-                locals.(mi) <- Rowbuf.contents acc);
-            let seen = Relation.RowTbl.create 256 in
-            let acc = Rowbuf.create () in
-            Array.iter
-              (Array.iter (fun projected ->
-                   if not (Relation.RowTbl.mem seen projected) then begin
-                     Relation.RowTbl.add seen projected ();
-                     Rowbuf.push acc projected
-                   end))
-              locals;
-            Rowbuf.contents acc
-        in
-        Counters.charge_tuples cnt (Array.length out);
-        record cid ~morsels:m ~partitions:0 out
-      end
+      emit cid ~morsels:0 (Array.append l r)
   in
   eval root
 

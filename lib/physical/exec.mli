@@ -9,10 +9,13 @@
        against.}
     {- The default path ({!run}) first {!compile}s the plan — resolving
        every reference, join key and projection to an integer slot
-       against per-operator {!Relation.Layout.t}s — then evaluates
-       blocks of rows ([Value.t array array], up to {!block_size} rows
-       per block) with tight array kernels: no assoc lists and no name
-       lookups inside the per-row loops.}}
+       against per-operator {!Relation.Layout.t}s — then runs each
+       operator's {e kernel}: its row work over a range of input rows
+       ([Value.t array]s), with no assoc lists and no name lookups
+       inside the per-row loops.  Every operator has exactly one
+       kernel, driven by one of two schedulers: the block driver
+       ({!open_compiled}, [jobs = 1]) and the morsel scheduler
+       ({!eval_parallel}, [jobs >= 2]); see DESIGN.md §9–§10.}}
 
     Per-operator memo tables cache method invocations and property
     accesses keyed by receiver and argument {e values} in both paths:
@@ -110,22 +113,29 @@ val compile : ?fuse:bool -> ctx -> Plan.t -> Plan.compiled
     interpreted executor raises at run time). *)
 
 val open_compiled : ?stats:node_stats -> ctx -> Plan.compiled -> biter
-(** Open the root block iterator.  Every emitted block charges the
-    block counter; with [stats] it also accumulates per-node actual
-    rows/blocks.  @raise Error on dynamic failures. *)
+(** The block driver: open the root block iterator, which pulls blocks
+    of at most {!block_size} rows through each operator's kernel.
+    Streaming operators run their kernel once per input block; pipeline
+    breakers (join and diff build sides, the nested loop's inner side)
+    drain their input lazily, when the first probe block arrives.  This
+    is the only path for [jobs = 1]: no pool, no domain.  Every emitted
+    block charges the block counter; with [stats] it also accumulates
+    per-node actual rows/blocks.  @raise Error on dynamic failures. *)
 
 val drain_blocks : biter -> Relation.Row.t array list
 
 (** {1 Morsel-driven parallel execution}
 
-    With [jobs >= 2], operators evaluate bottom-up on the {!Pool.global}
-    domain pool: each operator materializes its output as one row array,
-    workers claim {!morsel_size}-row morsels of the input through an
-    atomic cursor, and per-morsel results are concatenated in morsel
-    order — so the parallel output is row-for-row identical to the
-    serial executor's (DESIGN.md §10).  Equi- and natural joins (and
-    diff) hash-partition their build side and build one table per
-    partition in parallel, preserving build-input match order. *)
+    With [jobs >= 2], the same kernels run under the morsel scheduler
+    on the {!Pool.global} domain pool: each operator materializes its
+    input as one row array, workers claim {!morsel_size}-row morsels of
+    it through an atomic cursor and run the operator's kernel on each
+    (with per-worker memo tables), and per-morsel results are
+    concatenated in morsel order — so the parallel output is row-for-row
+    identical to the block driver's (DESIGN.md §10).  Equi- and natural
+    joins (and diff) hash-partition their build side and build one table
+    per partition with the block driver's build function, preserving
+    build-input match order. *)
 
 val morsel_size : int
 (** Rows per work unit claimed by a parallel worker (1024 = 8 serial
@@ -133,10 +143,14 @@ val morsel_size : int
 
 val eval_parallel :
   ?stats:node_stats -> ctx -> jobs:int -> Plan.compiled -> Relation.Row.t array
-(** Evaluate with [jobs] workers and return the root's materialized
-    rows (in deterministic, serial-identical order — exposed for the
-    determinism tests and benchmarks).  @raise Error on dynamic
-    failures, re-raised on the caller after all workers join. *)
+(** The morsel scheduler: evaluate with [jobs] workers and return the
+    root's materialized rows (in deterministic, serial-identical order —
+    exposed for the determinism tests and benchmarks).  It schedules
+    only: every row loop it runs is an operator kernel shared with
+    {!open_compiled}, and it accounts through the same per-node path, so
+    [node_rows] and the produced-tuple count match a [jobs = 1] run.
+    @raise Error on dynamic failures, re-raised on the caller after all
+    workers join. *)
 
 val effective_jobs : ctx -> int -> Plan.compiled -> int
 (** The worker count the default executor would actually use: [jobs]
@@ -153,13 +167,14 @@ val run_compiled :
   Plan.compiled ->
   Relation.t
 (** Exhaust the compiled plan and canonicalize the result.  [jobs]
-    (default 1) selects the executor: 1 streams blocks exactly as
-    before — no pool, no domain spawns — while [>= 2] runs the
-    morsel-parallel path.  Unless [clamp:false], [jobs] first passes
-    through {!effective_jobs}, so over-subscribed hosts and sub-morsel
-    inputs silently take the serial path; pass [~clamp:false] to force
-    the parallel internals regardless (determinism tests, benchmarks on
-    small fixtures). *)
+    (default 1) selects the scheduler: 1 is the block driver
+    ({!open_compiled}; no pool, no domain spawns), [>= 2] the morsel
+    scheduler ({!eval_parallel}).  Unless [clamp:false], [jobs] first
+    passes through {!effective_jobs}, so over-subscribed hosts and
+    sub-morsel inputs silently take the block driver — callers that
+    report per-node morsel counts should decide from {!effective_jobs}
+    too.  Pass [~clamp:false] to force the morsel scheduler regardless
+    (determinism tests, benchmarks on small fixtures). *)
 
 val run : ?jobs:int -> ?clamp:bool -> ctx -> Plan.t -> Relation.t
 (** [compile] + [run_compiled] — the default executor. *)

@@ -465,6 +465,22 @@ let test_fused_null_semantics () =
         (Exec.run_compiled ~jobs ~clamp:false (ctx ()) pf))
     [ 2; 3; 4 ]
 
+(* A fused selection chain over a zero-width row (the [Unit] relation)
+   passes the row itself through as its register file: the kernel's
+   rejection marker must never be mistaken for it. *)
+let test_fused_zero_width_row () =
+  let one = Restricted.OConst (Value.Int 1) in
+  let plan =
+    Plan.Filter
+      (Restricted.CEq, one, one, Plan.Filter (Restricted.CEq, one, one, Plan.Unit))
+  in
+  let fused = Exec.compile (ctx ()) plan in
+  check Alcotest.bool "filter chain fused" true (Plan.fused_count fused > 0);
+  check F.relation "fused = interpreted" (run_interp plan)
+    (Exec.run_compiled (ctx ()) fused);
+  check Alcotest.int "the unit row survives" 1
+    (Relation.cardinality (Exec.run_compiled (ctx ()) fused))
+
 let test_block_accounting () =
   let d = Lazy.force db in
   let plan = Plan.FullScan ("p", "Paragraph") in
@@ -595,6 +611,30 @@ let prop_parallel_parity =
             Relation.equal serial (Exec.run ~jobs ~clamp:false (ctx ()) plan))
           [ 2; 3; 4 ])
 
+(* Both schedulers account through one [record] path: per-node actual
+   rows and the produced-tuple total must not depend on the worker
+   count. *)
+let prop_parallel_node_accounting =
+  QCheck2.Test.make ~count:30
+    ~name:"per-node rows and tuples: jobs=1 = jobs in {2,4}"
+    Soqm_testlib.Gen.term_gen
+    (fun g ->
+      match General.well_formed g with
+      | Error _ -> QCheck2.assume_fail ()
+      | Ok () ->
+        let plan = Plan.default_implementation (Translate.of_general g) in
+        let compiled = Exec.compile (ctx ()) plan in
+        let actuals jobs =
+          let stats = Exec.make_stats compiled in
+          let _, counters =
+            Soqm_core.Db.with_fresh_counters (Lazy.force db) (fun () ->
+                Exec.run_compiled ~stats ~jobs ~clamp:false (ctx ()) compiled)
+          in
+          (stats.Exec.node_rows, Counters.tuples_produced counters)
+        in
+        let serial = actuals 1 in
+        List.for_all (fun jobs -> actuals jobs = serial) [ 2; 4 ])
+
 let test_parallel_oversubscribed () =
   let plan =
     Plan.HashJoin
@@ -631,6 +671,14 @@ let test_parallel_null_keys () =
    results concatenate in morsel order, partitioned joins preserve
    build-input match order). *)
 let test_parallel_row_order () =
+  (* paragraph pairs: 36 x 36 rows on the tiny database, two morsels *)
+  let pairs =
+    Plan.NestedLoop
+      (None, Plan.FullScan ("p", "Paragraph"), Plan.FullScan ("q", "Paragraph"))
+  in
+  let authored =
+    Plan.MapProp ("a", "author", "d", Plan.FullScan ("d", "Document"))
+  in
   let plans =
     [
       Plan.FullScan ("p", "Paragraph");
@@ -644,6 +692,36 @@ let test_parallel_row_order () =
         ( Plan.FullScan ("p", "Paragraph"),
           Plan.FullScan ("p", "Paragraph") );
       Plan.FlatProp ("s", "sections", "d", Plan.FullScan ("d", "Document"));
+      (* single-column dedup projection over a two-morsel input *)
+      Plan.Project (["q"], pairs);
+      (* multi-column dedup projection *)
+      Plan.Project
+        ( [ "d"; "s" ],
+          Plan.NestedLoop
+            ( None,
+              Plan.FullScan ("p", "Paragraph"),
+              Plan.NestedLoop
+                (None, Plan.FullScan ("d", "Document"), Plan.FullScan ("s", "Section"))
+            ) );
+      (* fused filter -> map -> map -> project chain with dedup *)
+      Plan.Project
+        ( [ "n" ],
+          Plan.MapProp
+            ( "n", "number", "s",
+              Plan.MapProp
+                ( "s", "section", "q",
+                  Plan.Filter
+                    (Restricted.CNeq, Restricted.ORef "p", Restricted.ORef "q", pairs) ) ) );
+      (* diff with a non-empty exclusion side (the diagonal) *)
+      Plan.Diff
+        ( pairs,
+          Plan.Filter (Restricted.CEq, Restricted.ORef "p", Restricted.ORef "q", pairs) );
+      Plan.FlatMeth
+        ("q", "paragraphs", Restricted.RRef "d", [], Plan.FullScan ("d", "Document"));
+      (* two shared columns, two build matches per key *)
+      Plan.NaturalJoin
+        ( authored,
+          Plan.FlatProp ("s", "sections", "d", authored) );
     ]
   in
   List.iter
@@ -881,6 +959,7 @@ let () =
           F.case "Null-key join semantics" test_null_keys_pin;
           QCheck_alcotest.to_alcotest prop_fusion_parity;
           F.case "Null semantics in fused kernels" test_fused_null_semantics;
+          F.case "fused chain over a zero-width row" test_fused_zero_width_row;
           F.case "block accounting" test_block_accounting;
           F.case "slot miss on bad plan" test_slot_miss_charged;
           F.case "analyze stats" test_analyze_stats;
@@ -891,6 +970,7 @@ let () =
           F.case "pool protocol" test_pool_protocol;
           F.case "jobs=1 spawns nothing" test_serial_spawns_no_domains;
           QCheck_alcotest.to_alcotest prop_parallel_parity;
+          QCheck_alcotest.to_alcotest prop_parallel_node_accounting;
           F.case "oversubscribed jobs > cores" test_parallel_oversubscribed;
           F.case "Null-key join semantics" test_parallel_null_keys;
           F.case "row-for-row determinism" test_parallel_row_order;
