@@ -131,41 +131,10 @@ let exp_c () =
             res.Soqm_optimizer.Search.variants_explored dt)
         [ 0; 2; 4; 5 ])
     queries;
-  (* the memo engine: Volcano's search-space organization, reference-
-     preserving rules only *)
-  Printf.printf "\nmemo engine (Volcano groups) on the worked example:\n";
-  let schema = Object_store.schema db.Db.store in
-  let dt, di =
-    Soqm_semantics.Derive.rules_of_specs schema (Doc_knowledge.specs ())
-  in
-  let make_memo () =
-    Soqm_optimizer.Memo.create
-      (Engine.opt_ctx_of db)
-      (Soqm_optimizer.Builtin_rules.transformations @ dt)
-      (Soqm_optimizer.Builtin_rules.implementations @ di)
-  in
-  let logical = Engine.logical_of_query db query_q in
-  let memo = make_memo () in
-  let t0 = Unix.gettimeofday () in
-  let _plan, memo_cost = Soqm_optimizer.Memo.optimize memo logical in
-  let dt_memo = (Unix.gettimeofday () -. t0) *. 1000. in
-  let st = Soqm_optimizer.Memo.stats memo in
-  let sat = Engine.optimize (Engine.generate db) logical in
-  Printf.printf
-    "  saturation: %5d variants, est cost %7.1f\n\
-    \  memo:       %5d exprs in %d groups (%d merges), est cost %7.1f, %.1f ms\n"
-    sat.Soqm_optimizer.Search.variants_explored
-    sat.Soqm_optimizer.Search.best_cost st.Soqm_optimizer.Memo.exprs
-    st.Soqm_optimizer.Memo.groups st.Soqm_optimizer.Memo.merges memo_cost
-    dt_memo;
   Printf.printf
     "\nclaim: Volcano-style rule-based optimization 'has been shown to be\n\
      very efficient'; adding schema-specific rules grows the explored\n\
-     space but optimization stays in the tens of milliseconds.  The memo\n\
-     organization shares subexpressions (orders of magnitude fewer\n\
-     expressions) but, at subexpression granularity, only supports the\n\
-     reference-preserving rules (see Memo's documentation) — which is why\n\
-     this reproduction saturates whole terms by default.\n"
+     space but optimization stays in the tens of milliseconds.\n"
 
 (* ------------------------------------------------------------------ *)
 (* EXP-D: expensive method predicates and access-path crossover        *)

@@ -344,7 +344,7 @@ let repl_cmd =
       $ saturate_arg $ trace_arg)
 
 (* ------------------------------------------------------------------ *)
-(* DML: insert / update / delete on a saved database dump              *)
+(* DML: insert / update / delete on a paged database directory         *)
 (* ------------------------------------------------------------------ *)
 
 let db_file_arg =

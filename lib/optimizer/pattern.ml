@@ -216,41 +216,6 @@ and match_at schema pat term b : bindings list =
                Option.bind (match_pname pm m b) (fun b -> match_pargs pxs xs b))))
   | _ -> []
 
-let match_with schema pat term b = match_at schema pat term b
-
-let pattern_inputs = function
-  | PAny _ | PAnyRanging _ | PGet _ | PMethodSource _ -> []
-  | PSelectCmp (_, _, _, p)
-  | PMapProperty (_, _, _, p)
-  | PMapMethod (_, _, _, _, p)
-  | PFlatProperty (_, _, _, p)
-  | PFlatMethod (_, _, _, _, p)
-  | PMapOperator (_, _, _, p)
-  | PFlatOperator (_, _, _, p)
-  | PProject (_, p) ->
-    [ p ]
-  | PNaturalJoin (p1, p2) | PUnion (p1, p2) | PDiff (p1, p2) | PCross (p1, p2)
-  | PJoinCmp (_, _, _, p1, p2) ->
-    [ p1; p2 ]
-
-let with_pattern_inputs pat ins =
-  match pat, ins with
-  | (PAny _ | PAnyRanging _ | PGet _ | PMethodSource _), [] -> pat
-  | PSelectCmp (c, x, y, _), [ p ] -> PSelectCmp (c, x, y, p)
-  | PMapProperty (a, n, r, _), [ p ] -> PMapProperty (a, n, r, p)
-  | PMapMethod (a, n, rv, xs, _), [ p ] -> PMapMethod (a, n, rv, xs, p)
-  | PFlatProperty (a, n, r, _), [ p ] -> PFlatProperty (a, n, r, p)
-  | PFlatMethod (a, n, rv, xs, _), [ p ] -> PFlatMethod (a, n, rv, xs, p)
-  | PMapOperator (a, op, xs, _), [ p ] -> PMapOperator (a, op, xs, p)
-  | PFlatOperator (a, op, xs, _), [ p ] -> PFlatOperator (a, op, xs, p)
-  | PProject (rs, _), [ p ] -> PProject (rs, p)
-  | PNaturalJoin _, [ p1; p2 ] -> PNaturalJoin (p1, p2)
-  | PUnion _, [ p1; p2 ] -> PUnion (p1, p2)
-  | PDiff _, [ p1; p2 ] -> PDiff (p1, p2)
-  | PCross _, [ p1; p2 ] -> PCross (p1, p2)
-  | PJoinCmp (c, a1, a2, _, _), [ p1; p2 ] -> PJoinCmp (c, a1, a2, p1, p2)
-  | _ -> invalid_arg "Pattern.with_pattern_inputs: arity mismatch"
-
 let ref_vars pat =
   let acc = ref [] in
   let note_pref = function PRefVar v -> acc := v :: !acc | PRef _ -> () in

@@ -66,20 +66,6 @@ val matches : Schema.t -> t -> Restricted.t -> bindings list
     are applied at every node by the search, not by the matcher).
     Multiple results arise only from unbound ranging variables. *)
 
-val match_with : Schema.t -> t -> Restricted.t -> bindings -> bindings list
-(** Like {!matches} but extending existing bindings; used by the memo
-    engine, which matches sub-patterns against input groups one level at
-    a time. *)
-
-val pattern_inputs : t -> t list
-(** Sub-patterns at the operator's input positions (mirrors
-    {!Soqm_algebra.Restricted.inputs}); [] for [PAny]/[PAnyRanging] and
-    leaves. *)
-
-val with_pattern_inputs : t -> t list -> t
-(** Replace the input sub-patterns.  @raise Invalid_argument on arity
-    mismatch. *)
-
 val ref_vars : t -> string list
 (** Reference variables occurring in the pattern (sorted, unique). *)
 

@@ -63,22 +63,26 @@ let saturate_nodes ~config schema rules term0 =
   let nodes = ref [||] in
   let count = ref 0 in
   let truncated = ref false in
+  (* true when the node is kept as a new variant.  A duplicate already
+     kept (or already dropped) is never a lost variant: only report
+     truncation for genuinely new terms that the bound forces us to
+     discard *)
   let push node =
-    (* a duplicate already kept (or already dropped) is never a lost
-       variant: only report truncation for genuinely new terms that the
-       bound forces us to discard *)
-    if not (Hashtbl.mem seen node.term) then
-      if !count >= config.max_variants then truncated := true
-      else (
-        Hashtbl.replace seen node.term ();
-        if Array.length !nodes = !count then
-          nodes :=
-            Array.append !nodes (Array.make (max 64 (Array.length !nodes)) node);
-        !nodes.(!count) <- node;
-        incr count)
+    if Hashtbl.mem seen node.term then false
+    else if !count >= config.max_variants then (
+      truncated := true;
+      false)
+    else (
+      Hashtbl.replace seen node.term ();
+      if Array.length !nodes = !count then
+        nodes :=
+          Array.append !nodes (Array.make (max 64 (Array.length !nodes)) node);
+      !nodes.(!count) <- node;
+      incr count;
+      true)
   in
   Hashtbl.replace examined (Restricted.alpha_canonical term0) ();
-  push { term = term0; parent = None; once_used = SSet.empty };
+  ignore (push { term = term0; parent = None; once_used = SSet.empty });
   let i = ref 0 in
   while !i < !count do
     let idx = !i in
@@ -95,19 +99,21 @@ let saturate_nodes ~config schema rules term0 =
               let cand = Restricted.alpha_canonical cand in
               if not (Hashtbl.mem examined cand) then (
                 Hashtbl.replace examined cand ();
-                if Restricted.size cand <= size_limit && admissible ~want_refs cand
-                then (
+                if
+                  Restricted.size cand <= size_limit
+                  && admissible ~want_refs cand
+                  && push
+                       {
+                         term = cand;
+                         parent = Some (idx, rule.Rule.t_name);
+                         once_used =
+                           (if rule.Rule.t_apply_once then
+                              SSet.add rule.Rule.t_name node.once_used
+                            else node.once_used);
+                       }
+                then
                   Hashtbl.replace fired rule.Rule.t_name
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt fired rule.Rule.t_name));
-                  push
-                    {
-                      term = cand;
-                      parent = Some (idx, rule.Rule.t_name);
-                      once_used =
-                        (if rule.Rule.t_apply_once then
-                           SSet.add rule.Rule.t_name node.once_used
-                         else node.once_used);
-                    })))
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt fired rule.Rule.t_name))))
             results)
       rules;
     incr i
@@ -125,45 +131,6 @@ let saturate ?(config = default_config) schema rules term0 =
 (* ------------------------------------------------------------------ *)
 (* Implementation phase                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* Default structural implementations of the root operator given best
-   plans for the inputs; [JoinCmp] with equality yields both a hash join
-   and (via the builtin rule) a nested loop, so alternatives compete. *)
-let structural_roots (term : Restricted.t) (input_plans : Plan.t list) :
-    Plan.t list =
-  match term, input_plans with
-  | Restricted.Unit, [] -> [ Plan.Unit ]
-  | Restricted.Get (a, c), [] -> [ Plan.FullScan (a, c) ]
-  | Restricted.MethodSource (a, cls, m, args), [] -> (
-    match
-      List.filter_map
-        (function Restricted.OConst v -> Some v | _ -> None)
-        args
-    with
-    | consts when List.length consts = List.length args ->
-      [ Plan.MethodScan (a, cls, m, consts) ]
-    | _ -> [])
-  | Restricted.NaturalJoin _, [ p1; p2 ] -> [ Plan.NaturalJoin (p1, p2) ]
-  | Restricted.Union _, [ p1; p2 ] -> [ Plan.Union (p1, p2) ]
-  | Restricted.Diff _, [ p1; p2 ] -> [ Plan.Diff (p1, p2) ]
-  | Restricted.Cross _, [ p1; p2 ] -> [ Plan.NestedLoop (None, p1, p2) ]
-  | Restricted.SelectCmp (c, x, y, _), [ p ] -> [ Plan.Filter (c, x, y, p) ]
-  | Restricted.JoinCmp (Restricted.CEq, a1, a2, _, _), [ p1; p2 ] ->
-    [ Plan.HashJoin (a1, a2, p1, p2) ]
-  | Restricted.JoinCmp (c, a1, a2, _, _), [ p1; p2 ] ->
-    [ Plan.NestedLoop (Some (c, a1, a2), p1, p2) ]
-  | Restricted.MapProperty (a, p, a1, _), [ pl ] -> [ Plan.MapProp (a, p, a1, pl) ]
-  | Restricted.MapMethod (a, m, r, xs, _), [ pl ] ->
-    [ Plan.MapMeth (a, m, r, xs, pl) ]
-  | Restricted.FlatProperty (a, p, a1, _), [ pl ] ->
-    [ Plan.FlatProp (a, p, a1, pl) ]
-  | Restricted.FlatMethod (a, m, r, xs, _), [ pl ] ->
-    [ Plan.FlatMeth (a, m, r, xs, pl) ]
-  | Restricted.MapOperator (a, op, xs, _), [ pl ] -> [ Plan.MapOp (a, op, xs, pl) ]
-  | Restricted.FlatOperator (a, op, xs, _), [ pl ] ->
-    [ Plan.FlatOp (a, op, xs, pl) ]
-  | Restricted.Project (rs, _), [ pl ] -> [ Plan.Project (rs, pl) ]
-  | _ -> []
 
 exception No_plan of string
 
@@ -184,7 +151,9 @@ let implement_memo (ctx : Rule.opt_ctx) impls memo =
           let input_plans =
             List.map (fun t -> fst (best t)) (Restricted.inputs term)
           in
-          let structural = structural_roots term input_plans in
+          let structural =
+            Option.to_list (Plan.structural_root term input_plans)
+          in
           let from_rules =
             List.concat_map
               (fun (r : Rule.implementation) ->
@@ -195,6 +164,7 @@ let implement_memo (ctx : Rule.opt_ctx) impls memo =
                   (Pattern.matches ctx.Rule.schema r.Rule.i_lhs term))
               impls
           in
+          (* structural first: on a cost tie the earlier candidate wins *)
           let candidates = structural @ from_rules in
           (* branch-and-bound over the candidate list: keep the cheapest *)
           List.fold_left

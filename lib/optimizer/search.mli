@@ -16,8 +16,8 @@
     derivation.
 
     Implementation: for each logical variant, the cheapest physical plan
-    is computed bottom-up — implementation rules compete with the default
-    structural implementation per node — memoized across variants (which
+    is computed bottom-up — implementation rules compete with the
+    structural implementation per node ({!Plan.structural_root}) — memoized across variants (which
     share subterms, recovering the sharing of Volcano's memo groups) and
     pruned against the best complete plan found so far. *)
 
@@ -44,9 +44,10 @@ type result = {
       (** rule applications leading from the input to the chosen variant,
           in order; the first step's [term] is the (canonicalized) input *)
   rule_applications : (string * int) list;
-      (** how many accepted rewrites each transformation rule produced
-          during the closure (rules that never fired are absent); sorted
-          by rule name *)
+      (** how many rewrites each transformation rule produced that the
+          closure kept as new variants, so the counts sum to
+          [variants_explored - 1] (rules that never fired are absent);
+          sorted by rule name *)
 }
 
 val saturate :
@@ -66,10 +67,6 @@ val optimize :
   Rule.implementation list ->
   Restricted.t ->
   result
-
-val structural_roots : Restricted.t -> Plan.t list -> Plan.t list
-(** The default structural implementation(s) of a term's root operator
-    given best plans for its inputs; shared with the memo engine. *)
 
 val implement_only :
   Rule.opt_ctx -> Rule.implementation list -> Restricted.t -> Plan.t * float

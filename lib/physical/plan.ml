@@ -66,43 +66,43 @@ let inputs = function
 
 let rec size t = 1 + List.fold_left (fun n i -> n + size i) 0 (inputs t)
 
-let rec default_implementation (r : Restricted.t) : t =
-  match r with
-  | Restricted.Unit -> Unit
-  | Restricted.Get (a, c) -> FullScan (a, c)
-  | Restricted.MethodSource (a, cls, m, args) ->
+let structural_root (r : Restricted.t) (inputs : t list) : t option =
+  match r, inputs with
+  | Restricted.Unit, [] -> Some Unit
+  | Restricted.Get (a, c), [] -> Some (FullScan (a, c))
+  | Restricted.MethodSource (a, cls, m, args), [] ->
     let consts =
-      List.map
-        (function
-          | Restricted.OConst v -> v
-          | Restricted.ORef _ | Restricted.OParam _ ->
-            invalid_arg "default_implementation: non-constant source argument")
+      List.filter_map
+        (function Restricted.OConst v -> Some v | _ -> None)
         args
     in
-    MethodScan (a, cls, m, consts)
-  | Restricted.NaturalJoin (s1, s2) ->
-    NaturalJoin (default_implementation s1, default_implementation s2)
-  | Restricted.Union (s1, s2) ->
-    Union (default_implementation s1, default_implementation s2)
-  | Restricted.Diff (s1, s2) ->
-    Diff (default_implementation s1, default_implementation s2)
-  | Restricted.Cross (s1, s2) ->
-    NestedLoop (None, default_implementation s1, default_implementation s2)
-  | Restricted.SelectCmp (c, x, y, s) -> Filter (c, x, y, default_implementation s)
-  | Restricted.JoinCmp (Restricted.CEq, a1, a2, s1, s2) ->
-    HashJoin (a1, a2, default_implementation s1, default_implementation s2)
-  | Restricted.JoinCmp (c, a1, a2, s1, s2) ->
-    NestedLoop (Some (c, a1, a2), default_implementation s1, default_implementation s2)
-  | Restricted.MapProperty (a, p, a1, s) -> MapProp (a, p, a1, default_implementation s)
-  | Restricted.MapMethod (a, m, recv, args, s) ->
-    MapMeth (a, m, recv, args, default_implementation s)
-  | Restricted.FlatProperty (a, p, a1, s) ->
-    FlatProp (a, p, a1, default_implementation s)
-  | Restricted.FlatMethod (a, m, recv, args, s) ->
-    FlatMeth (a, m, recv, args, default_implementation s)
-  | Restricted.MapOperator (a, op, xs, s) -> MapOp (a, op, xs, default_implementation s)
-  | Restricted.FlatOperator (a, op, xs, s) -> FlatOp (a, op, xs, default_implementation s)
-  | Restricted.Project (rs, s) -> Project (rs, default_implementation s)
+    if List.length consts = List.length args then
+      Some (MethodScan (a, cls, m, consts))
+    else None
+  | Restricted.NaturalJoin _, [ p1; p2 ] -> Some (NaturalJoin (p1, p2))
+  | Restricted.Union _, [ p1; p2 ] -> Some (Union (p1, p2))
+  | Restricted.Diff _, [ p1; p2 ] -> Some (Diff (p1, p2))
+  | Restricted.Cross _, [ p1; p2 ] -> Some (NestedLoop (None, p1, p2))
+  | Restricted.SelectCmp (c, x, y, _), [ p ] -> Some (Filter (c, x, y, p))
+  | Restricted.JoinCmp (Restricted.CEq, a1, a2, _, _), [ p1; p2 ] ->
+    Some (HashJoin (a1, a2, p1, p2))
+  | Restricted.JoinCmp (c, a1, a2, _, _), [ p1; p2 ] ->
+    Some (NestedLoop (Some (c, a1, a2), p1, p2))
+  | Restricted.MapProperty (a, p, a1, _), [ pl ] -> Some (MapProp (a, p, a1, pl))
+  | Restricted.MapMethod (a, m, r, xs, _), [ pl ] -> Some (MapMeth (a, m, r, xs, pl))
+  | Restricted.FlatProperty (a, p, a1, _), [ pl ] -> Some (FlatProp (a, p, a1, pl))
+  | Restricted.FlatMethod (a, m, r, xs, _), [ pl ] -> Some (FlatMeth (a, m, r, xs, pl))
+  | Restricted.MapOperator (a, op, xs, _), [ pl ] -> Some (MapOp (a, op, xs, pl))
+  | Restricted.FlatOperator (a, op, xs, _), [ pl ] -> Some (FlatOp (a, op, xs, pl))
+  | Restricted.Project (rs, _), [ pl ] -> Some (Project (rs, pl))
+  | _ -> None
+
+let rec default_implementation (r : Restricted.t) : t =
+  match
+    structural_root r (List.map default_implementation (Restricted.inputs r))
+  with
+  | Some p -> p
+  | None -> invalid_arg "default_implementation: non-constant source argument"
 
 (* ------------------------------------------------------------------ *)
 (* Slot compilation                                                    *)

@@ -50,12 +50,19 @@ val refs : t -> string list
 val inputs : t -> t list
 val size : t -> int
 
-val default_implementation : Restricted.t -> t
-(** The always-available structural implementation: every logical
-    operator mapped to its direct physical counterpart ([get] → full
-    scan, [select] → filter, [join] → nested loop, ...).  Semantic
-    implementation rules compete against this baseline in the
+val structural_root : Restricted.t -> t list -> t option
+(** The structural implementation of a term's root operator given plans
+    for its inputs ({!Soqm_algebra.Restricted.inputs} order): every
+    logical operator mapped to its direct physical counterpart ([get] →
+    full scan, [select] → filter, equality [join] → hash join, other
+    joins and [cross] → nested loop, ...).  [None] for a [MethodSource]
+    with a non-constant argument, or on an arity mismatch.  Semantic
+    implementation rules compete against this candidate in the
     optimizer's branch-and-bound. *)
+
+val default_implementation : Restricted.t -> t
+(** {!structural_root} applied at every node.
+    @raise Invalid_argument on a non-constant [MethodSource] argument. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

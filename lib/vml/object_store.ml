@@ -272,52 +272,6 @@ let make_dump ~schema ~next_id objects =
 let dump_objects d = d.d_objects
 let dump_next_id d = d.d_next_id
 
-exception Dump_format_error of string
-
-(* Magic + a little-endian format-version word precede the Marshal body:
-   [Marshal.from_channel] on a foreign or truncated file is undefined
-   behavior, so everything that could go wrong before or during the
-   unmarshal is converted into [Dump_format_error]. *)
-let magic = "SOQM-DUMP"
-let dump_version = 2
-
-let dump_error path msg = raise (Dump_format_error (path ^ ": " ^ msg))
-
-let save_dump d path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc magic;
-      let v = Bytes.create 4 in
-      Bytes.set_int32_le v 0 (Int32.of_int dump_version);
-      output_bytes oc v;
-      Marshal.to_channel oc d [])
-
-let load_dump path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let tag =
-        try really_input_string ic (String.length magic)
-        with End_of_file -> dump_error path "truncated dump (no header)"
-      in
-      if not (String.equal tag magic) then
-        dump_error path "not a soqm dump (bad magic)";
-      let v =
-        try really_input_string ic 4
-        with End_of_file -> dump_error path "truncated dump (no version word)"
-      in
-      let version = Int32.to_int (String.get_int32_le v 0) in
-      if version <> dump_version then
-        dump_error path
-          (Printf.sprintf "unsupported dump version %d (want %d)" version
-             dump_version);
-      try (Marshal.from_channel ic : dump)
-      with End_of_file | Failure _ ->
-        dump_error path "truncated or corrupt dump body")
-
 let register_inst_method t ~cls ~meth impl =
   if Option.is_none (Schema.inst_method t.schema ~cls ~meth) then
     fail "Object_store: schema declares no instance method %s.%s" cls meth;

@@ -125,10 +125,10 @@ val set_prop_derived : t -> Oid.t -> string -> Value.t -> unit
 (** {1 Snapshots} *)
 
 type dump
-(** A serializable image of the store's data: schema, objects with their
-    property values, allocation counter.  Method implementations (OCaml
-    closures) are {e not} part of a dump; re-register them after
-    {!import}. *)
+(** An image of the store's data: schema, objects with their property
+    values, allocation counter — what the paged database directory
+    writes and reads back.  Method implementations (OCaml closures) are
+    {e not} part of a dump; re-register them after {!import}. *)
 
 val export : t -> dump
 val dump_schema : dump -> Schema.t
@@ -151,19 +151,6 @@ val import : ?counters:Counters.t -> dump -> t
 (** Rebuild a store from a dump: same schema, same OIDs, same property
     values (restored verbatim, without re-running inverse maintenance),
     empty method registry. *)
-
-exception Dump_format_error of string
-(** A dump file is foreign, truncated, or of an unsupported version. *)
-
-val save_dump : dump -> string -> unit
-(** Write a dump to a file: magic header, format-version word, then the
-    [Marshal]-encoded body (read it back only with the same binary). *)
-
-val load_dump : string -> dump
-(** @raise Dump_format_error on foreign, truncated or version-mismatched
-    files (checked before any [Marshal] read — unmarshalling a foreign
-    byte stream is undefined behavior).
-    @raise Sys_error on unreadable files. *)
 
 (** {1 Method implementations} *)
 

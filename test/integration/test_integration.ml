@@ -363,56 +363,6 @@ let test_snapshot_rejects_garbage () =
         (function Soqm_disk.Store.Format_error _ -> true | _ -> false)
         (fun () -> ignore (Db.load path)))
 
-(* The legacy single-file dump codec: magic + version word guard the
-   Marshal body, so foreign and truncated files fail deterministically
-   with [Dump_format_error] instead of undefined [Marshal] behavior. *)
-let test_dump_format_guard () =
-  let with_temp_file f =
-    let path = Filename.temp_file "soqm" ".dump" in
-    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
-  in
-  let rejects name path =
-    Alcotest.match_raises name
-      (function Object_store.Dump_format_error _ -> true | _ -> false)
-      (fun () -> ignore (Object_store.load_dump path))
-  in
-  let d = F.tiny_db () in
-  let dump = Object_store.export d.Db.store in
-  (* roundtrip through the guarded file codec *)
-  with_temp_file (fun path ->
-      Object_store.save_dump dump path;
-      let dump' = Object_store.load_dump path in
-      check Alcotest.int "objects preserved"
-        (List.length (Object_store.dump_objects dump))
-        (List.length (Object_store.dump_objects dump'));
-      check Alcotest.int "allocation counter preserved"
-        (Object_store.dump_next_id dump)
-        (Object_store.dump_next_id dump'));
-  (* a foreign file of unrelated bytes *)
-  with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "#!/bin/sh\necho this is not a dump\n";
-      close_out oc;
-      rejects "foreign file" path);
-  (* empty file: shorter than the header itself *)
-  with_temp_file (fun path ->
-      close_out (open_out_bin path);
-      rejects "empty file" path);
-  (* right magic, unsupported version *)
-  with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "SOQM-DUMP\x7f\x00\x00\x00";
-      close_out oc;
-      rejects "version mismatch" path);
-  (* valid header, body truncated mid-Marshal *)
-  with_temp_file (fun path ->
-      Object_store.save_dump dump path;
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      let oc = open_out_bin path in
-      output_string oc (String.sub full 0 (String.length full * 2 / 3));
-      close_out oc;
-      rejects "truncated body" path)
-
 let test_dot_renders () =
   let res = Engine.optimize_query (Lazy.force engine) query_q in
   let deriv = Soqm_optimizer.Dot.of_derivation res in
@@ -492,7 +442,6 @@ let () =
           F.case "plan cache" test_plan_cache;
           F.case "snapshot roundtrip" test_snapshot_roundtrip;
           F.case "snapshot rejects garbage" test_snapshot_rejects_garbage;
-          F.case "legacy dump format guard" test_dump_format_guard;
           F.case "derived data enables range scan"
             test_derived_data_knowledge_enables_range_scan;
           F.case "dot renders" test_dot_renders;
