@@ -36,6 +36,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module A = Soqm_algebra
 module Store = Soqm_disk.Store
 module Persist = Soqm_maintenance.Persist
@@ -70,33 +71,6 @@ let check name ok =
     incr failures;
     Printf.printf "FAIL %s\n" name)
   else Printf.printf "ok   %s\n" name
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-let with_temp_dir prefix f =
-  let dir = Filename.temp_file prefix ".db" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun entry -> Sys.remove (Filename.concat dir entry))
-          (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () -> f dir)
-
-let arg_value flag default parse =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> parse v
-    | _ :: rest -> go rest
-    | [] -> default
-  in
-  go (Array.to_list Sys.argv)
 
 (* ------------------------------------------------------------------ *)
 (* Growth workload: interleaved paragraph appends                      *)

@@ -34,6 +34,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module A = Soqm_algebra
 module P = Soqm_physical
 module D = Soqm_disk
@@ -101,16 +102,6 @@ let entries =
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  ignore (f ());
-  Unix.gettimeofday () -. t0
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
 (* Minimum over reps, not median: external load (dune runs the other
    test suites concurrently with this gate on the CI box) only ever
    *adds* time, so the min is the robust estimator of a pipeline's own
@@ -118,7 +109,7 @@ let median xs =
 let measure_side f =
   Gc.compact ();
   ignore (f ()) (* warm-up *);
-  List.fold_left min infinity (List.init reps (fun _ -> time f))
+  List.fold_left min infinity (List.init reps (fun _ -> snd (time f)))
 
 let drain_compiled ctx compiled () =
   let b = P.Exec.open_compiled ctx compiled in
@@ -201,23 +192,23 @@ type bytes_result = {
   ratio : float;
 }
 
-(* [bytes_read] / [values_decoded] live in the storage counter family
+(* [Bytes_read] / [Values_decoded] live in the storage counter family
    (cumulative across a workload), so each leg resets that family
-   explicitly rather than relying on the per-run [Counters.reset]. *)
+   explicitly rather than relying on the per-run [Query] reset. *)
 let measure_bytes ~row_store ~col_store =
   let row_cnt = D.Store.counters row_store in
   let col_cnt = D.Store.counters col_store in
-  Counters.reset_storage row_cnt;
+  Counters.reset row_cnt Storage;
   ignore (D.Store.scan row_store "Document");
-  let row_full_bytes = Counters.bytes_read row_cnt in
-  let row_values = Counters.values_decoded row_cnt in
-  Counters.reset_storage row_cnt;
+  let row_full_bytes = Counters.get row_cnt Bytes_read in
+  let row_values = Counters.get row_cnt Values_decoded in
+  Counters.reset row_cnt Storage;
   ignore (D.Store.scan_columns row_store "Document" [ "author" ]);
-  let row_sel_bytes = Counters.bytes_read row_cnt in
-  Counters.reset_storage col_cnt;
+  let row_sel_bytes = Counters.get row_cnt Bytes_read in
+  Counters.reset col_cnt Storage;
   ignore (D.Store.scan_columns col_store "Document" [ "author" ]);
-  let col_sel_bytes = Counters.bytes_read col_cnt in
-  let col_values = Counters.values_decoded col_cnt in
+  let col_sel_bytes = Counters.get col_cnt Bytes_read in
+  let col_values = Counters.get col_cnt Values_decoded in
   {
     row_full_bytes;
     row_sel_bytes;
@@ -268,14 +259,6 @@ let write_json path ~n_docs ~paras ~seed ~cores ~jobs results bytes
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let arg_value flag default parse =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> parse v
-    | _ :: rest -> go rest
-    | [] -> default
-  in
-  go (Array.to_list Sys.argv)
 
 let rec rm_rf path =
   match Unix.lstat path with

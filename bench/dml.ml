@@ -32,6 +32,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module A = Soqm_algebra
 
 (* one query per knowledge class; names follow Section 2.3 *)
@@ -60,11 +61,6 @@ let check name ok =
     incr failures;
     Printf.printf "FAIL %s\n" name)
   else Printf.printf "ok   %s\n" name
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Update workload: flip word counts across the 500 boundary, rewrite   *)
@@ -136,7 +132,7 @@ let run_gate ~n_docs ~seed =
   let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
   let store = db.Db.store in
   let engine = Engine.generate db in
-  Counters.reset_maintenance (Db.counters db);
+  Counters.reset (Db.counters db) Maintenance;
 
   (* warm the plan cache *)
   List.iter (fun (_, q) -> ignore (Engine.run_optimized engine q)) queries;
@@ -207,8 +203,9 @@ let run_gate ~n_docs ~seed =
   let c = Counters.snapshot (Db.counters db) in
   let hits', misses' = Engine.cache_stats engine in
   check "counters agree with engine cache stats"
-    (Counters.plan_cache_hits c = hits' && Counters.plan_cache_misses c = misses');
-  Format.printf "%a@." Counters.pp_maintenance c;
+    (Counters.get c Plan_cache_hits = hits'
+    && Counters.get c Plan_cache_misses = misses');
+  Format.printf "%a@." (Counters.pp Maintenance) c;
   (match Db.maintenance db with
   | Some m ->
     Printf.printf "epoch %d, %d recollect(s), staleness %.3f\n"
@@ -280,17 +277,8 @@ let mixed_workload_table ~n_docs ~seed =
 
 let () =
   let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let int_flag flag default =
-    let n = ref default in
-    Array.iteri
-      (fun i a ->
-        if String.equal a flag && i + 1 < Array.length Sys.argv then
-          n := int_of_string Sys.argv.(i + 1))
-      Sys.argv;
-    !n
-  in
-  let n_docs = int_flag "--docs" 100 in
-  let seed = int_flag "--seed" Datagen.default.Datagen.seed in
+  let n_docs = arg_value "--docs" 100 int_of_string in
+  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
   let dt_updates = run_gate ~n_docs ~seed in
   if not assert_mode then (
     throughput_table ~n_docs ~seed dt_updates;

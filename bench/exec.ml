@@ -27,6 +27,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module A = Soqm_algebra
 module P = Soqm_physical
 
@@ -121,16 +122,6 @@ let entries schema =
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let n = f () in
-  (n, Unix.gettimeofday () -. t0)
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
 
 let drain_interpreted ctx plan () =
   let it = P.Exec.Interpreted.open_plan ctx plan in
@@ -245,14 +236,6 @@ let write_json path ~n_docs ~paras ~seed ~cores results ~median_speedup
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let arg_value flag default parse =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> parse v
-    | _ :: rest -> go rest
-    | [] -> default
-  in
-  go (Array.to_list Sys.argv)
 
 let () =
   let assert_mode = Array.exists (String.equal "--assert") Sys.argv in

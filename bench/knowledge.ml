@@ -29,6 +29,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module Saturate = Soqm_knowledge.Saturate
 module Check = Soqm_knowledge.Check
 module Rulegen = Soqm_knowledge.Rulegen
@@ -66,19 +67,6 @@ let check name ok =
     incr failures;
     Printf.printf "FAIL %s\n" name)
   else Printf.printf "ok   %s\n" name
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-let arg_value flag default parse =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> parse v
-    | _ :: rest -> go rest
-    | [] -> default
-  in
-  go (Array.to_list Sys.argv)
 
 (* ------------------------------------------------------------------ *)
 (* JSON emission (BENCH_knowledge.json)                                 *)
@@ -158,7 +146,7 @@ let () =
   Printf.printf
     "\nchecker: %d/%d declared rules sound (%d models), %.0f ms\n" sound
     (List.length checked)
-    (Counters.models_checked counters)
+    (Counters.get counters Models_checked)
     (check_s *. 1000.);
   List.iter
     (fun (spec, v) ->
@@ -235,7 +223,7 @@ let () =
     ~saturate_ms:(saturate_s *. 1000.) ~rules_sound:sound
     ~rules_total:(List.length checked) ~mutations_refuted:refuted
     ~mutations_total:(List.length mutations)
-    ~models_checked:(Counters.models_checked counters)
+    ~models_checked:(Counters.get counters Models_checked)
     ~check_ms:((check_s +. refute_s) *. 1000.)
     ~divergences:!divergences ~naive_cost ~opt_cost ~ratio;
   Printf.printf "\nwrote %s\n" json_path;

@@ -11,6 +11,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 
 let query_q =
   "ACCESS p FROM p IN Paragraph WHERE p->contains_string('Implementation') \
@@ -51,8 +52,8 @@ let exp_a () =
         n_docs
         (Object_store.extent_size db.Db.store "Paragraph")
         cn co (cn /. co)
-        (Counters.tuples_produced naive.Engine.counters)
-        (Counters.tuples_produced opt.Engine.counters)
+        (Counters.get naive.Engine.counters Tuples_produced)
+        (Counters.get opt.Engine.counters Tuples_produced)
         equal)
     [ 50; 200; 800 ];
   Printf.printf
@@ -123,12 +124,10 @@ let exp_c () =
             List.filteri (fun i _ -> i < k) Doc_knowledge.all_classes
           in
           let eng = Engine.generate ~classes db in
-          let t0 = Unix.gettimeofday () in
-          let res = Engine.optimize_query eng q in
-          let dt = (Unix.gettimeofday () -. t0) *. 1000. in
+          let res, dt = time (fun () -> Engine.optimize_query eng q) in
           Printf.printf "%-20s %6d %6d %9d %9.1f\n" qname k
             (Engine.rule_count eng)
-            res.Soqm_optimizer.Search.variants_explored dt)
+            res.Soqm_optimizer.Search.variants_explored (dt *. 1000.))
         [ 0; 2; 4; 5 ])
     queries;
   Printf.printf

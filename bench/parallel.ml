@@ -44,6 +44,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module A = Soqm_algebra
 module P = Soqm_physical
 
@@ -191,16 +192,6 @@ let divergences ~seed ~n_docs schema =
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let n = f () in
-  (n, Unix.gettimeofday () -. t0)
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
 (* The block driver: stream-count the block drain. *)
 let drain_serial ctx compiled () =
   let b = P.Exec.open_compiled ctx compiled in
@@ -345,14 +336,6 @@ let write_json path ~n_docs ~paras ~seed ~cores ~enforced results
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let arg_value flag default parse =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> parse v
-    | _ :: rest -> go rest
-    | [] -> default
-  in
-  go (Array.to_list Sys.argv)
 
 let () =
   let assert_mode = Array.exists (String.equal "--assert") Sys.argv in

@@ -28,6 +28,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module A = Soqm_algebra
 
 let query_q =
@@ -55,11 +56,6 @@ let small_select =
       A.General.Get ("p", "Paragraph") )
 
 let diff_term = A.General.Diff (A.General.Get ("p", "Paragraph"), small_select)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
 
 (* Best-of-n for the fast (hash) side: a single run is noisy enough at
    sub-second scale to flip the fitted exponent by ±0.15. *)
@@ -177,22 +173,10 @@ let json_of_rows rows ~e_q ~e_join =
     (String.concat ",\n" (List.map row rows))
     e_q e_join
 
-let arg_value flag parse =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> Some (parse v)
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go (Array.to_list Sys.argv)
-
 let () =
   let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let json_path = arg_value "--json" Fun.id in
-  let seed =
-    Option.value
-      ~default:Datagen.default.Datagen.seed
-      (arg_value "--seed" int_of_string)
-  in
+  let json_path = arg_value "--json" None Option.some in
+  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
   let failed = ref false in
   Printf.printf "logical-evaluator scaling (reference interpreter, Eval.run)\n";
   Printf.printf "%8s %12s | %12s %12s %14s %9s\n" "docs" "paragraphs"

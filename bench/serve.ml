@@ -34,6 +34,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module Server = Soqm_server.Server
 module Protocol = Soqm_server.Protocol
 
@@ -65,28 +66,6 @@ let check name ok =
     incr failures;
     Printf.printf "FAIL %s\n" name)
   else Printf.printf "ok   %s\n" name
-
-let arg_value flag default parse =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> parse v
-    | _ :: rest -> go rest
-    | [] -> default
-  in
-  go (Array.to_list Sys.argv)
-
-let with_temp_dir prefix f =
-  let dir = Filename.temp_file prefix ".d" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun entry -> Sys.remove (Filename.concat dir entry))
-          (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () -> f dir)
 
 let rt = Protocol.roundtrip
 
@@ -276,8 +255,8 @@ let () =
   (* seed every counter cell to 0 before the fork *)
   Object_store.set_prop db.Db.store shared "number" (Value.Int 0);
   Array.iter (fun o -> Object_store.set_prop db.Db.store o "number" (Value.Int 0)) owns;
-  let base_commits = Counters.wal_commits (Db.counters db) in
-  let base_fsyncs = Counters.wal_fsyncs (Db.counters db) in
+  let base_commits = Counters.get (Db.counters db) Wal_commits in
+  let base_fsyncs = Counters.get (Db.counters db) Wal_fsyncs in
   (* bind before forking: children's connects queue in the backlog *)
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -351,8 +330,8 @@ let () =
     | _ -> -1
   in
   let lost = !committed - final in
-  let wal_commits = Counters.wal_commits (Db.counters db) - base_commits in
-  let wal_fsyncs = Counters.wal_fsyncs (Db.counters db) - base_fsyncs in
+  let wal_commits = Counters.get (Db.counters db) Wal_commits - base_commits in
+  let wal_fsyncs = Counters.get (Db.counters db) Wal_fsyncs - base_fsyncs in
   let fsync_ratio =
     if wal_commits = 0 then infinity
     else float_of_int wal_fsyncs /. float_of_int wal_commits

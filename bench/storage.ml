@@ -30,6 +30,7 @@
 
 open Soqm_vml
 open Soqm_core
+open Bench_util
 module A = Soqm_algebra
 module Store = Soqm_disk.Store
 module Wal = Soqm_disk.Wal
@@ -66,33 +67,6 @@ let check name ok =
     incr failures;
     Printf.printf "FAIL %s\n" name)
   else Printf.printf "ok   %s\n" name
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-let with_temp_dir prefix f =
-  let dir = Filename.temp_file prefix ".db" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun entry -> Sys.remove (Filename.concat dir entry))
-          (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () -> f dir)
-
-let arg_value flag default parse =
-  let rec go = function
-    | f :: v :: _ when String.equal f flag -> parse v
-    | _ :: rest -> go rest
-    | [] -> default
-  in
-  go (Array.to_list Sys.argv)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1: cold scans, prefetched vs plain                            *)
@@ -258,7 +232,7 @@ let () =
      the first round every page request should find a resident frame. *)
   let docs = Store.extent dstore "Document" in
   let rounds = 20 in
-  Counters.reset_storage (Store.counters dstore);
+  Counters.reset (Store.counters dstore) Storage;
   let (), dt_mix =
     time (fun () ->
         for _ = 1 to rounds do
@@ -272,8 +246,8 @@ let () =
         done)
   in
   let c = Store.counters dstore in
-  let pool_hits = Counters.pool_hits c in
-  let pages_read = Counters.pages_read c in
+  let pool_hits = Counters.get c Pool_hits in
+  let pages_read = Counters.get c Pages_read in
   let hit_rate =
     float_of_int pool_hits /. float_of_int (max 1 (pool_hits + pages_read))
   in

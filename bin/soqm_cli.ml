@@ -399,6 +399,16 @@ let prop_assign_conv =
   Arg.conv
     (parse, fun ppf (p, _) -> Format.pp_print_string ppf (p ^ "=..."))
 
+(* The plan cache's report line: the engine's hits and misses, hit rate and
+   resident plans. *)
+let print_plan_cache engine =
+  let hits, misses = Engine.cache_stats engine in
+  Printf.printf
+    "plan cache: %d hit(s), %d miss(es), %.1f%% hit rate, %d cached\n" hits
+    misses
+    (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses)))
+    (Engine.cache_size engine)
+
 (* Open the database directory attached (every DML event is WAL-logged
    before the maintenance observers run), run one maintained DML action
    through the engine, checkpoint on close, and report what maintenance
@@ -409,11 +419,11 @@ let with_dml_engine ?pool_pages file f =
     let db = Db.open_disk ?pool_pages file in
     let engine = Engine.generate db in
     let c = Db.counters db in
-    Soqm_vml.Counters.reset_maintenance c;
+    Soqm_vml.Counters.reset c Maintenance;
     f db engine;
     Db.close db;
-    Format.printf "%a@." Soqm_vml.Counters.pp_maintenance
-      (Soqm_vml.Counters.snapshot c);
+    Format.printf "%a@." (Soqm_vml.Counters.pp Maintenance) c;
+    print_plan_cache engine;
     (match Db.maintenance db with
     | Some m ->
       Printf.printf "epoch %d, staleness %.3f\n"
@@ -584,7 +594,7 @@ let checkpoint_cmd =
       let recovered = Soqm_disk.Store.recovered_batches d in
       Db.checkpoint db;
       let written =
-        Soqm_vml.Counters.pages_written (Soqm_disk.Store.counters d)
+        Soqm_vml.Counters.get (Soqm_disk.Store.counters d) Pages_written
       in
       Db.close db;
       Printf.printf
@@ -704,9 +714,9 @@ let stats_cmd =
       | None -> make_db ~jobs docs hit seed
     in
     let c = Db.counters db in
-    Soqm_vml.Counters.reset_knowledge c;
+    Soqm_vml.Counters.reset c Knowledge;
     let engine = Engine.generate ~saturate db in
-    Soqm_vml.Counters.reset_maintenance c;
+    Soqm_vml.Counters.reset c Maintenance;
     let queries =
       [
         "ACCESS p FROM p IN Paragraph WHERE \
@@ -739,7 +749,6 @@ let stats_cmd =
               (Soqm_vml.Value.Str (Printf.sprintf "revised draft %d" i))))
         paras
     done;
-    let hits, misses = Engine.cache_stats engine in
     let s = Soqm_vml.Counters.snapshot c in
     if json then begin
       let module C = Soqm_vml.Counters in
@@ -751,11 +760,8 @@ let stats_cmd =
         Buffer.add_string buf (Printf.sprintf "%S: %s" k v)
       in
       let int k v = field k (string_of_int v) in
-      int "postings_touched" (C.postings_touched s);
-      int "implication_updates" (C.implication_updates s);
-      int "stats_deltas" (C.stats_deltas s);
-      int "plan_cache_hits" hits;
-      int "plan_cache_misses" misses;
+      let counters fam = List.iter (fun (k, v) -> int k v) (C.fields s fam) in
+      counters Maintenance;
       int "plans_cached" (Engine.cache_size engine);
       (match Db.maintenance db with
       | Some m ->
@@ -766,15 +772,7 @@ let stats_cmd =
       | None -> ());
       (match db.Db.disk with
       | Some d ->
-        int "pages_read" (C.pages_read s);
-        int "pages_written" (C.pages_written s);
-        int "pool_hits" (C.pool_hits s);
-        int "pool_evictions" (C.pool_evictions s);
-        int "wal_records" (C.wal_records s);
-        int "wal_commits" (C.wal_commits s);
-        int "wal_fsyncs" (C.wal_fsyncs s);
-        int "bytes_read" (C.bytes_read s);
-        int "values_decoded" (C.values_decoded s);
+        counters Storage;
         let columnar = Soqm_disk.Store.columnar_classes d in
         field "columnar_classes"
           (Printf.sprintf "[%s]"
@@ -789,24 +787,15 @@ let stats_cmd =
              (fun acc cls -> acc + Soqm_disk.Store.columnar_tombstones d cls)
              0 columnar)
       | None -> ());
-      int "txn_begins" (C.txn_begins s);
-      int "txn_commits" (C.txn_commits s);
-      int "txn_conflicts" (C.txn_conflicts s);
-      int "txn_aborts" (C.txn_aborts s);
-      int "rules_derived" (C.rules_derived s);
-      int "rules_subsumed" (C.rules_subsumed s);
-      int "models_checked" (C.models_checked s);
-      int "counterexamples_found" (C.counterexamples_found s);
+      counters Txn;
+      counters Knowledge;
       Printf.printf "{%s}\n" (Buffer.contents buf)
     end
     else begin
-      Format.printf "%a@." Soqm_vml.Counters.pp_maintenance s;
-      if saturate then Format.printf "%a@." Soqm_vml.Counters.pp_knowledge s;
-      Printf.printf
-        "plan cache: %d hit(s), %d miss(es), %.1f%% hit rate, %d cached\n" hits
-        misses
-        (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses)))
-        (Engine.cache_size engine);
+      let pp fam = Format.printf "%a@." (Soqm_vml.Counters.pp fam) s in
+      pp Maintenance;
+      if saturate then pp Knowledge;
+      print_plan_cache engine;
       (match Db.maintenance db with
       | Some m ->
         Printf.printf
@@ -815,8 +804,7 @@ let stats_cmd =
           (Soqm_maintenance.Maintenance.staleness m)
           (Soqm_maintenance.Maintenance.recollects m)
       | None -> ());
-      if db.Db.disk <> None then
-        Format.printf "%a@." Soqm_vml.Counters.pp_storage s
+      if db.Db.disk <> None then pp Storage
     end;
     Db.close db;
     `Ok ()

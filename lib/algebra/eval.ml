@@ -48,29 +48,29 @@ let rec run store (t : General.t) : Relation.t =
       Relation.make ~refs:(Relation.refs input)
         (List.filter keep (Relation.tuples input))
     in
-    Counters.charge_tuples (counters store) (Relation.cardinality out);
+    Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
   | NaturalJoin (s1, s2) ->
     let r1 = run store s1 and r2 = run store s2 in
     let out = Relation.natural_join r1 r2 in
-    Counters.charge_index_probes (counters store)
+    Counters.add (counters store) Index_probes
       (max (Relation.cardinality r1) (Relation.cardinality r2));
-    Counters.charge_tuples (counters store) (Relation.cardinality out);
+    Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
   | Union (s1, s2) ->
     let r1 = run store s1 and r2 = run store s2 in
     if not (Relation.same_refs r1 r2) then
       error "union arguments have differing references";
     let out = Relation.union r1 r2 in
-    Counters.charge_tuples (counters store) (Relation.cardinality out);
+    Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
   | Diff (s1, s2) ->
     let r1 = run store s1 and r2 = run store s2 in
     if not (Relation.same_refs r1 r2) then
       error "diff arguments have differing references";
     let out = Relation.diff r1 r2 in
-    Counters.charge_index_probes (counters store) (Relation.cardinality r1);
-    Counters.charge_tuples (counters store) (Relation.cardinality out);
+    Counters.add (counters store) Index_probes (Relation.cardinality r1);
+    Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
   | Join (cond, s1, s2) ->
     let r1 = run store s1 and r2 = run store s2 in
@@ -97,7 +97,7 @@ let rec run store (t : General.t) : Relation.t =
               | Some prev -> Relation.KeyTbl.replace idx [ k ] (t2 :: prev)
               | None -> Relation.KeyTbl.add idx [ k ] [ t2 ]))
           (Relation.tuples r2);
-        Counters.charge_index_probes (counters store) (Relation.cardinality r1);
+        Counters.add (counters store) Index_probes (Relation.cardinality r1);
         List.concat_map
           (fun t1 ->
             match eval_expr store t1 e1 with
@@ -124,13 +124,13 @@ let rec run store (t : General.t) : Relation.t =
           (Relation.tuples r1)
     in
     let out = Relation.make ~refs:out_refs tuples in
-    Counters.charge_tuples (counters store) (Relation.cardinality out);
+    Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
   | Map (a, e, s) ->
     let input = run store s in
     if List.mem a (Relation.refs input) then
       error "map target reference %S already present" a;
-    Counters.charge_tuples (counters store) (Relation.cardinality input);
+    Counters.add (counters store) Tuples_produced (Relation.cardinality input);
     Relation.make ~refs:(a :: Relation.refs input)
       (List.map
          (fun tup ->
@@ -152,7 +152,7 @@ let rec run store (t : General.t) : Relation.t =
                error "flat expression produced non-set %s" (Value.to_string v))
            (Relation.tuples input))
     in
-    Counters.charge_tuples (counters store) (Relation.cardinality out);
+    Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
   | Project (rs, s) ->
     let input = run store s in
@@ -167,5 +167,5 @@ let rec run store (t : General.t) : Relation.t =
       Relation.make ~refs:rs
         (List.map (fun tup -> Relation.Tuple.project rs tup) (Relation.tuples input))
     in
-    Counters.charge_tuples (counters store) (Relation.cardinality out);
+    Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out

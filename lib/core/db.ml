@@ -33,7 +33,7 @@ let register_external_methods t =
        (fun store _recv args ->
          match args with
          | [ Value.Str s ] ->
-           Counters.charge_index_probe (Object_store.counters store);
+           Counters.incr (Object_store.counters store) Index_probes;
            let oids = Soqm_ir.Inverted_index.lookup_all t.text_index s in
            Value.set (List.map (fun o -> Value.Obj o) oids)
          | _ -> raise (Runtime.Error "retrieve_by_string expects one string")));
@@ -410,6 +410,6 @@ let counters t = Object_store.counters t.store
 
 let with_fresh_counters t f =
   let c = counters t in
-  Counters.reset c;
+  Counters.reset c Query;
   let result = f () in
   (result, Counters.snapshot c)

@@ -312,14 +312,14 @@ let optimize_entry t logical =
   | Some cached when cached.entry_epoch = epoch ->
     cached.last_used <- t.cache_tick;
     t.cache_hits <- t.cache_hits + 1;
-    Counters.charge_plan_cache_hit counters;
+    Counters.incr counters Plan_cache_hits;
     cached
   | stale ->
     (* a hit from an older epoch is invalid: knowledge or statistics
        changed since the plan was costed *)
     if Option.is_some stale then Hashtbl.remove t.plan_cache key;
     t.cache_misses <- t.cache_misses + 1;
-    Counters.charge_plan_cache_miss counters;
+    Counters.incr counters Plan_cache_misses;
     let result =
       Search.optimize ~config:t.config t.opt_ctx t.transformations
         t.implementations logical
@@ -369,7 +369,7 @@ let timed f =
 
 let execute_with ~jobs exec store plan opt =
   let c = Object_store.counters store in
-  Counters.reset c;
+  Counters.reset c Query;
   let result, elapsed_s =
     timed (fun () -> Soqm_physical.Exec.run ~jobs exec plan)
   in
@@ -389,7 +389,7 @@ let run_query ?jobs t src =
 
 let execute_compiled_with ~jobs exec store compiled opt =
   let c = Object_store.counters store in
-  Counters.reset c;
+  Counters.reset c Query;
   let result, elapsed_s =
     timed (fun () -> Soqm_physical.Exec.run_compiled ~jobs exec compiled)
   in
@@ -416,6 +416,6 @@ let run_reference (database : Db.t) src =
   let schema = Object_store.schema database.Db.store in
   let term = Soqm_vql.To_algebra.query_to_algebra schema src in
   let c = Object_store.counters database.Db.store in
-  Counters.reset c;
+  Counters.reset c Query;
   let result, elapsed_s = timed (fun () -> Eval.run database.Db.store term) in
   { result; counters = Counters.snapshot c; opt = None; elapsed_s }

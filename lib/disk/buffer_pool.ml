@@ -51,7 +51,7 @@ let locked t f =
 let write_back t f =
   if f.dirty then (
     t.write_page ~cls:f.cls ~page:f.page f.data;
-    Counters.charge_page_write t.counters;
+    Counters.incr t.counters Pages_written;
     f.dirty <- false)
 
 (* second-chance clock: invalid frames are free, pinned frames are
@@ -80,7 +80,7 @@ let pin t ~cls ~page =
         let f = t.frames.(i) in
         f.pins <- f.pins + 1;
         f.refbit <- true;
-        Counters.charge_pool_hit t.counters;
+        Counters.incr t.counters Pool_hits;
         f.data
       | None ->
         let i = victim t in
@@ -88,7 +88,7 @@ let pin t ~cls ~page =
         if f.valid then (
           write_back t f;
           Hashtbl.remove t.table (f.cls, f.page);
-          Counters.charge_pool_eviction t.counters);
+          Counters.incr t.counters Pool_evictions);
         f.cls <- cls;
         f.page <- page;
         f.pins <- 1;
@@ -98,7 +98,7 @@ let pin t ~cls ~page =
         Hashtbl.replace t.table (cls, page) i;
         t.read_page ~cls ~page f.data;
         if Page.is_blank f.data then Page.format f.data;
-        Counters.charge_page_read t.counters;
+        Counters.incr t.counters Pages_read;
         f.data)
 
 let unpin t ~cls ~page ~dirty =

@@ -242,12 +242,12 @@ let mem t id =
     go 0 (Array.length ids)
 
 let charge_chunk_rows t ch =
-  Counters.charge_bytes_read t.counters (String.length ch.Column.payload);
+  Counters.add t.counters Bytes_read (String.length ch.Column.payload);
   let values = ref ch.Column.nrows in
   Array.iter
     (fun col -> values := !values + List.length (Column.presence ch col))
     ch.Column.columns;
-  Counters.charge_values_decoded t.counters !values
+  Counters.add t.counters Values_decoded !values
 
 let fetch t id =
   match find_chunk t id with
@@ -298,7 +298,7 @@ let iter_columns t props f =
             | None -> a)
           ch.Column.meta_bytes props
       in
-      Counters.charge_bytes_read t.counters bytes;
+      Counters.add t.counters Bytes_read bytes;
       let values = ref ch.Column.nrows in
       List.iter
         (function
@@ -306,7 +306,7 @@ let iter_columns t props f =
             Array.iter (function Some _ -> incr values | None -> ()) vs
           | None -> ())
         cols;
-      Counters.charge_values_decoded t.counters !values;
+      Counters.add t.counters Values_decoded !values;
       Array.iteri
         (fun i id ->
           f id

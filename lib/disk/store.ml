@@ -875,8 +875,8 @@ let scan ?prefetch t cls =
         Page.iter data (fun slot record ->
             match
               live_slot t cls page slot record (fun oid props bytes ->
-                  Counters.charge_bytes_read t.counters bytes;
-                  Counters.charge_values_decoded t.counters
+                  Counters.add t.counters Bytes_read bytes;
+                  Counters.add t.counters Values_decoded
                     (1 + List.length props);
                   rows := (oid, props) :: !rows)
             with
@@ -933,7 +933,7 @@ let scan_cost ?prefetch t cls =
     | None -> bytes
     | Some cs -> bytes + Colseg.meta_bytes cs
   in
-  if bytes > 0 then Counters.charge_bytes_read t.counters bytes;
+  if bytes > 0 then Counters.add t.counters Bytes_read bytes;
   (pages, bytes)
 
 (* Distinct physical units a point-fetch of these OIDs would touch:
@@ -976,8 +976,8 @@ let scan_columns t cls props =
          Page.iter data (fun slot record ->
              match
                live_slot t cls page slot record (fun oid rprops bytes ->
-                   Counters.charge_bytes_read t.counters bytes;
-                   Counters.charge_values_decoded t.counters
+                   Counters.add t.counters Bytes_read bytes;
+                   Counters.add t.counters Values_decoded
                      (1 + List.length rprops);
                    heap :=
                      (oid, List.map (fun p -> List.assoc_opt p rprops) props)

@@ -131,7 +131,7 @@ val scan_cost : ?prefetch:bool -> t -> string -> int * int
 (** {!touch_scan} plus the byte side of the traffic model: [(pages,
     bytes)] where bytes is whole pages for a row-slotted class and chunk
     meta (header + oid column + directory) for a columnar one.  Charges
-    the bytes to [Counters.bytes_read] — the [bytes=] column of
+    the bytes to [Counters.Bytes_read] — the [bytes=] column of
     [explain --analyze]. *)
 
 val locate_pages : t -> Oid.t list -> int

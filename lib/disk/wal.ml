@@ -182,14 +182,14 @@ let commit_many t batches =
       add_frame buf "B";
       List.iter (fun op -> add_frame buf (encode_op op)) ops;
       add_frame buf "C";
-      Counters.charge_wal_records t.counters (List.length ops + 2);
-      Counters.charge_wal_commit t.counters)
+      Counters.add t.counters Wal_records (List.length ops + 2);
+      Counters.incr t.counters Wal_commits)
     batches;
   let s = Buffer.contents buf in
   write_all t.fd s;
   Unix.fsync t.fd;
   t.bytes <- t.bytes + String.length s;
-  Counters.charge_wal_fsync t.counters
+  Counters.incr t.counters Wal_fsyncs
 
 let commit t ops = commit_many t [ ops ]
 

@@ -470,13 +470,13 @@ let check_spec ?(config = default_config) ?(install = fun _ -> ()) ?counters
     Soqm_physical.Pool.run (Soqm_physical.Pool.global ()) ~jobs worker;
     models_run := !models_run + config.models_per_size;
     (match counters with
-    | Some c -> Counters.charge_models_checked c config.models_per_size
+    | Some c -> Counters.add c Models_checked config.models_per_size
     | None -> ());
     (match !best_witness with
     | Some w ->
       verdict := Some (Refuted w);
       (match counters with
-      | Some c -> Counters.charge_counterexample c
+      | Some c -> Counters.incr c Counterexamples_found
       | None -> ())
     | None -> ());
     incr k

@@ -300,8 +300,8 @@ let run ?(config = default_config) ?counters schema declared =
   if !continue && !rounds >= config.max_rounds then truncated := true;
   (match counters with
   | Some c ->
-    Counters.charge_rules_derived c !n_derived;
-    Counters.charge_rules_subsumed c !n_subsumed
+    Counters.add c Rules_derived !n_derived;
+    Counters.add c Rules_subsumed !n_subsumed
   | None -> ());
   ( List.rev !facts,
     {

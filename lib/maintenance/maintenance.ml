@@ -94,7 +94,7 @@ let target_of store m oid =
   with Runtime.Error _ | Not_found -> None
 
 let charge_implication store =
-  Counters.charge_implication_update (Object_store.counters store)
+  Counters.incr (Object_store.counters store) Implication_updates
 
 let member_add store m ~target ~member =
   let v = Value.Obj member in
@@ -197,7 +197,7 @@ let reconcile_set store m =
 (* ------------------------------------------------------------------ *)
 
 let charge_postings store n =
-  Counters.charge_postings_touched (Object_store.counters store) n
+  Counters.add (Object_store.counters store) Postings_touched n
 
 let hash_index_observer store idx ev =
   let cls = Hash_index.cls idx and prop = Hash_index.prop idx in
@@ -275,7 +275,7 @@ let text_index_observer store (cls, prop, idx) ev =
 let set_size = function Value.Set xs -> List.length xs | _ -> 0
 
 let stats_observer store stats ev =
-  let charge () = Counters.charge_stats_delta (Object_store.counters store) in
+  let charge () = Counters.incr (Object_store.counters store) Stats_deltas in
   match ev with
   | Object_store.Created oid ->
     Statistics.note_created stats ~cls:(Oid.cls oid);

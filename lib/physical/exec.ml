@@ -103,7 +103,7 @@ module Interpreted = struct
           match input.next () with
           | None -> None
           | Some tuple ->
-            Counters.charge_tuple (counters ctx);
+            Counters.incr (counters ctx) Tuples_produced;
             Some (Relation.Tuple.insert (a, f tuple) tuple));
       close = input.close;
     }
@@ -115,7 +115,7 @@ module Interpreted = struct
       match !pending with
       | t :: rest ->
         pending := rest;
-        Counters.charge_tuple (counters ctx);
+        Counters.incr (counters ctx) Tuples_produced;
         Some t
       | [] -> (
         match input.next () with
@@ -142,7 +142,7 @@ module Interpreted = struct
       let tuples =
         List.map
           (fun o ->
-            Counters.charge_object_fetch (counters ctx);
+            Counters.incr (counters ctx) Objects_fetched;
             [ (a, Value.Obj o) ])
           oids
       in
@@ -173,7 +173,7 @@ module Interpreted = struct
             Value.truthy
               (eval_cmp c (operand_value tuple x) (operand_value tuple y))
           then (
-            Counters.charge_tuple (counters ctx);
+            Counters.incr (counters ctx) Tuples_produced;
             Some tuple)
           else next ()
       in
@@ -201,7 +201,7 @@ module Interpreted = struct
                      (operand_value merged (Restricted.ORef a2)))
             in
             if keep then (
-              Counters.charge_tuple (counters ctx);
+              Counters.incr (counters ctx) Tuples_produced;
               Some merged)
             else next ())
         | [] -> (
@@ -234,7 +234,7 @@ module Interpreted = struct
         match !pending with
         | t :: rest ->
           pending := rest;
-          Counters.charge_tuple (counters ctx);
+          Counters.incr (counters ctx) Tuples_produced;
           Some t
         | [] -> (
           match left.next () with
@@ -274,7 +274,7 @@ module Interpreted = struct
         match !pending with
         | t :: rest ->
           pending := rest;
-          Counters.charge_tuple (counters ctx);
+          Counters.incr (counters ctx) Tuples_produced;
           Some t
         | [] -> (
           match left.next () with
@@ -385,7 +385,7 @@ module Interpreted = struct
           if Relation.Tbl.mem seen projected then next ()
           else (
             Relation.Tbl.replace seen projected ();
-            Counters.charge_tuple (counters ctx);
+            Counters.incr (counters ctx) Tuples_produced;
             Some projected)
       in
       { next; close = input.close }
@@ -1038,7 +1038,7 @@ type sink = { cnt : Counters.t; stats : node_stats option }
    emitted as [blocks] blocks (plus the parallel-only morsel and
    partition counts). *)
 let record sink cid ?(morsels = 0) ?(partitions = 0) ~blocks n =
-  Counters.charge_blocks sink.cnt blocks;
+  Counters.add sink.cnt Blocks_produced blocks;
   match sink.stats with
   | None -> ()
   | Some s ->
@@ -1280,7 +1280,7 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
         let buf = Array.make block_size [||] in
         let k, rest = scan_fill row xs buf in
         remaining := rest;
-        if fetch then Counters.charge_object_fetches sink.cnt k;
+        if fetch then Counters.add sink.cnt Objects_fetched k;
         emit cid (if k = block_size then buf else Array.sub buf 0 k)
     in
     { next_block; close_blocks = (fun () -> remaining := []) }
@@ -1308,7 +1308,7 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
             o
           end
         in
-        if charge then Counters.charge_tuples sink.cnt (Array.length out);
+        if charge then Counters.add sink.cnt Tuples_produced (Array.length out);
         emit cid out
       end
       else
@@ -1362,7 +1362,7 @@ let open_compiled ?stats ctx (root : Plan.compiled) : biter =
           let k = fill_from 0 in
           if k = 0 then next_block ()
           else begin
-            Counters.charge_tuples sink.cnt k;
+            Counters.add sink.cnt Tuples_produced k;
             emit cid (if k = block_size then buf else Array.sub buf 0 k)
           end
         end
@@ -1495,7 +1495,7 @@ let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
      blocks, so block totals match the block driver's on full blocks. *)
   let emit ?(charge = false) ?partitions cid ~morsels rows =
     let n = Array.length rows in
-    if charge then Counters.charge_tuples sink.cnt n;
+    if charge then Counters.add sink.cnt Tuples_produced n;
     record sink cid ~morsels ?partitions
       ~blocks:((n + block_size - 1) / block_size)
       n;
@@ -1514,7 +1514,7 @@ let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
       for i = 1 to Array.length starts - 1 do
         starts.(i) <- drop morsel_size starts.(i - 1)
       done;
-      if fetch then Counters.charge_object_fetches sink.cnt n;
+      if fetch then Counters.add sink.cnt Objects_fetched n;
       emit cid ~morsels:(morsels_of n)
         (chunked n (fun ~w:_ ~lo ~hi ->
              let buf = Array.make (hi - lo) [||] in
@@ -1572,7 +1572,7 @@ let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
 let compile ?fuse ctx plan =
   try Plan.compile ?fuse plan
   with Plan.Compile_error msg ->
-    Counters.charge_slot_miss (counters ctx);
+    Counters.incr (counters ctx) Slot_misses;
     error "%s" msg
 
 (* Workers beyond the cores the host can actually run concurrently only

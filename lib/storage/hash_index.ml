@@ -33,7 +33,7 @@ let delete t v oid =
     if Hashtbl.length b = 0 then Hashtbl.remove t.table v
 
 let probe t counters v =
-  Counters.charge_index_probe counters;
+  Counters.incr counters Index_probes;
   match Hashtbl.find_opt t.table v with
   | None -> []
   | Some b -> Hashtbl.fold (fun k () acc -> k :: acc) b []

@@ -71,7 +71,7 @@ let first_index t lo =
   go 0 n
 
 let probe_range t counters ~lo ~hi =
-  Counters.charge_index_probe counters;
+  Counters.incr counters Index_probes;
   let n = Array.length t.entries in
   let rec collect i acc =
     if i >= n then List.rev acc

@@ -120,7 +120,7 @@ type t = {
 }
 
 let begin_ m =
-  Counters.charge_txn_begin (Db.counters m.db);
+  Counters.incr (Db.counters m.db) Txn_begins;
   Mutex.lock m.active_m;
   let id = m.next_txn in
   m.next_txn <- id + 1;
@@ -173,8 +173,8 @@ let exists t oid =
 let get_prop t oid prop =
   check_active t;
   let c = Db.counters t.mgr.db in
-  Counters.charge_object_fetch c;
-  Counters.charge_property_read c;
+  Counters.incr c Objects_fetched;
+  Counters.incr c Property_reads;
   if Hashtbl.mem t.deleted oid then raise Not_found;
   match Hashtbl.find_opt t.writes (oid, prop) with
   | Some v -> v
@@ -275,7 +275,7 @@ let abort t =
   check_active t;
   t.state <- Aborted;
   unregister t;
-  Counters.charge_txn_abort (Db.counters t.mgr.db)
+  Counters.incr (Db.counters t.mgr.db) Txn_aborts
 
 (* First-committer-wins: any key of the write set committed past our
    snapshot — or a concurrent delete of an object we write or delete —
@@ -322,7 +322,7 @@ let commit t =
     (* read-only: its snapshot is its serialization point *)
     t.state <- Committed t.begin_ts;
     unregister t;
-    Counters.charge_txn_commit c;
+    Counters.incr c Txn_commits;
     Ok t.begin_ts
   end
   else begin
@@ -379,17 +379,17 @@ let commit t =
          durability as unconfirmed.) *)
       t.state <- Aborted;
       unregister t;
-      Counters.charge_txn_abort c;
+      Counters.incr c Txn_aborts;
       raise e
     | Error reason ->
       t.state <- Aborted;
       unregister t;
-      Counters.charge_txn_conflict c;
+      Counters.incr c Txn_conflicts;
       Error (`Conflict reason)
     | Ok ts ->
       t.state <- Committed ts;
       unregister t;
-      Counters.charge_txn_commit c;
+      Counters.incr c Txn_commits;
       maybe_prune m;
       Ok ts
   end

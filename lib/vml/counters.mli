@@ -5,217 +5,115 @@
     dominate query evaluation.  Every store carries a set of counters that
     the runtime, the indexes and the physical operators charge, so that
     benchmarks can report deterministic logical costs alongside wall-clock
-    time. *)
+    time.
+
+    The integer counters form one registry: each is a constructor of
+    {!counter}, declared once with its {!family}, its JSON key and its
+    report label, and charged, read, reset, copied and printed through the
+    same few operations. *)
 
 type t
-
-val create : unit -> t
-(** Counters are domain-safe: the scalar tallies are atomics and the
-    method-call tally is mutex-guarded, so physical operators running on
-    several domains (the morsel-driven executor) never lose
+(** Domain-safe: the integer counters are atomics and the method-call tally
+    is mutex-guarded, so the morsel-driven executor's domains never lose
     increments. *)
 
-val reset : t -> unit
-(** Zero the query-cost counters.  Maintenance counters are {e not}
-    touched: per-run reports reset around every execution, while
-    maintenance metrics accumulate across a whole workload — zero them
-    explicitly with {!reset_maintenance}. *)
+(** Which activity a counter accounts.  Only [Query] counters enter
+    {!total_cost}; per-run reports reset them around every execution, while
+    the other families accumulate across a whole workload until reset
+    explicitly. *)
+type family =
+  | Query  (** answering queries: runtime, indexes, physical operators *)
+  | Maintenance  (** keeping derived data and the plan cache current *)
+  | Storage  (** buffer pool, write-ahead log and scan decoding *)
+  | Txn  (** transaction lifecycle in the MVCC layer *)
+  | Knowledge  (** saturation and the bounded soundness checker *)
 
-val reset_maintenance : t -> unit
-(** Zero the maintenance counters only. *)
+type counter =
+  (* Query *)
+  | Objects_fetched  (** objects dereferenced in the store *)
+  | Property_reads
+  | Index_probes
+  | Tuples_produced  (** tuples produced by physical operators *)
+  | Blocks_produced  (** row blocks emitted by batch operators *)
+  | Slot_misses
+      (** plans given up at compile time because a reference or parameter
+          has no slot in the input layout; zero for well-typed queries *)
+  (* Maintenance *)
+  | Postings_touched
+      (** access-path entries (inverted-index postings, hash/sorted index
+          entries) added or removed *)
+  | Implication_updates
+      (** membership changes of a maintained implication set (e.g. a
+          paragraph entering or leaving [Document.largeParagraphs]) *)
+  | Stats_deltas  (** incremental statistics adjustments *)
+  | Plan_cache_hits
+  | Plan_cache_misses
+  (* Storage *)
+  | Pages_read  (** 4 KiB pages read from a heap segment (pool misses) *)
+  | Pages_written  (** dirty pages written back (eviction or checkpoint) *)
+  | Pool_hits  (** page requests served from a resident pool frame *)
+  | Pool_evictions  (** resident frames reassigned by the clock hand *)
+  | Wal_records  (** framed records appended to the write-ahead log *)
+  | Wal_commits  (** committed WAL batches *)
+  | Wal_fsyncs
+      (** [fsync]s of the WAL; [Wal_fsyncs / Wal_commits] drops below 1
+          when group commit coalesces concurrent committers *)
+  | Bytes_read
+      (** payload bytes a scan decoded: what the codec touched, not what
+          the pool staged, so a columnar scan's skipped columns show *)
+  | Values_decoded  (** values materialized from their storage encoding *)
+  (* Txn *)
+  | Txn_begins
+  | Txn_commits
+  | Txn_conflicts  (** commits refused by first-committer-wins validation *)
+  | Txn_aborts  (** explicit aborts (conflict aborts are counted apart) *)
+  (* Knowledge *)
+  | Rules_derived  (** specifications produced by saturation *)
+  | Rules_subsumed
+      (** candidate derivations dropped as alpha-variants of a known
+          specification or as trivial identities *)
+  | Models_checked  (** candidate stores the bounded checker evaluated *)
+  | Counterexamples_found
+      (** rules refuted: a candidate store where the two sides disagree
+          under naive evaluation *)
 
-val reset_storage : t -> unit
-(** Zero the storage counters only (page traffic, pool and WAL tallies —
-    see {!charge_page_read} and friends).  Like the maintenance side,
-    storage counters accumulate across a workload and are excluded from
-    {!reset}. *)
+val all : counter list
+(** Every counter, in declaration order. *)
 
-val reset_txn : t -> unit
-(** Zero the transaction counters only (begins, commits, conflict and
-    explicit aborts — see {!charge_txn_begin} and friends). *)
+val family : counter -> family
 
-val reset_knowledge : t -> unit
-(** Zero the knowledge counters only (saturation and bounded-checker
-    tallies — see {!charge_rules_derived} and friends). *)
+val create : unit -> t
 
-val charge_object_fetch : t -> unit
-(** One object dereferenced in the store. *)
+val incr : t -> counter -> unit
 
-val charge_property_read : t -> unit
+val add : t -> counter -> int -> unit
+(** [add t c n] charges [n] at once: set-at-a-time and batch operators
+    charge a whole operator's or block's work in one go. *)
+
+val get : t -> counter -> int
+
+val reset : t -> family -> unit
+(** Zero one family.  Resetting [Query] also clears the method-call tally
+    and {!charged_cost}. *)
+
+val snapshot : t -> t
+(** Independent copy (for before/after deltas). *)
+
+val fields : t -> family -> (string * int) list
+(** [(key, value)] for every counter of the family, in declaration order;
+    the key is the constructor's name in lower case (["pages_read"]). *)
+
+val pp : family -> Format.formatter -> t -> unit
+(** One [label: value] line per counter of the family, in declaration
+    order.  The plan-cache counters are left out: [soqm] reports them on
+    one line with the hit rate and the cache size. *)
+
+(** {1 Method calls and cost} *)
 
 val charge_method_call : t -> meth:string -> cost:float -> unit
 (** One invocation of [meth], with its schema-declared cost weight. *)
 
-val charge_index_probe : t -> unit
-val charge_tuple : t -> unit
-(** One tuple produced by a physical operator. *)
-
-val charge_index_probes : t -> int -> unit
-val charge_tuples : t -> int -> unit
-val charge_object_fetches : t -> int -> unit
-(** Bulk variants, used by the set-at-a-time logical evaluator and the
-    batch executor to charge a whole operator's / block's probes, fetches
-    and produced tuples at once. *)
-
-val charge_block : t -> unit
-(** One block of rows emitted by a batch operator (the compiled
-    executor's unit of dispatch; rows within are charged via
-    {!charge_tuples}). *)
-
-val charge_blocks : t -> int -> unit
-(** Bulk variant: [n] blocks' worth of rows at once (the parallel
-    executor charges a materialized operator output in one go). *)
-
-val charge_slot_miss : t -> unit
-(** One failed compile-time name-to-slot resolution: plan compilation
-    found a reference or parameter the operator's input layout cannot
-    supply and gave up on the plan.  Always zero for plans produced from
-    well-typed queries. *)
-
-(** {1 Maintenance counters}
-
-    Work done keeping derived data consistent under DML — charged by the
-    incremental maintainers ([Soqm_maintenance]) and the engine's plan
-    cache, so mixed read/write experiments can report maintenance effort
-    next to query effort.  Not part of {!total_cost}: they account a
-    different activity. *)
-
-val charge_postings_touched : t -> int -> unit
-(** [n] index entries added/removed while maintaining an access path
-    (inverted-index postings, hash/sorted index entries). *)
-
-val charge_implication_update : t -> unit
-(** One membership change of a maintained implication set (e.g. a
-    paragraph entering or leaving [Document.largeParagraphs]). *)
-
-val charge_stats_delta : t -> unit
-(** One incremental statistics adjustment (cardinality, fanout total or
-    staleness tick). *)
-
-val charge_plan_cache_hit : t -> unit
-val charge_plan_cache_miss : t -> unit
-val postings_touched : t -> int
-val implication_updates : t -> int
-val stats_deltas : t -> int
-val plan_cache_hits : t -> int
-val plan_cache_misses : t -> int
-
-(** {1 Storage counters}
-
-    Page traffic through the disk subsystem ([Soqm_disk]): buffer-pool
-    service rates and write-ahead-log activity.  Charged by the buffer
-    pool and WAL, not by query operators, and excluded from {!reset} so a
-    workload's cumulative I/O picture survives per-query resets. *)
-
-val charge_page_read : t -> unit
-(** One 4 KiB page fetched from a heap segment into the buffer pool
-    (a pool miss that reached the file). *)
-
-val charge_page_write : t -> unit
-(** One dirty page written back to its heap segment (eviction or
-    checkpoint flush). *)
-
-val charge_pool_hit : t -> unit
-(** One page request served from a resident buffer-pool frame. *)
-
-val charge_pool_eviction : t -> unit
-(** One resident frame reassigned by the clock hand to make room. *)
-
-val charge_wal_records : t -> int -> unit
-(** [n] framed records appended to the write-ahead log. *)
-
-val charge_wal_commit : t -> unit
-(** One committed WAL batch (group commit may cover several batches with
-    a single fsync — see {!charge_wal_fsync}). *)
-
-val charge_wal_fsync : t -> unit
-(** One [fsync] of the write-ahead log.  The group-commit coalescing
-    ratio is [wal_fsyncs / wal_commits]; under concurrent committers it
-    drops below 1. *)
-
-val charge_bytes_read : t -> int -> unit
-(** [n] payload bytes decoded from storage by a scan — row records pulled
-    out of slotted pages, or column-chunk bytes actually read by a
-    columnar scan.  Unlike {!charge_page_read} this counts what the codec
-    touched, not what the pool staged, so it exposes the columnar win of
-    skipping untouched columns. *)
-
-val charge_values_decoded : t -> int -> unit
-(** [n] individual [Value.t]s (or record fields) materialized from their
-    storage encoding by a scan. *)
-
-val pages_read : t -> int
-val pages_written : t -> int
-val pool_hits : t -> int
-val pool_evictions : t -> int
-val wal_records : t -> int
-val wal_commits : t -> int
-val wal_fsyncs : t -> int
-val bytes_read : t -> int
-val values_decoded : t -> int
-
-(** {1 Transaction counters}
-
-    Sessions driving the MVCC layer ([Soqm_txn]): transaction lifecycle
-    tallies, charged by the transaction manager.  Accumulate across a
-    workload like the maintenance and storage families; zero them with
-    {!reset_txn}. *)
-
-val charge_txn_begin : t -> unit
-val charge_txn_commit : t -> unit
-
-val charge_txn_conflict : t -> unit
-(** One commit refused by first-committer-wins validation. *)
-
-val charge_txn_abort : t -> unit
-(** One explicit [abort] (conflict aborts are counted separately). *)
-
-val txn_begins : t -> int
-val txn_commits : t -> int
-val txn_conflicts : t -> int
-val txn_aborts : t -> int
-
-(** {1 Knowledge counters}
-
-    The knowledge compiler ([Soqm_knowledge]): rules the saturation pass
-    derived from the declared specifications, alpha-variants it dropped
-    as subsumed, and the bounded soundness checker's model/counterexample
-    tallies.  Accumulate across a workload; zero with
-    {!reset_knowledge}. *)
-
-val charge_rules_derived : t -> int -> unit
-(** [n] new specifications produced by a saturation round (transitive
-    implications, composed equivalences, substituted bodies). *)
-
-val charge_rules_subsumed : t -> int -> unit
-(** [n] candidate derivations discarded as alpha-variants of an already
-    known specification (or as trivial identities). *)
-
-val charge_models_checked : t -> int -> unit
-(** [n] candidate object stores the bounded checker evaluated a rule
-    on. *)
-
-val charge_counterexample : t -> unit
-(** One rule refuted: a candidate store where the rule's two sides
-    disagree under naive evaluation. *)
-
-val rules_derived : t -> int
-val rules_subsumed : t -> int
-val models_checked : t -> int
-val counterexamples_found : t -> int
-
-val objects_fetched : t -> int
-val property_reads : t -> int
-val index_probes : t -> int
-val tuples_produced : t -> int
-val blocks_produced : t -> int
-val slot_misses : t -> int
-
-val method_calls : t -> (string * int) list
-(** Invocation count per method name, sorted by name. *)
-
 val method_call_count : t -> string -> int
-val total_method_calls : t -> int
 
 val charged_cost : t -> float
 (** Sum of declared per-call costs over all method invocations — the
@@ -225,20 +123,16 @@ val total_cost : t -> float
 (** [charged_cost] plus small uniform weights for fetches, property reads,
     probes and tuples; a single scalar summary of execution effort. *)
 
-val snapshot : t -> t
-(** Independent copy (for before/after deltas). *)
+(** {1 Getters read by perfbench}
 
-val pp : Format.formatter -> t -> unit
+    Aliases of [get] under the names the seed-fixed benchmark
+    ([perfbench/]) calls, so that harness builds unchanged. *)
 
-val pp_maintenance : Format.formatter -> t -> unit
-(** Print only the maintenance counters (the [soqm stats] report). *)
-
-val pp_storage : Format.formatter -> t -> unit
-(** Print only the storage counters (pool and WAL activity). *)
-
-val pp_txn : Format.formatter -> t -> unit
-(** Print only the transaction counters. *)
-
-val pp_knowledge : Format.formatter -> t -> unit
-(** Print only the knowledge counters (saturation and bounded-checker
-    activity). *)
+val tuples_produced : t -> int
+val pages_read : t -> int
+val pool_hits : t -> int
+val wal_commits : t -> int
+val wal_fsyncs : t -> int
+val postings_touched : t -> int
+val implication_updates : t -> int
+val stats_deltas : t -> int

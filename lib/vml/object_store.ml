@@ -166,8 +166,8 @@ let set_prop_derived t oid prop v = set_prop_origin t Derived oid prop v
 
 let get_prop t oid prop =
   let _def = prop_def t oid prop in
-  Counters.charge_object_fetch t.counters;
-  Counters.charge_property_read t.counters;
+  Counters.incr t.counters Objects_fetched;
+  Counters.incr t.counters Property_reads;
   raw_get t oid prop
 
 let peek_prop t oid prop =

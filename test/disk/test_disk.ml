@@ -373,19 +373,19 @@ let test_pool_hits_and_evictions () =
     ignore (Buffer_pool.pin pool ~cls:"A" ~page);
     Buffer_pool.unpin pool ~cls:"A" ~page ~dirty:false
   done;
-  check Alcotest.int "4 cold reads" 4 (Counters.pages_read c);
-  check Alcotest.int "no hits yet" 0 (Counters.pool_hits c);
+  check Alcotest.int "4 cold reads" 4 (Counters.get c Pages_read);
+  check Alcotest.int "no hits yet" 0 (Counters.get c Pool_hits);
   (* touch them again: all hits, no traffic *)
   for page = 1 to 4 do
     ignore (Buffer_pool.pin pool ~cls:"A" ~page);
     Buffer_pool.unpin pool ~cls:"A" ~page ~dirty:false
   done;
-  check Alcotest.int "re-reads hit" 4 (Counters.pool_hits c);
-  check Alcotest.int "no extra reads" 4 (Counters.pages_read c);
+  check Alcotest.int "re-reads hit" 4 (Counters.get c Pool_hits);
+  check Alcotest.int "no extra reads" 4 (Counters.get c Pages_read);
   (* a 5th page forces one eviction *)
   ignore (Buffer_pool.pin pool ~cls:"A" ~page:5);
   Buffer_pool.unpin pool ~cls:"A" ~page:5 ~dirty:false;
-  check Alcotest.int "one eviction" 1 (Counters.pool_evictions c);
+  check Alcotest.int "one eviction" 1 (Counters.get c Pool_evictions);
   check Alcotest.int "still 4 resident" 4
     (List.length (Buffer_pool.resident pool))
 
@@ -395,9 +395,9 @@ let test_pool_dirty_writeback () =
   Page.format data;
   ignore (Page.insert data "persisted");
   Buffer_pool.unpin pool ~cls:"A" ~page:1 ~dirty:true;
-  check Alcotest.int "not written yet" 0 (Counters.pages_written c);
+  check Alcotest.int "not written yet" 0 (Counters.get c Pages_written);
   Buffer_pool.flush pool;
-  check Alcotest.int "flushed once" 1 (Counters.pages_written c);
+  check Alcotest.int "flushed once" 1 (Counters.get c Pages_written);
   (match Hashtbl.find_opt disk ("A", 1) with
   | Some img -> check Alcotest.(option string) "image holds the record"
       (Some "persisted")
@@ -405,7 +405,8 @@ let test_pool_dirty_writeback () =
   | None -> Alcotest.fail "dirty page never reached the disk");
   (* flushing again writes nothing: the frame is clean *)
   Buffer_pool.flush pool;
-  check Alcotest.int "clean frames not rewritten" 1 (Counters.pages_written c)
+  check Alcotest.int "clean frames not rewritten" 1
+    (Counters.get c Pages_written)
 
 let test_pool_pinned_never_evicted () =
   let pool, _, _ = memory_pool ~pages:4 in
@@ -704,24 +705,24 @@ let test_vacuum_scan_costs_and_counters () =
       let t = Store.create ~schema:item_schema dir in
       populate_items t 200;
       let c = Store.counters t in
-      (* row path: record bytes charged to bytes_read, every property
+      (* row path: record bytes charged to Bytes_read, every property
          decoded.  These live in the storage counter family, which
-         accumulates across a workload — reset_storage, not the per-run
-         reset, clears them *)
-      Counters.reset_storage c;
+         accumulates across a workload — resetting that family, not the
+         per-run Query reset, clears them *)
+      Counters.reset c Storage;
       let rows, pages = Store.scan t "Item" in
-      let row_bytes = Counters.bytes_read c in
+      let row_bytes = Counters.get c Bytes_read in
       check Alcotest.bool "row scan: record bytes charged" true (row_bytes > 0);
       check Alcotest.bool "row scan: values decoded" true
-        (Counters.values_decoded c >= 400);
+        (Counters.get c Values_decoded >= 400);
       let row_pair = Store.scan_cost t "Item" in
       check Alcotest.bool "row scan_cost = pages * page size" true
         (row_pair = (pages, pages * Page.size));
       ignore (Store.vacuum t "Item");
       (* columnar full scan: chunk payloads, not pages *)
-      Counters.reset_storage c;
+      Counters.reset c Storage;
       let crows, _ = Store.scan t "Item" in
-      let full_bytes = Counters.bytes_read c in
+      let full_bytes = Counters.get c Bytes_read in
       check Alcotest.bool "columnar scan rows identical" true
         (List.map snd rows |> List.map sorted_props
         = (List.map snd crows |> List.map sorted_props));
@@ -729,9 +730,9 @@ let test_vacuum_scan_costs_and_counters () =
         (full_bytes > 0 && full_bytes < pages * Page.size);
       (* selective scan of the dictionary string column decodes fewer
          bytes than the full scan *)
-      Counters.reset_storage c;
+      Counters.reset c Storage;
       let svals = Store.scan_columns t "Item" [ "s" ] in
-      let sel_bytes = Counters.bytes_read c in
+      let sel_bytes = Counters.get c Bytes_read in
       check Alcotest.int "selective scan sees every row" 200
         (List.length svals);
       check Alcotest.bool
@@ -745,10 +746,10 @@ let test_vacuum_scan_costs_and_counters () =
              vs = [ Some (Value.Str (Printf.sprintf "tag-%d" (Oid.id oid mod 3))) ])
            svals);
       (* the scan traffic model mirrors what explain --analyze charges *)
-      Counters.reset_storage c;
+      Counters.reset c Storage;
       let _, meta_bytes = Store.scan_cost t "Item" in
       check Alcotest.int "scan_cost charges its own bytes" meta_bytes
-        (Counters.bytes_read c);
+        (Counters.get c Bytes_read);
       check Alcotest.bool "columnar meta cost below full decode" true
         (meta_bytes < full_bytes);
       Store.close t)
@@ -1436,7 +1437,7 @@ let test_commit_many_single_fsync () =
   F.with_temp_dir "soqm_group" (fun dir ->
       let t = Store.create ~schema:item_schema dir in
       let c = Store.counters t in
-      let f0 = Counters.wal_fsyncs c in
+      let f0 = Counters.get c Wal_fsyncs in
       (* three batches through the group queue from one thread: each
          submit is its own flush here, but commit_many inside a flush
          of k batches costs one fsync *)
@@ -1447,9 +1448,9 @@ let test_commit_many_single_fsync () =
       let tickets = List.map (Store.enqueue_group t) batches in
       Store.wait_group t (List.nth tickets 2);
       check Alcotest.int "three enqueued batches flush with one fsync"
-        (f0 + 1) (Counters.wal_fsyncs c);
+        (f0 + 1) (Counters.get c Wal_fsyncs);
       check Alcotest.int "wal_commits counts every batch" 3
-        (Counters.wal_commits c);
+        (Counters.get c Wal_commits);
       check Alcotest.int "all records applied" 3
         (List.length (Store.extent t "Item"));
       (* waiting again on a flushed ticket is a no-op *)
@@ -1468,7 +1469,7 @@ let test_group_commit_concurrent_coalescing () =
       let t = Store.create ~schema:item_schema dir in
       Store.set_group_window t 0.005;
       let c = Store.counters t in
-      let f0 = Counters.wal_fsyncs c in
+      let f0 = Counters.get c Wal_fsyncs in
       let n = 16 in
       let domains =
         List.init 4 (fun d ->
@@ -1480,8 +1481,8 @@ let test_group_commit_concurrent_coalescing () =
                 done))
       in
       List.iter Domain.join domains;
-      let fsyncs = Counters.wal_fsyncs c - f0 in
-      check Alcotest.int "every batch committed" n (Counters.wal_commits c);
+      let fsyncs = Counters.get c Wal_fsyncs - f0 in
+      check Alcotest.int "every batch committed" n (Counters.get c Wal_commits);
       check Alcotest.int "every record applied" n
         (List.length (Store.extent t "Item"));
       check Alcotest.bool

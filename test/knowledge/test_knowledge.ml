@@ -115,10 +115,10 @@ let test_rulegen_gate () =
 let test_saturation_counters () =
   let c = Counters.create () in
   let _, stats = Saturate.run ~counters:c schema declared in
-  Alcotest.(check int)
-    "rules_derived counter" stats.Saturate.derived (Counters.rules_derived c);
-  Alcotest.(check int)
-    "rules_subsumed counter" stats.Saturate.subsumed (Counters.rules_subsumed c)
+  Alcotest.(check int) "rules_derived counter" stats.Saturate.derived
+    (Counters.get c Rules_derived);
+  Alcotest.(check int) "rules_subsumed counter" stats.Saturate.subsumed
+    (Counters.get c Rules_subsumed)
 
 (* ------------------------------------------------------------------ *)
 (* bounded checking                                                    *)
@@ -201,8 +201,10 @@ let test_checker_counters () =
    with
   | Check.Refuted _ -> ()
   | _ -> Alcotest.fail "mutation not refuted");
-  Alcotest.(check bool) "models charged" true (Counters.models_checked c > 0);
-  Alcotest.(check int) "counterexample charged" 1 (Counters.counterexamples_found c)
+  Alcotest.(check bool) "models charged" true
+    (Counters.get c Models_checked > 0);
+  Alcotest.(check int) "counterexample charged" 1
+    (Counters.get c Counterexamples_found)
 
 (* ------------------------------------------------------------------ *)
 (* end-to-end: saturated engines against the naive evaluator           *)

@@ -158,7 +158,7 @@ let test_index_maintenance () =
   let engine = Engine.generate db in
   let store = db.Db.store in
   let c = Object_store.counters store in
-  Counters.reset_maintenance c;
+  Counters.reset c Maintenance;
   let doc =
     Engine.insert engine ~cls:"Document"
       [ ("title", Value.Str "Maintained Title"); ("author", Value.Str "A") ]
@@ -187,7 +187,7 @@ let test_index_maintenance () =
        ~lo:(Sorted_index.Inclusive (Value.Int 100000))
        ~hi:Sorted_index.Unbounded);
   check Alcotest.bool "postings were counted" true
-    (Counters.postings_touched (Counters.snapshot c) > 0)
+    (Counters.get (Counters.snapshot c) Postings_touched > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Implication sets                                                    *)

@@ -183,7 +183,7 @@ let test_repeated_receiver_memoized () =
   let n_secs = Object_store.extent_size d.Soqm_core.Db.store "Section" in
   (* p.section: one read per paragraph; s.document: one per distinct section *)
   check Alcotest.int "property reads bounded by memo" (n_paras + n_secs)
-    (Counters.property_reads counters)
+    (Counters.get counters Property_reads)
 
 (* ------------------------------------------------------------------ *)
 (* Iterator protocol                                                   *)
@@ -229,7 +229,7 @@ let test_filter_streams_lazily () =
      but property reads happen per pulled tuple: far fewer than the
      extent when we stop after the first match *)
   check Alcotest.bool "did not evaluate the whole map" true
-    (Counters.property_reads counters
+    (Counters.get counters Property_reads
     < Object_store.extent_size d.Soqm_core.Db.store "Paragraph")
 
 (* ------------------------------------------------------------------ *)
@@ -488,14 +488,14 @@ let test_block_accounting () =
   let n = Object_store.extent_size (store ()) "Paragraph" in
   let expected = (n + Exec.block_size - 1) / Exec.block_size in
   check Alcotest.int "one block per block_size rows" expected
-    (Counters.blocks_produced counters);
+    (Counters.get counters Blocks_produced);
   check Alcotest.int "well-typed plan has no slot misses" 0
-    (Counters.slot_misses counters);
+    (Counters.get counters Slot_misses);
   let _, interp_counters =
     Soqm_core.Db.with_fresh_counters d (fun () -> run_interp plan)
   in
   check Alcotest.int "interpreted path emits no blocks" 0
-    (Counters.blocks_produced interp_counters)
+    (Counters.get interp_counters Blocks_produced)
 
 let test_slot_miss_charged () =
   let d = Lazy.force db in
@@ -511,7 +511,7 @@ let test_slot_miss_charged () =
         try ignore (run_phys bad) with Exec.Error _ -> ())
   in
   check Alcotest.int "failed compilation charges a slot miss" 1
-    (Counters.slot_misses counters)
+    (Counters.get counters Slot_misses)
 
 let test_analyze_stats () =
   let plan =
@@ -630,7 +630,7 @@ let prop_parallel_node_accounting =
             Soqm_core.Db.with_fresh_counters (Lazy.force db) (fun () ->
                 Exec.run_compiled ~stats ~jobs ~clamp:false (ctx ()) compiled)
           in
-          (stats.Exec.node_rows, Counters.tuples_produced counters)
+          (stats.Exec.node_rows, Counters.get counters Tuples_produced)
         in
         let serial = actuals 1 in
         List.for_all (fun jobs -> actuals jobs = serial) [ 2; 4 ])
@@ -770,8 +770,8 @@ let test_parallel_analyze_stats () =
   (* bulk charges from worker domains must not lose increments and must
      match the serial per-row accounting *)
   check Alcotest.int "tuples charged = serial"
-    (Counters.tuples_produced serial_counters)
-    (Counters.tuples_produced par_counters)
+    (Counters.get serial_counters Tuples_produced)
+    (Counters.get par_counters Tuples_produced)
 
 (* A build side under one morsel skips the two-phase partitioning: one
    shared table, reported as a single partition — and the output must

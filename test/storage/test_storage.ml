@@ -114,7 +114,7 @@ let test_hash_index_basic () =
     (List.length (Hash_index.probe idx counters (Value.Str "z")));
   check Alcotest.int "distinct keys" 2 (Hash_index.distinct_keys idx);
   check Alcotest.int "entries" 3 (Hash_index.entries idx);
-  check Alcotest.int "probes charged" 2 (Counters.index_probes counters)
+  check Alcotest.int "probes charged" 2 (Counters.get counters Index_probes)
 
 let test_hash_index_delete () =
   let idx = Hash_index.create ~cls:"C" ~prop:"p" in
@@ -285,24 +285,25 @@ let test_statistics_method_metadata () =
 
 let test_counters_snapshot_independent () =
   let c = Counters.create () in
-  Counters.charge_object_fetch c;
+  Counters.incr c Objects_fetched;
   Counters.charge_method_call c ~meth:"m" ~cost:3.0;
   let snap = Counters.snapshot c in
-  Counters.charge_object_fetch c;
+  Counters.incr c Objects_fetched;
   Counters.charge_method_call c ~meth:"m" ~cost:3.0;
-  check Alcotest.int "snapshot frozen fetches" 1 (Counters.objects_fetched snap);
+  check Alcotest.int "snapshot frozen fetches" 1
+    (Counters.get snap Objects_fetched);
   check Alcotest.int "snapshot frozen calls" 1 (Counters.method_call_count snap "m");
-  check Alcotest.int "original moved on" 2 (Counters.objects_fetched c);
-  Counters.reset c;
-  check Alcotest.int "reset" 0 (Counters.objects_fetched c);
+  check Alcotest.int "original moved on" 2 (Counters.get c Objects_fetched);
+  Counters.reset c Query;
+  check Alcotest.int "reset" 0 (Counters.get c Objects_fetched);
   check (Alcotest.float 0.001) "reset cost" 0.0 (Counters.charged_cost c)
 
 let test_counters_total_cost_monotone () =
   let c = Counters.create () in
   let before = Counters.total_cost c in
-  Counters.charge_index_probe c;
-  Counters.charge_tuple c;
-  Counters.charge_property_read c;
+  Counters.incr c Index_probes;
+  Counters.incr c Tuples_produced;
+  Counters.incr c Property_reads;
   check Alcotest.bool "total grows" true (Counters.total_cost c > before)
 
 let () =

@@ -180,7 +180,7 @@ let test_write_write_conflict () =
   check F.value "first committer's value stands" (Value.Int 1)
     (Object_store.peek_prop db.Db.store oids.(0) "word_count");
   check Alcotest.int "conflict charged" 1
-    (Counters.txn_conflicts (Db.counters db));
+    (Counters.get (Db.counters db) Txn_conflicts);
   (* disjoint write sets never conflict *)
   let a = Txn.begin_ m in
   let b = Txn.begin_ m in

@@ -261,12 +261,12 @@ let test_counters_charged () =
   let store = Object_store.create small_schema in
   let d = Object_store.create_object store ~cls:"Doc" [ ("title", Value.Str "t") ] in
   let c = Object_store.counters store in
-  Counters.reset c;
+  Counters.reset c Query;
   ignore (Object_store.get_prop store d "title");
-  check tint "one fetch" 1 (Counters.objects_fetched c);
-  check tint "one read" 1 (Counters.property_reads c);
+  check tint "one fetch" 1 (Counters.get c Objects_fetched);
+  check tint "one read" 1 (Counters.get c Property_reads);
   ignore (Object_store.peek_prop store d "title");
-  check tint "peek is free" 1 (Counters.objects_fetched c)
+  check tint "peek is free" 1 (Counters.get c Objects_fetched)
 
 (* The parallel executor charges counters from several domains at once:
    hammer one counter set from two domains and check no increment is
@@ -277,12 +277,12 @@ let test_counters_domain_safe () =
   let rounds = 50_000 in
   let hammer () =
     for i = 1 to rounds do
-      Counters.charge_tuple c;
-      Counters.charge_tuples c 2;
-      Counters.charge_object_fetch c;
-      Counters.charge_index_probe c;
-      Counters.charge_block c;
-      Counters.charge_postings_touched c 1;
+      Counters.incr c Tuples_produced;
+      Counters.add c Tuples_produced 2;
+      Counters.incr c Objects_fetched;
+      Counters.incr c Index_probes;
+      Counters.incr c Blocks_produced;
+      Counters.add c Postings_touched 1;
       if i mod 100 = 0 then
         Counters.charge_method_call c ~meth:"m" ~cost:1.0
     done
@@ -291,22 +291,72 @@ let test_counters_domain_safe () =
   hammer ();
   Domain.join other;
   check tint "no lost tuple increments" (2 * 3 * rounds)
-    (Counters.tuples_produced c);
-  check tint "no lost fetches" (2 * rounds) (Counters.objects_fetched c);
-  check tint "no lost probes" (2 * rounds) (Counters.index_probes c);
-  check tint "no lost blocks" (2 * rounds) (Counters.blocks_produced c);
+    (Counters.get c Tuples_produced);
+  check tint "no lost fetches" (2 * rounds) (Counters.get c Objects_fetched);
+  check tint "no lost probes" (2 * rounds) (Counters.get c Index_probes);
+  check tint "no lost blocks" (2 * rounds) (Counters.get c Blocks_produced);
   check tint "no lost maintenance charges" (2 * rounds)
-    (Counters.postings_touched c);
+    (Counters.get c Postings_touched);
   check tint "no lost method calls" (2 * rounds / 100)
     (Counters.method_call_count c "m");
   (* reset semantics survive the rewrite: query counters zero, the
-     maintenance side accumulates until reset_maintenance *)
-  Counters.reset c;
-  check tint "reset zeroes query counters" 0 (Counters.tuples_produced c);
+     maintenance side accumulates until its own family is reset *)
+  Counters.reset c Query;
+  check tint "reset zeroes query counters" 0 (Counters.get c Tuples_produced);
   check tint "reset keeps maintenance counters" (2 * rounds)
-    (Counters.postings_touched c);
-  Counters.reset_maintenance c;
-  check tint "reset_maintenance zeroes them" 0 (Counters.postings_touched c)
+    (Counters.get c Postings_touched);
+  Counters.reset c Maintenance;
+  check tint "maintenance reset zeroes them" 0
+    (Counters.get c Postings_touched)
+
+(* Resetting a family zeroes exactly its counters: charge every counter a
+   distinct amount plus one method call, reset each family on its own
+   snapshot, and check every other counter (and the original) keeps its
+   value. *)
+let test_counters_family_reset () =
+  let c = Counters.create () in
+  List.iteri
+    (fun i k ->
+      Counters.incr c k;
+      Counters.add c k i)
+    Counters.all;
+  Counters.charge_method_call c ~meth:"m" ~cost:2.5;
+  List.iter
+    (fun (name, fam) ->
+      let s = Counters.snapshot c in
+      Counters.reset s fam;
+      List.iteri
+        (fun i k ->
+          let kept = Counters.family k <> fam in
+          check tint
+            (Printf.sprintf "reset %s: counter %d" name i)
+            (if kept then i + 1 else 0)
+            (Counters.get s k))
+        Counters.all;
+      let query = fam = Counters.Query in
+      check tint (name ^ ": method calls")
+        (if query then 0 else 1)
+        (Counters.method_call_count s "m");
+      check (Alcotest.float 1e-9) (name ^ ": charged cost")
+        (if query then 0. else 2.5)
+        (Counters.charged_cost s);
+      List.iter (fun k -> Counters.add s k 100) Counters.all;
+      Counters.charge_method_call s ~meth:"m" ~cost:1.0)
+    [
+      ("query", Counters.Query);
+      ("maintenance", Maintenance);
+      ("storage", Storage);
+      ("txn", Txn);
+      ("knowledge", Knowledge);
+    ];
+  List.iteri
+    (fun i k ->
+      check tint (Printf.sprintf "original counter %d" i) (i + 1)
+        (Counters.get c k))
+    Counters.all;
+  check tint "original method calls" 1 (Counters.method_call_count c "m");
+  check (Alcotest.float 1e-9) "original charged cost" 2.5
+    (Counters.charged_cost c)
 
 (* Server-style concurrency: N session domains, each issuing a mix of
    query-side charges (tuples, fetches, probes) and DML-side charges
@@ -321,21 +371,21 @@ let test_counters_n_sessions () =
     for i = 1 to rounds s do
       if i mod 3 = 0 then begin
         (* a DML round: txn lifecycle + maintenance charges *)
-        Counters.charge_txn_begin c;
+        Counters.incr c Txn_begins;
         if i mod 9 = 0 then begin
-          Counters.charge_txn_conflict c;
-          Counters.charge_txn_abort c
+          Counters.incr c Txn_conflicts;
+          Counters.incr c Txn_aborts
         end
-        else Counters.charge_txn_commit c;
-        Counters.charge_postings_touched c 2;
-        Counters.charge_stats_delta c
+        else Counters.incr c Txn_commits;
+        Counters.add c Postings_touched 2;
+        Counters.incr c Stats_deltas
       end
       else begin
         (* a query round: executor-side charges *)
-        Counters.charge_block c;
-        Counters.charge_tuples c 4;
-        Counters.charge_object_fetch c;
-        Counters.charge_index_probe c;
+        Counters.incr c Blocks_produced;
+        Counters.add c Tuples_produced 4;
+        Counters.incr c Objects_fetched;
+        Counters.incr c Index_probes;
         if i mod 50 = 0 then Counters.charge_method_call c ~meth:"q" ~cost:0.5
       end
     done
@@ -364,16 +414,16 @@ let test_counters_n_sessions () =
       end
     done
   done;
-  check tint "txn begins" !dml (Counters.txn_begins c);
-  check tint "txn conflicts" !conflicts (Counters.txn_conflicts c);
-  check tint "txn aborts" !conflicts (Counters.txn_aborts c);
-  check tint "txn commits" (!dml - !conflicts) (Counters.txn_commits c);
-  check tint "postings" (2 * !dml) (Counters.postings_touched c);
-  check tint "stats deltas" !dml (Counters.stats_deltas c);
-  check tint "blocks" !queries (Counters.blocks_produced c);
-  check tint "tuples" (4 * !queries) (Counters.tuples_produced c);
-  check tint "fetches" !queries (Counters.objects_fetched c);
-  check tint "probes" !queries (Counters.index_probes c);
+  check tint "txn begins" !dml (Counters.get c Txn_begins);
+  check tint "txn conflicts" !conflicts (Counters.get c Txn_conflicts);
+  check tint "txn aborts" !conflicts (Counters.get c Txn_aborts);
+  check tint "txn commits" (!dml - !conflicts) (Counters.get c Txn_commits);
+  check tint "postings" (2 * !dml) (Counters.get c Postings_touched);
+  check tint "stats deltas" !dml (Counters.get c Stats_deltas);
+  check tint "blocks" !queries (Counters.get c Blocks_produced);
+  check tint "tuples" (4 * !queries) (Counters.get c Tuples_produced);
+  check tint "fetches" !queries (Counters.get c Objects_fetched);
+  check tint "probes" !queries (Counters.get c Index_probes);
   check tint "method calls" !methods_ (Counters.method_call_count c "q")
 
 (* ------------------------------------------------------------------ *)
@@ -627,6 +677,8 @@ let () =
           Alcotest.test_case "counters charged" `Quick test_counters_charged;
           Alcotest.test_case "counters domain-safe" `Quick
             test_counters_domain_safe;
+          Alcotest.test_case "counters family reset" `Quick
+            test_counters_family_reset;
           Alcotest.test_case "counters across N sessions" `Quick
             test_counters_n_sessions;
         ] );
