@@ -107,5 +107,6 @@ let populate store p =
         if word_count > 500 then large := Value.Obj para :: !large
       done
     done;
-    Object_store.set_prop store doc "largeParagraphs" (Value.set !large)
+    (* derived data, written the way its maintainer writes it *)
+    Object_store.set_prop_derived store doc "largeParagraphs" (Value.set !large)
   done

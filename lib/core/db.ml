@@ -61,6 +61,11 @@ let register_external_methods t =
          | Value.Obj oid, [] -> Object_store.get_prop store oid "word_count"
          | _ -> raise (Runtime.Error "wordCount expects no arguments")))
 
+let register_range_counts t =
+  Statistics.register_range t.stats ~cls:(Sorted_index.cls t.word_count_index)
+    ~prop:(Sorted_index.prop t.word_count_index)
+    (Sorted_index.count_range t.word_count_index)
+
 let refresh t =
   Hash_index.build t.title_index t.store;
   Sorted_index.build t.word_count_index t.store;
@@ -110,6 +115,7 @@ let create_empty ?(schema = Doc_schema.schema) ?(maintain = true) ?(jobs = 1) ()
     }
   in
   register_external_methods t;
+  register_range_counts t;
   if maintain then attach_maintenance t;
   t
 
@@ -338,6 +344,7 @@ let of_disk ~attach ~maintain ~jobs ~pool_pages path =
     }
   in
   register_external_methods t;
+  register_range_counts t;
   (match image with
   | Some img when load_derived t img ->
     if attach then attach_disk t d;

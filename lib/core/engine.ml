@@ -28,6 +28,9 @@ type t = {
   mutable sat_stats : Saturate.stats option;
   mutable provenance : (string * string) list;  (* spec name → trace *)
   mutable checker_install : Object_store.t -> unit;
+  maintained : string list;
+      (* implications whose sets a maintainer upholds: their declared
+         specs yield generator rules and owner-invariant obligations *)
   opt_ctx : Rule.opt_ctx;
   config : Search.config;
   (* optimization results keyed by the alpha-canonical logical term, so
@@ -100,6 +103,17 @@ let rules_of_facts schema facts =
   in
   (List.concat (List.rev ts), List.concat (List.rev is))
 
+(* The declared maintained-shape implications whose sets are actually
+   maintained — only these may serve as generators. *)
+let maintained_specs t =
+  List.filter_map
+    (fun spec ->
+      match Soqm_semantics.Equivalence.maintained spec with
+      | Some m when List.mem m.Soqm_semantics.Equivalence.m_name t.maintained ->
+        Some m
+      | _ -> None)
+    t.declared_specs
+
 let rebuild_rules t =
   let schema = Object_store.schema t.obj_store in
   let facts =
@@ -120,13 +134,15 @@ let rebuild_rules t =
   t.facts <- facts;
   t.provenance <- Saturate.provenance_alist facts;
   let derived_t, derived_i = rules_of_facts schema facts in
-  t.transformations <- t.builtins @ derived_t;
+  t.transformations <-
+    t.builtins @ derived_t
+    @ List.map (Soqm_semantics.Derive.generator schema) (maintained_specs t);
   t.implementations <- Builtin_rules.implementations @ derived_i;
   t.knowledge_epoch <- t.knowledge_epoch + 1
 
 let make_engine ~store ~exec ~stats ~has_index ~has_range_index
     ~builtin_filter ~specs ~inverse_links ~saturate ~config ~cache_capacity
-    ~jobs =
+    ~jobs ~maintained =
   let schema = Object_store.schema store in
   let specs =
     if inverse_links then
@@ -151,6 +167,7 @@ let make_engine ~store ~exec ~stats ~has_index ~has_range_index
       sat_stats = None;
       provenance = [];
       checker_install = (fun _ -> ());
+      maintained;
       opt_ctx = { Rule.schema; stats; has_index; has_range_index };
       config;
       plan_cache = Hashtbl.create 32;
@@ -180,6 +197,10 @@ let generate ?(classes = Doc_knowledge.all_classes) ?(extra_specs = [])
       ~has_range_index:(opt_ctx_of database).Rule.has_range_index
       ~builtin_filter ~specs ~inverse_links:false ~saturate ~config
       ~cache_capacity ~jobs:database.Db.default_jobs
+      ~maintained:
+        (match Db.maintenance database with
+        | Some m -> Soqm_maintenance.Maintenance.maintained_sets m
+        | None -> [])
   in
   (* the checker's candidate stores are index-free: give them the
      internal method bodies plus scan implementations of the externals *)
@@ -200,7 +221,7 @@ let generate_custom ?(specs = []) ?(inverse_links = true) ?(saturate = false)
     ?(jobs = 1) ~store ~exec_ctx:exec ~has_index () =
   make_engine ~store ~exec ~stats:(Statistics.collect store) ~has_index
     ~has_range_index ~builtin_filter:(fun _ -> true) ~specs ~inverse_links
-    ~saturate ~config ~cache_capacity ~jobs
+    ~saturate ~config ~cache_capacity ~jobs ~maintained:[]
 
 let store t = t.obj_store
 let set_jobs t jobs = t.jobs <- max 1 jobs
@@ -282,7 +303,8 @@ let check_rules ?config ?install t =
   let counters = Object_store.counters t.obj_store in
   Check.check_specs ?config ~install ~counters ~trusted:t.declared_specs
     (Object_store.schema t.obj_store)
-    (Saturate.specs t.facts)
+    (Saturate.specs t.facts
+    @ List.map Soqm_semantics.Equivalence.owner_invariant (maintained_specs t))
 
 let cache_stats t = (t.cache_hits, t.cache_misses)
 let cache_size t = Hashtbl.length t.plan_cache

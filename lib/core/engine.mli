@@ -156,7 +156,10 @@ val check_rules :
   t ->
   (Soqm_semantics.Equivalence.t * Soqm_knowledge.Check.verdict) list
 (** Bounded-soundness-check every current rule (declared and derived)
-    against the declared knowledge as the trusted base, in order. *)
+    against the declared knowledge as the trusted base, in order,
+    followed by the owner invariant ({!Soqm_semantics.Equivalence.owner_invariant})
+    of every maintained implication — the obligation the generator
+    rules rest on. *)
 
 val cache_stats : t -> int * int
 (** Cumulative plan-cache [(hits, misses)] since generation.  Kept on the

@@ -99,21 +99,6 @@ let mine_domains specs =
 
 let pick rng xs = List.nth xs (Random.State.int rng (List.length xs))
 
-(* The maintained-implication shape [Maintenance.compile_implication]
-   recognizes: consequent [x IS-IN target(x).set_prop]. *)
-let maintained_shape = function
-  | Equivalence.Implication
-      {
-        cls;
-        var;
-        antecedent;
-        consequent = Expr.Binop (Expr.IsIn, Expr.Ref v, Expr.Prop (target_expr, set_prop));
-        _;
-      }
-    when String.equal v var ->
-    Some (cls, var, antecedent, target_expr, set_prop)
-  | _ -> None
-
 let eval_for store var oid ~params e =
   let env =
     Runtime.env ~params
@@ -132,42 +117,38 @@ let reconcile_derived store trusted =
   let schema = Object_store.schema store in
   List.iter
     (fun spec ->
-      match maintained_shape spec with
+      match Equivalence.maintained spec with
       | None -> ()
-      | Some (cls, var, antecedent, target_expr, set_prop) ->
+      | Some m ->
+        let eval oid e = eval_for store m.Equivalence.m_var oid ~params:[] e in
         let desired = Hashtbl.create 16 in
         List.iter
           (fun oid ->
             let truthy_antecedent =
-              try Value.truthy (eval_for store var oid ~params:[] antecedent)
+              try Value.truthy (eval oid m.Equivalence.m_antecedent)
               with Runtime.Error _ | Invalid_argument _ -> false
             in
             if truthy_antecedent then
               match
-                try Some (eval_for store var oid ~params:[] target_expr)
+                try Some (eval oid m.Equivalence.target)
                 with Runtime.Error _ | Invalid_argument _ -> None
               with
               | Some (Value.Obj t) ->
                 let cur = Option.value ~default:[] (Hashtbl.find_opt desired t) in
                 Hashtbl.replace desired t (Value.Obj oid :: cur)
               | _ -> ())
-          (Object_store.extent store cls);
+          (Object_store.extent store m.Equivalence.member_cls);
         List.iter
-          (fun (cd : Schema.class_def) ->
-            let holds (p : Schema.property) =
-              String.equal p.Schema.prop_name set_prop
-              && p.Schema.prop_type = Vtype.TSet (Vtype.TObj cls)
-            in
-            if List.exists holds cd.Schema.properties then
-              List.iter
-                (fun t ->
-                  let members =
-                    Option.value ~default:[] (Hashtbl.find_opt desired t)
-                  in
-                  Object_store.set_prop_derived store t set_prop
-                    (Value.set members))
-                (Object_store.extent store cd.Schema.cls_name))
-          (Schema.classes schema))
+          (fun owner ->
+            List.iter
+              (fun t ->
+                let members =
+                  Option.value ~default:[] (Hashtbl.find_opt desired t)
+                in
+                Object_store.set_prop_derived store t m.Equivalence.set_prop
+                  (Value.set members))
+              (Object_store.extent store owner))
+          (Equivalence.owner_classes schema m))
     trusted
 
 let build_model ~schema ~install ~trusted ~ints ~strs ~reals ~k rng =
@@ -236,50 +217,136 @@ let render_store store =
 (* parameter valuations                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-model parameter domain: the mined constants plus objects and
-   small object sets of the model itself (inverse-link equivalences
-   quantify over object-set parameters). *)
-let param_values store ~ints ~strs ~reals =
-  let consts =
-    List.map (fun n -> Value.Int n) ints
-    @ List.map (fun s -> Value.Str s) strs
-    @ List.map (fun r -> Value.Real r) reals
+(* Parameter types are inferred from their use ({!Saturate.infer} types
+   the other side), since a spec does not carry the types its source
+   declared: compared with (or passed where the signature expects) a
+   typed expression, a parameter takes that type; [e IS-IN D] makes [D]
+   a set of [e]'s type.  A property access [D.prop] names the class
+   declaring the property — the object type, unless a comparison
+   already made it a set. *)
+let param_types schema spec =
+  let cls, var =
+    match spec with
+    | Equivalence.Expr_equiv { cls; var; _ }
+    | Equivalence.Cond_equiv { cls; var; _ }
+    | Equivalence.Implication { cls; var; _ }
+    | Equivalence.Query_method { cls; var; _ } ->
+      (cls, var)
   in
-  let schema = Object_store.schema store in
-  let per_class =
-    List.concat_map
-      (fun (cd : Schema.class_def) ->
-        let ext = Object_store.extent store cd.Schema.cls_name in
-        let objs = List.map (fun o -> Value.Obj o) ext in
-        let sets =
-          match objs with
-          | [] -> [ Value.Set [] ]
-          | first :: _ -> [ Value.set objs; Value.set [ first ]; Value.Set [] ]
-        in
-        objs @ sets)
-      (Schema.classes schema)
+  let ty = Saturate.infer schema ~cls ~var in
+  let strong = Hashtbl.create 4 and weak = Hashtbl.create 4 in
+  let note tbl p t = if not (Hashtbl.mem tbl p) then Hashtbl.replace tbl p t in
+  let declaring prop =
+    match
+      List.filter
+        (fun (cd : Schema.class_def) ->
+          List.exists
+            (fun (pd : Schema.property) -> String.equal pd.Schema.prop_name prop)
+            cd.Schema.properties)
+        (Schema.classes schema)
+    with
+    | [ cd ] -> Some (Vtype.TObj cd.Schema.cls_name)
+    | _ -> None
   in
-  consts @ per_class
+  let signature_args (msig : Schema.method_sig option) args =
+    match msig with
+    | Some s when List.length s.Schema.params = List.length args ->
+      List.iter2
+        (fun a (_, pty) -> match a with Expr.Param p -> note strong p pty | _ -> ())
+        args s.Schema.params
+    | _ -> ()
+  in
+  let visit () = function
+    | Expr.Binop
+        ( (Expr.Eq | Expr.Neq | Expr.Lt | Expr.Le | Expr.Gt | Expr.Ge | Expr.IsSubset),
+          a,
+          b ) -> (
+      match a, b with
+      | Expr.Param p, e | e, Expr.Param p -> Option.iter (note strong p) (ty e)
+      | _ -> ())
+    | Expr.Binop (Expr.IsIn, e, Expr.Param p) ->
+      Option.iter (fun t -> note strong p (Vtype.TSet t)) (ty e)
+    | Expr.Binop (Expr.IsIn, Expr.Param p, e) -> (
+      match ty e with Some (Vtype.TSet t) -> note strong p t | _ -> ())
+    | Expr.Prop (Expr.Param p, prop) -> Option.iter (note weak p) (declaring prop)
+    | Expr.Call (Expr.ClassObj c, m, args) ->
+      signature_args (Schema.own_method schema ~cls:c ~meth:m) args
+    | Expr.Call (recv, m, args) -> (
+      match ty recv with
+      | Some (Vtype.TObj c) ->
+        signature_args (Schema.inst_method schema ~cls:c ~meth:m) args
+      | _ -> ())
+    | _ -> ()
+  in
+  List.iter (fold_expr visit ()) (sides_of spec);
+  (match spec with
+  | Equivalence.Query_method { meth_cls; meth; args; _ } ->
+    signature_args
+      (Schema.own_method schema ~cls:meth_cls ~meth)
+      (List.map
+         (function
+           | Equivalence.Arg_param p -> Expr.Param p
+           | Equivalence.Arg_const v -> Expr.Const v)
+         args)
+  | _ -> ());
+  List.map
+    (fun p ->
+      match Hashtbl.find_opt strong p with
+      | Some t -> (p, Some t)
+      | None -> (p, Hashtbl.find_opt weak p))
+    (params_of_spec spec)
 
-let valuations rng params domain max_v =
-  match params with
-  | [] -> [ [] ]
-  | _ ->
-    let n = List.length domain in
-    let total =
-      List.fold_left
-        (fun acc _ -> if acc > max_v then acc else acc * n)
-        1 params
-    in
-    if total <= max_v then
-      (* full cartesian product *)
-      List.fold_left
-        (fun acc p ->
-          List.concat_map (fun tail -> List.map (fun v -> (p, v) :: tail) domain) acc)
-        [ [] ] params
-    else
-      List.init max_v (fun _ ->
-          List.map (fun p -> (p, pick rng domain)) params)
+(* Per-model parameter domains.  A typed parameter draws from the values
+   of its type: mined constants, the model's objects of a class, or
+   small object sets of it (inverse-link equivalences quantify over
+   object-set parameters).  An untyped one draws from all of them. *)
+let param_domains store ~ints ~strs ~reals types =
+  let schema = Object_store.schema store in
+  let objects cls = List.map (fun o -> Value.Obj o) (Object_store.extent store cls) in
+  let object_sets cls =
+    match objects cls with
+    | [] -> [ Value.Set [] ]
+    | first :: _ as objs -> [ Value.set objs; Value.set [ first ]; Value.Set [] ]
+  in
+  let ints = List.map (fun n -> Value.Int n) ints
+  and strs = List.map (fun s -> Value.Str s) strs
+  and reals = List.map (fun r -> Value.Real r) reals in
+  let untyped =
+    lazy
+      (ints @ strs @ reals
+      @ List.concat_map
+          (fun (cd : Schema.class_def) ->
+            objects cd.Schema.cls_name @ object_sets cd.Schema.cls_name)
+          (Schema.classes schema))
+  in
+  let known c = Option.is_some (Schema.find_class schema c) in
+  List.map
+    (fun (p, t) ->
+      ( p,
+        match t with
+        | Some Vtype.TInt -> ints
+        | Some Vtype.TString -> strs
+        | Some Vtype.TReal -> reals
+        | Some Vtype.TBool -> [ Value.Bool true; Value.Bool false ]
+        | Some (Vtype.TObj c) when known c -> objects c
+        | Some (Vtype.TSet (Vtype.TObj c)) when known c -> object_sets c
+        | _ -> Lazy.force untyped ))
+    types
+
+let valuations rng domains max_v =
+  let total =
+    List.fold_left
+      (fun acc (_, d) -> if acc > max_v then acc else acc * List.length d)
+      1 domains
+  in
+  if total <= max_v then
+    (* full cartesian product *)
+    List.fold_left
+      (fun acc (p, domain) ->
+        List.concat_map (fun tail -> List.map (fun v -> (p, v) :: tail) domain) acc)
+      [ [] ] domains
+  else
+    List.init max_v (fun _ -> List.map (fun (p, d) -> (p, pick rng d)) domains)
 
 (* ------------------------------------------------------------------ *)
 (* one rule on one model                                               *)
@@ -417,7 +484,7 @@ let check_on_model ~evaluated store spec vals =
 let check_spec ?(config = default_config) ?(install = fun _ -> ()) ?counters
     ~trusted schema spec =
   let ints, strs, reals = mine_domains (spec :: trusted) in
-  let params = params_of_spec spec in
+  let types = param_types schema spec in
   let evaluated = Atomic.make 0 in
   let models_run = ref 0 in
   let verdict = ref None in
@@ -443,8 +510,8 @@ let check_spec ?(config = default_config) ?(install = fun _ -> ()) ?counters
               build_model ~schema ~install ~trusted ~ints ~strs ~reals ~k:size
                 rng
             in
-            let domain = param_values store ~ints ~strs ~reals in
-            let vals = valuations rng params domain config.max_valuations in
+            let domains = param_domains store ~ints ~strs ~reals types in
+            let vals = valuations rng domains config.max_valuations in
             (match check_on_model ~evaluated store spec vals with
             | Some detail ->
               Mutex.lock witness_m;

@@ -13,8 +13,10 @@
     system's maintenance would, and evaluates both sides of the
     candidate rule under the reference {!Soqm_semantics.Runtime}
     evaluator over every object binding and a capped set of parameter
-    valuations.  A store and binding where the sides disagree is a
-    counterexample, rendered as a minimal witness.
+    valuations; each parameter draws only from values of its type,
+    inferred from its use ({!param_types}).  A store and binding where
+    the sides disagree is a counterexample, rendered as a minimal
+    witness.
 
     Passing is {e evidence}, not proof — the bound is small — but a
     refutation is definitive: the printed store really does violate the
@@ -49,6 +51,15 @@ type verdict =
   | Unsupported of string
       (** no generated model could evaluate the rule at all — reported
           instead of a vacuous [Sound] *)
+
+val param_types : Schema.t -> Equivalence.t -> (string * Vtype.t option) list
+(** The type of each parameter of a spec, inferred from its use (specs
+    do not carry the types their source declared): compared with — or
+    passed where a method signature expects — an expression of type [t],
+    a parameter has type [t]; [e IS-IN D] makes [D] a set of [e]'s type;
+    failing both, a parameter dereferenced as [D.prop] is an instance of
+    the one class declaring that property.  [None] when
+    nothing determines it: such a parameter draws from every value. *)
 
 val check_spec :
   ?config:config ->

@@ -124,6 +124,24 @@ let mutations () =
                   (Expr.ClassObj "Document", "select_by_index", [ Expr.Param "s" ])
               );
         } );
+    ( "converse-owner",
+      (* the converse of the largeParagraphs owner invariant: sharing the
+         owner document does not make a paragraph large, so any small
+         paragraph refutes it *)
+      Equivalence.Implication
+        {
+          name = "M-converse-owner";
+          cls = "Paragraph";
+          var = "p";
+          antecedent =
+            Expr.Binop
+              (Expr.Eq, Expr.Call (Expr.Ref "p", "document", []), Expr.Param "D");
+          consequent =
+            Expr.Binop
+              ( Expr.IsIn,
+                Expr.Ref "p",
+                Expr.Prop (Expr.Param "D", "largeParagraphs") );
+        } );
     ( "wrong-query-method",
       (* retrieve_by_string returns the paragraphs containing s, not the
          ones with a nonempty content *)

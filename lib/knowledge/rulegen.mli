@@ -26,7 +26,8 @@ val family : ?thresholds:int -> ?step:int -> unit -> Equivalence.t list
 
 val mutations : unit -> (string * Equivalence.t) list
 (** Labeled seeded-unsound specifications — flipped comparison, wrong
-    class, off-by-one thresholds, a negated index equivalence and a
-    wrong query/method pairing.  Every one of them must be refuted by
+    class, off-by-one thresholds, a negated index equivalence, the
+    converse of the largeParagraphs owner invariant and a wrong
+    query/method pairing.  Every one of them must be refuted by
     the bounded checker at the default bound (the test matrix of the
     acceptance criteria). *)

@@ -38,46 +38,32 @@ let rec replace_subterm ~from ~to_ e =
     | Expr.If (a, b, c) -> Expr.If (go a, go b, go c)
 
 (* A small structural type inferencer over specification sides, enough
-   to direct equivalence composition: the quantified variable has type
-   [TObj cls]; parameters and anything dynamic infer to [None]. *)
-let type_of_value = function
-  | Value.Bool _ -> Some Vtype.TBool
-  | Value.Int _ -> Some Vtype.TInt
-  | Value.Real _ -> Some Vtype.TReal
-  | Value.Str _ -> Some Vtype.TString
-  | Value.Obj oid -> Some (Vtype.TObj (Oid.cls oid))
-  | _ -> None
-
+   to direct equivalence composition and to type the checker's
+   parameters: the quantified variable has type [TObj cls]; parameters
+   and anything dynamic infer to [None].  A property or method reached
+   through an object set is set-lifted: scalar results collect into a
+   set, set results union. *)
 let rec infer schema ~cls ~var e =
-  let lift base = function
-    | Vtype.TSet t -> Some (Vtype.TSet t)
-    | t -> if base then Some t else Some (Vtype.TSet t)
+  let member recv find =
+    let lift = function Vtype.TSet _ as t -> t | t -> Vtype.TSet t in
+    match infer schema ~cls ~var recv with
+    | Some (Vtype.TObj c) -> find c
+    | Some (Vtype.TSet (Vtype.TObj c)) -> Option.map lift (find c)
+    | _ -> None
   in
+  let returns (ms : Schema.method_sig) = ms.Schema.returns in
   match e with
   | Expr.Ref r when String.equal r var -> Some (Vtype.TObj cls)
   | Expr.Ref _ | Expr.Param _ | Expr.Self -> None
   | Expr.ClassObj _ -> None
-  | Expr.Const v -> type_of_value v
-  | Expr.Prop (e1, p) -> (
-    match infer schema ~cls ~var e1 with
-    | Some (Vtype.TObj c) ->
-      Option.bind (Schema.property_type schema ~cls:c ~prop:p) (lift true)
-    | Some (Vtype.TSet (Vtype.TObj c)) ->
-      (* set-lifted access: scalar results collect into a set, set
-         results union *)
-      Option.bind (Schema.property_type schema ~cls:c ~prop:p) (lift false)
-    | _ -> None)
+  | Expr.Const v -> Vtype.of_value v
+  | Expr.Prop (e1, p) ->
+    member e1 (fun c -> Schema.property_type schema ~cls:c ~prop:p)
   | Expr.Call (Expr.ClassObj c, m, _) ->
-    Option.map
-      (fun (ms : Schema.method_sig) -> ms.Schema.returns)
-      (Schema.own_method schema ~cls:c ~meth:m)
-  | Expr.Call (recv, m, _) -> (
-    match infer schema ~cls ~var recv with
-    | Some (Vtype.TObj c) ->
-      Option.map
-        (fun (ms : Schema.method_sig) -> ms.Schema.returns)
-        (Schema.inst_method schema ~cls:c ~meth:m)
-    | _ -> None)
+    Option.map returns (Schema.own_method schema ~cls:c ~meth:m)
+  | Expr.Call (recv, m, _) ->
+    member recv (fun c ->
+        Option.map returns (Schema.inst_method schema ~cls:c ~meth:m))
   | Expr.Binop ((Eq | Neq | Lt | Le | Gt | Ge | IsIn | IsSubset | And | Or), _, _)
   | Expr.Not _ ->
     Some Vtype.TBool

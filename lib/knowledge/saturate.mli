@@ -84,6 +84,13 @@ val run :
     {!Equivalence.validate} — derived candidates that fail validation
     are silently dropped instead. *)
 
+val infer : Schema.t -> cls:string -> var:string -> Expr.t -> Vtype.t option
+(** The static type of a specification side whose quantified variable
+    [var] ranges over [cls]; [None] for parameters, other references and
+    anything dynamic.  Property and method access through an object set
+    is set-lifted (scalar results collect into a set, set results
+    union). *)
+
 val specs : fact list -> Equivalence.t list
 (** The specifications of the facts, in order. *)
 

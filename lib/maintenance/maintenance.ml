@@ -5,15 +5,10 @@ type policy = { staleness_threshold : float }
 
 let default_policy = { staleness_threshold = 0.10 }
 
-(* An implication spec whose consequent has the maintained-membership
-   shape [x IS-IN target(x).set_prop]. *)
+(* A maintained-shape implication ([Equivalence.maintained]) and the
+   membership it currently holds. *)
 type maintained_set = {
-  spec_name : string;
-  member_cls : string;
-  var : string;
-  antecedent : Expr.t;
-  target_expr : Expr.t;
-  set_prop : string;
+  spec : Soqm_semantics.Equivalence.maintained;
   members : (Oid.t, Oid.t) Hashtbl.t;  (* member -> target holding it *)
 }
 
@@ -34,12 +29,12 @@ let bump_epoch t = t.epoch <- t.epoch + 1
 let staleness t = Statistics.staleness t.stats
 let recollects t = t.recollects
 let stats t = t.stats
-let maintained_sets t = List.map (fun m -> m.spec_name) t.sets
+let maintained_sets t = List.map (fun m -> m.spec.m_name) t.sets
 
 let set_members t =
   List.map
     (fun m ->
-      ( m.spec_name,
+      ( m.spec.m_name,
         Hashtbl.fold (fun mem tgt acc -> (mem, tgt) :: acc) m.members [] ))
     t.sets
 
@@ -47,34 +42,16 @@ let set_members t =
 (* Implication sets                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let compile_implication (spec : Soqm_semantics.Equivalence.t) =
-  match spec with
-  | Soqm_semantics.Equivalence.Implication
-      {
-        name;
-        cls;
-        var;
-        antecedent;
-        consequent = Expr.Binop (Expr.IsIn, Expr.Ref v, Expr.Prop (target_expr, set_prop));
-      }
-    when String.equal v var ->
-    Some
-      {
-        spec_name = name;
-        member_cls = cls;
-        var;
-        antecedent;
-        target_expr;
-        set_prop;
-        members = Hashtbl.create 256;
-      }
-  | _ -> None
+let compile_implication spec =
+  Option.map
+    (fun spec -> { spec; members = Hashtbl.create 256 })
+    (Soqm_semantics.Equivalence.maintained spec)
 
 let eval_on store m oid e =
   let env =
     Runtime.env
       ~binding:(fun r ->
-        if String.equal r m.var then Some (Value.Obj oid) else None)
+        if String.equal r m.spec.m_var then Some (Value.Obj oid) else None)
       store
   in
   Runtime.eval env e
@@ -83,12 +60,12 @@ let eval_on store m oid e =
    FALSE — an object the antecedent cannot certify must not sit in the
    implied set. *)
 let antecedent_holds store m oid =
-  try Value.truthy (eval_on store m oid m.antecedent)
+  try Value.truthy (eval_on store m oid m.spec.m_antecedent)
   with Runtime.Error _ | Not_found -> false
 
 let target_of store m oid =
   try
-    match eval_on store m oid m.target_expr with
+    match eval_on store m oid m.spec.target with
     | Value.Obj o when Object_store.exists store o -> Some o
     | _ -> None
   with Runtime.Error _ | Not_found -> None
@@ -98,22 +75,22 @@ let charge_implication store =
 
 let member_add store m ~target ~member =
   let v = Value.Obj member in
-  match Object_store.peek_prop store target m.set_prop with
+  match Object_store.peek_prop store target m.spec.set_prop with
   | Value.Set xs when List.exists (Value.equal v) xs -> ()
   | Value.Set xs ->
-    Object_store.set_prop_derived store target m.set_prop (Value.set (v :: xs));
+    Object_store.set_prop_derived store target m.spec.set_prop (Value.set (v :: xs));
     charge_implication store
   | Value.Null ->
-    Object_store.set_prop_derived store target m.set_prop (Value.set [ v ]);
+    Object_store.set_prop_derived store target m.spec.set_prop (Value.set [ v ]);
     charge_implication store
   | _ -> ()
 
 let member_remove store m ~target ~member =
   if Object_store.exists store target then
     let v = Value.Obj member in
-    match Object_store.peek_prop store target m.set_prop with
+    match Object_store.peek_prop store target m.spec.set_prop with
     | Value.Set xs when List.exists (Value.equal v) xs ->
-      Object_store.set_prop_derived store target m.set_prop
+      Object_store.set_prop_derived store target m.spec.set_prop
         (Value.Set (List.filter (fun x -> not (Value.equal x v)) xs));
       charge_implication store
     | _ -> ()
@@ -141,6 +118,39 @@ let refresh_member store m oid =
       Hashtbl.replace m.members oid tnew
     | None -> ())
 
+(* The members whose target may route through [oid]: set-valued
+   inverse properties lead from an object down to the objects linking to
+   it (a section's paragraphs), so a link write above the member class —
+   a section moved to another document — re-derives exactly the members
+   it can move.  Bounded by the number of classes, which cuts cycles. *)
+let members_below store m oid =
+  let schema = Object_store.schema store in
+  let rec go depth oid =
+    if String.equal (Oid.cls oid) m.spec.member_cls then [ oid ]
+    else if depth = 0 || not (Object_store.exists store oid) then []
+    else
+      List.concat_map
+        (fun (p : Schema.property) ->
+          match p.Schema.prop_type, p.Schema.inverse with
+          | Vtype.TSet (Vtype.TObj _), Some _ -> (
+            match Object_store.peek_prop store oid p.Schema.prop_name with
+            | Value.Set xs ->
+              List.concat_map
+                (function Value.Obj o -> go (depth - 1) o | _ -> [])
+                xs
+            | _ -> [])
+          | _ -> [])
+        (Schema.class_exn schema (Oid.cls oid)).Schema.properties
+  in
+  go (List.length (Schema.classes schema)) oid
+
+let is_link store oid prop =
+  match
+    Schema.property_type (Object_store.schema store) ~cls:(Oid.cls oid) ~prop
+  with
+  | Some (Vtype.TObj _) -> true
+  | _ -> false
+
 let drop_member store m oid =
   match Hashtbl.find_opt m.members oid with
   | Some told ->
@@ -148,19 +158,10 @@ let drop_member store m oid =
     Hashtbl.remove m.members oid
   | None -> ()
 
-(* Target classes of a maintained set: every class declaring [set_prop]
-   as a set of the member class.  Needed to clear stale memberships on
-   targets that end up with no desired members at all. *)
+(* Target classes of a maintained set; needed to clear stale
+   memberships on targets that end up with no desired members at all. *)
 let target_classes store m =
-  List.filter_map
-    (fun (cd : Schema.class_def) ->
-      let holds (p : Schema.property) =
-        String.equal p.Schema.prop_name m.set_prop
-        && p.Schema.prop_type = Vtype.TSet (Vtype.TObj m.member_cls)
-      in
-      if List.exists holds cd.Schema.properties then Some cd.Schema.cls_name
-      else None)
-    (Schema.classes (Object_store.schema store))
+  Soqm_semantics.Equivalence.owner_classes (Object_store.schema store) m.spec
 
 (* Full re-derivation of one maintained set from base data — the
    rebuild-from-scratch path used at attach time and by {!resync}. *)
@@ -176,7 +177,7 @@ let reconcile_set store m =
           let cur = Option.value ~default:[] (Hashtbl.find_opt desired target) in
           Hashtbl.replace desired target (Value.Obj oid :: cur)
         | None -> ())
-    (Object_store.extent store m.member_cls);
+    (Object_store.extent store m.spec.member_cls);
   List.iter
     (fun cls ->
       List.iter
@@ -184,10 +185,10 @@ let reconcile_set store m =
           let want =
             Value.set (Option.value ~default:[] (Hashtbl.find_opt desired target))
           in
-          let have = Object_store.peek_prop store target m.set_prop in
+          let have = Object_store.peek_prop store target m.spec.set_prop in
           let have = match have with Value.Set _ -> have | _ -> Value.Set [] in
           if not (Value.equal want have) then (
-            Object_store.set_prop_derived store target m.set_prop want;
+            Object_store.set_prop_derived store target m.spec.set_prop want;
             charge_implication store))
         (Object_store.extent store cls))
     (target_classes store m)
@@ -222,19 +223,18 @@ let sorted_index_observer store idx ev =
   let cls = Sorted_index.cls idx and prop = Sorted_index.prop idx in
   match ev with
   | Object_store.Prop_set { oid; prop = p; old_value; new_value; _ }
-    when String.equal (Oid.cls oid) cls && String.equal p prop ->
-    let touched = ref 0 in
-    (match old_value with
-    | Value.Null -> ()
-    | v ->
-      Sorted_index.delete idx v oid;
-      incr touched);
-    (match new_value with
-    | Value.Null -> ()
-    | v ->
+    when String.equal (Oid.cls oid) cls && String.equal p prop -> (
+    match old_value, new_value with
+    | Value.Null, Value.Null -> ()
+    | Value.Null, v ->
       Sorted_index.insert idx v oid;
-      incr touched);
-    charge_postings store !touched
+      charge_postings store 1
+    | v, Value.Null ->
+      Sorted_index.delete idx v oid;
+      charge_postings store 1
+    | old_value, new_value ->
+      Sorted_index.replace idx ~old_value ~new_value oid;
+      charge_postings store 2)
   | Object_store.Deleted { oid; props } when String.equal (Oid.cls oid) cls -> (
     match Option.value ~default:Value.Null (List.assoc_opt prop props) with
     | Value.Null -> ()
@@ -322,16 +322,18 @@ let observe t ev =
   List.iter
     (fun m ->
       match ev with
-      | Object_store.Created oid when String.equal (Oid.cls oid) m.member_cls ->
+      | Object_store.Created oid when String.equal (Oid.cls oid) m.spec.member_cls ->
         refresh_member t.store m oid
       | Object_store.Prop_set { oid; prop; _ }
-        when String.equal (Oid.cls oid) m.member_cls
-             && not (String.equal prop m.set_prop) ->
+        when String.equal (Oid.cls oid) m.spec.member_cls
+             && not (String.equal prop m.spec.set_prop) ->
         (* own set-prop writes are skipped so a maintained set over its
            own member class cannot re-trigger itself *)
         refresh_member t.store m oid
+      | Object_store.Prop_set { oid; prop; _ } when is_link t.store oid prop ->
+        List.iter (refresh_member t.store m) (members_below t.store m oid)
       | Object_store.Deleted { oid; _ }
-        when String.equal (Oid.cls oid) m.member_cls ->
+        when String.equal (Oid.cls oid) m.spec.member_cls ->
         drop_member t.store m oid
       | _ -> ())
     t.sets;
@@ -361,6 +363,16 @@ let attach ?(policy = default_policy) ?(hash_indexes = [])
       recollects = 0;
     }
   in
+  (* a maintained set is derived data: user writes to it would make it
+     disagree with its definition, which the optimizer relies on *)
+  List.iter
+    (fun m ->
+      List.iter
+        (fun cls ->
+          Object_store.guard_derived store ~cls ~prop:m.spec.set_prop
+            ~owner:m.spec.m_name)
+        (target_classes store m))
+    sets;
   (* bring the maintained sets in line with base data before observing —
      attach is the rebuild-from-scratch moment; indexes and statistics
      are the caller's to have built (Db does both in [refresh]).  With
@@ -371,7 +383,7 @@ let attach ?(policy = default_policy) ?(hash_indexes = [])
   List.iter
     (fun m ->
       match
-        Option.bind set_members (fun seeds -> List.assoc_opt m.spec_name seeds)
+        Option.bind set_members (fun seeds -> List.assoc_opt m.spec.m_name seeds)
       with
       | Some members ->
         List.iter

@@ -17,7 +17,23 @@ type info = {
   e : estimate;
   prov : (string * prov) list;
   consts : string list;  (** tuple-independent references *)
+  deps : (string * string list) list;
+      (** references each computed reference was derived from, transitively *)
+  owners : (string * string) list;
+      (** set reference [r] = [o.S] with [o] an instance: [r] -> [o]'s class *)
 }
+
+let unit_info =
+  { e = { card = 1.0; cost = 0.0 }; prov = []; consts = []; deps = []; owners = [] }
+
+let deps_of i r = r :: Option.value ~default:[] (List.assoc_opt r i.deps)
+
+let operand_deps i xs =
+  List.concat_map
+    (function
+      | Restricted.ORef r -> deps_of i r
+      | Restricted.OConst _ | Restricted.OParam _ -> [])
+    xs
 
 let tuple_cost = 0.01
 let fetch_cost = 1.2 (* object fetch + property read *)
@@ -84,7 +100,8 @@ let operand_prov prov_env = function
   | Restricted.OConst _ | Restricted.OParam _ -> POther
 
 (* Selectivity of [x θ y]. *)
-let cmp_selectivity stats prov_env c x y =
+let cmp_selectivity stats i c x y =
+  let prov_env = i.prov in
   match c, operand_prov prov_env x, y with
   | Restricted.CEq, PBoolMethod (cls, m), Restricted.OConst (Value.Bool true) ->
     Statistics.method_selectivity stats ~cls ~meth:m
@@ -97,10 +114,23 @@ let cmp_selectivity stats prov_env c x y =
   | (Restricted.CLt | Restricted.CLe | Restricted.CGt | Restricted.CGe), _, _ ->
     0.33
   | Restricted.CIsIn, lhs, _ -> (
-    match lhs, operand_prov prov_env y with
-    | PObj cls, PSet (_, k) ->
+    let correlated_owner =
+      match x, y with
+      | Restricted.ORef rx, Restricted.ORef ry when List.mem rx (deps_of i ry) ->
+        List.assoc_opt ry i.owners
+      | _ -> None
+    in
+    match lhs, operand_prov prov_env y, correlated_owner with
+    | PObj cls, PSet (_, k), Some owner ->
+      (* x IS-IN T(x).S: the set was reached from the same tuple's x, so
+         the filter passes the members of all owners' sets, not those of
+         one random set *)
+      Float.min 1.0
+        (k *. Statistics.cardinality stats owner
+        /. Float.max 1.0 (Statistics.cardinality stats cls))
+    | PObj cls, PSet (_, k), None ->
       Float.min 1.0 (k /. Float.max 1.0 (Statistics.cardinality stats cls))
-    | _, PSet (_, k) -> Float.min 1.0 (k /. 100.0)
+    | _, PSet (_, k), _ -> Float.min 1.0 (k /. 100.0)
     | _ -> 0.1)
   | Restricted.CIsSubset, _, _ -> 0.1
 
@@ -110,31 +140,37 @@ let method_sig stats ~own ~cls m =
   else Schema.inst_method schema ~cls ~meth:m
 
 let merge_infos i1 i2 e =
+  let union l1 l2 = l1 @ List.filter (fun (r, _) -> not (List.mem_assoc r l1)) l2 in
   {
     e;
-    prov = i1.prov @ List.filter (fun (r, _) -> not (List.mem_assoc r i1.prov)) i2.prov;
+    prov = union i1.prov i2.prov;
     consts = List.sort_uniq String.compare (i1.consts @ i2.consts);
+    deps = union i1.deps i2.deps;
+    owners = union i1.owners i2.owners;
   }
 
 let rec analyze stats (plan : Plan.t) : info =
   match plan with
-  | Plan.Unit -> { e = { card = 1.0; cost = 0.0 }; prov = []; consts = [] }
+  | Plan.Unit -> unit_info
   | Plan.FullScan (a, cls) ->
     let n = Statistics.cardinality stats cls in
-    { e = { card = n; cost = (n *. 1.0) +. block_dispatch n };
-      prov = [ (a, PObj cls) ];
-      consts = [] }
+    { unit_info with
+      e = { card = n; cost = (n *. 1.0) +. block_dispatch n };
+      prov = [ (a, PObj cls) ] }
   | Plan.IndexScan (a, cls, prop, _) ->
     let n = Statistics.cardinality stats cls in
     let card = Float.max 1.0 (n *. Statistics.eq_selectivity stats ~cls ~prop) in
     {
+      unit_info with
       e = { card; cost = probe_cost +. (card *. 0.1) +. block_dispatch card };
       prov = [ (a, PObj cls) ];
-      consts = [];
     }
-  | Plan.RangeScan (a, cls, _, lo, hi) ->
+  | Plan.RangeScan (a, cls, prop, lo, hi) ->
     let n = Statistics.cardinality stats cls in
     let sel =
+      match Statistics.range_selectivity stats ~cls ~prop ~lo ~hi with
+      | Some sel -> sel
+      | None -> (
       match lo, hi with
       | Soqm_storage.Sorted_index.Unbounded, Soqm_storage.Sorted_index.Unbounded
         ->
@@ -142,13 +178,13 @@ let rec analyze stats (plan : Plan.t) : info =
       | Soqm_storage.Sorted_index.Unbounded, _
       | _, Soqm_storage.Sorted_index.Unbounded ->
         0.33
-      | _ -> 0.15
+      | _ -> 0.15)
     in
     let card = Float.max 1.0 (n *. sel) in
     {
+      unit_info with
       e = { card; cost = probe_cost +. (card *. 0.1) +. block_dispatch card };
       prov = [ (a, PObj cls) ];
-      consts = [];
     }
   | Plan.MethodScan (a, cls, m, _) ->
     let card = Statistics.method_result_card stats ~cls ~meth:m in
@@ -159,13 +195,13 @@ let rec analyze stats (plan : Plan.t) : info =
       | _ -> POther
     in
     {
+      unit_info with
       e = { card; cost = mcost +. (card *. tuple_cost) +. block_dispatch card };
       prov = [ (a, elem_prov) ];
-      consts = [];
     }
   | Plan.Filter (c, x, y, input) ->
     let i = analyze stats input in
-    let sel = cmp_selectivity stats i.prov c x y in
+    let sel = cmp_selectivity stats i c x y in
     {
       i with
       e =
@@ -261,6 +297,11 @@ let rec analyze stats (plan : Plan.t) : info =
         };
       prov = (a, prov_a) :: i.prov;
       consts = (if const then a :: i.consts else i.consts);
+      deps = (a, deps_of i a1) :: i.deps;
+      owners =
+        (match recv_prov, result_prov with
+        | PObj owner, PSet _ when not is_flat -> (a, owner) :: i.owners
+        | _ -> i.owners);
     }
   | Plan.MapMeth (a, m, recv, args, input) | Plan.FlatMeth (a, m, recv, args, input) ->
     let i = analyze stats input in
@@ -316,6 +357,14 @@ let rec analyze stats (plan : Plan.t) : info =
         };
       prov = (a, prov_a) :: i.prov;
       consts = (if const then a :: i.consts else i.consts);
+      deps =
+        ( a,
+          (match recv with
+          | Restricted.RRef r -> deps_of i r
+          | Restricted.RClass _ -> [])
+          @ operand_deps i args )
+        :: i.deps;
+      owners = i.owners;
     }
   | Plan.MapOp (a, op, xs, input) ->
     let i = analyze stats input in
@@ -336,6 +385,8 @@ let rec analyze stats (plan : Plan.t) : info =
         };
       prov = (a, prov_a) :: i.prov;
       consts = (if const then a :: i.consts else i.consts);
+      deps = (a, operand_deps i xs) :: i.deps;
+      owners = i.owners;
     }
   | Plan.FlatOp (a, _, xs, input) ->
     let i = analyze stats input in
@@ -363,6 +414,8 @@ let rec analyze stats (plan : Plan.t) : info =
         };
       prov = (a, elem_prov) :: i.prov;
       consts = i.consts;
+      deps = (a, operand_deps i xs) :: i.deps;
+      owners = i.owners;
     }
   | Plan.Project (rs, input) ->
     let i = analyze stats input in
@@ -375,6 +428,8 @@ let rec analyze stats (plan : Plan.t) : info =
         };
       prov = List.filter (fun (r, _) -> List.mem r rs) i.prov;
       consts = List.filter (fun r -> List.mem r rs) i.consts;
+      deps = List.filter (fun (r, _) -> List.mem r rs) i.deps;
+      owners = List.filter (fun (r, _) -> List.mem r rs) i.owners;
     }
 
 let estimate stats plan = (analyze stats plan).e

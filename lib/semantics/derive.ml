@@ -1,3 +1,4 @@
+open Soqm_vml
 open Soqm_optimizer
 open Soqm_algebra
 
@@ -13,8 +14,10 @@ let placeholder var cls = Restricted.Get (var, cls)
    pattern/template.  [side] prefixes temp-reference variables so that
    the two sides of a rule do not share temp variables (shared ones
    would have to match positionally; unshared ones are generated fresh
-   on instantiation). *)
-let to_pattern ~side ~var ~cls (chain : Restricted.t) : Pattern.t =
+   on instantiation).  With [~exact_gets] every class scan, the
+   placeholder included, must match literally. *)
+let to_pattern ?(exact_gets = false) ~side ~var ~cls (chain : Restricted.t) :
+    Pattern.t =
   let pref r =
     if Restricted.is_temp_ref r then Pattern.PRefVar (side ^ r)
     else Pattern.PRefVar r
@@ -30,6 +33,7 @@ let to_pattern ~side ~var ~cls (chain : Restricted.t) : Pattern.t =
     | Restricted.RClass c -> Pattern.PRecvClass (Pattern.PName c)
   in
   let rec go = function
+    | Restricted.Get (v, c) when exact_gets -> Pattern.PGet (pref v, Pattern.PName c)
     | Restricted.Get (v, c) when String.equal v var && String.equal c cls ->
       Pattern.PAnyRanging ("A", Pattern.PRefVar var, cls)
     | Restricted.Get _ -> underivable "specification side contains a class scan"
@@ -119,6 +123,53 @@ let transformations schema (spec : Equivalence.t) : Rule.transformation list =
       in
       [ Rule.rewrite name ~bidirectional:false ~apply_once:true ~lhs ~rhs ]
     | Equivalence.Query_method _ -> [])
+
+(* A maintained set as a generator.  Every member of an owner's set
+   names that owner as its target (the owner invariant,
+   [Equivalence.owner_invariant], which the rule checker verifies), so
+   over the full extent of the member class
+     select<x IS-IN s>(map_property<s, S, y>(T(get<x, X>)))
+   where the chain T computes y := T(x), is
+     map_property<s, S, y>(T'(flat_property<x, S, y>(get<y, Y>)))
+   — the owners' sets unnested, with T' the chain minus the step binding
+   y re-binding T's intermediates so the references stay the same. *)
+let generator schema (m : Equivalence.maintained) =
+  let x = m.Equivalence.m_var and cls = m.Equivalence.member_cls in
+  let set_prop = m.Equivalence.set_prop in
+  let y = Restricted.temp_ref () and s = Restricted.temp_ref () in
+  let chain =
+    try Translate.compile_map ~target:y (Restricted.Get (x, cls)) m.Equivalence.target
+    with Translate.Unsupported msg -> underivable "%s" msg
+  in
+  let owner =
+    match List.assoc_opt y (Restricted.infer schema chain) with
+    | Some (Vtype.TObj c) -> c
+    | _ -> underivable "%s: the set owner is not an object" m.Equivalence.m_name
+  in
+  let rec generate_from = function
+    | Restricted.Get _ ->
+      Restricted.FlatProperty (x, set_prop, y, Restricted.Get (y, owner))
+    | t -> (
+      match Restricted.inputs t with
+      | [ input ] -> Restricted.with_inputs t [ generate_from input ]
+      | _ -> underivable "%s: the owner chain is not unary" m.Equivalence.m_name)
+  in
+  let below_owner =
+    match Restricted.inputs chain with
+    | [ input ] -> input
+    | _ -> underivable "%s: the owner chain is not unary" m.Equivalence.m_name
+  in
+  let lhs =
+    Restricted.SelectCmp
+      ( Restricted.CIsIn,
+        Restricted.ORef x,
+        Restricted.ORef s,
+        Restricted.MapProperty (s, set_prop, y, chain) )
+  in
+  let rhs = Restricted.MapProperty (s, set_prop, y, generate_from below_owner) in
+  let pattern = to_pattern ~exact_gets:true ~side:"G" ~var:x ~cls in
+  Rule.rewrite (m.Equivalence.m_name ^ "/generator") ~bidirectional:false
+    ~lhs:(pattern lhs) ~rhs:(pattern rhs)
 
 let implementations schema (spec : Equivalence.t) : Rule.implementation list =
   match Equivalence.validate schema spec with

@@ -32,6 +32,16 @@ val implementations : Schema.t -> Equivalence.t -> Rule.implementation list
 (** Implementation rules of a specification ([] except for query/method
     equivalences). *)
 
+val generator : Schema.t -> Equivalence.maintained -> Rule.transformation
+(** The one-directional rule turning membership in a maintained set into
+    a generator over the set owners' extent:
+    [select<x IS-IN s>(map_property<s, S, y>(T(get<x, X>)))] becomes
+    [map_property<s, S, y>(T'(flat_property<x, S, y>(get<y, Y>)))],
+    where [T] computes [y := T(x)] and [T'] re-binds its intermediate
+    references.  Sound only for sets a maintainer upholds: it rests on
+    {!Equivalence.owner_invariant}.  Named ["<implication>/generator"].
+    @raise Underivable when [T(x)] is not an object-valued chain. *)
+
 val rules_of_specs :
   Schema.t ->
   Equivalence.t list ->

@@ -74,6 +74,63 @@ let validate schema = function
       | None ->
         Error (Printf.sprintf "%s: %s has no OWNTYPE method %s" name meth_cls meth)))
 
+type maintained = {
+  m_name : string;
+  member_cls : string;
+  m_var : string;
+  m_antecedent : Expr.t;
+  target : Expr.t;
+  set_prop : string;
+}
+
+let maintained = function
+  | Implication
+      {
+        name;
+        cls;
+        var;
+        antecedent;
+        consequent = Expr.Binop (Expr.IsIn, Expr.Ref v, Expr.Prop (target, set_prop));
+      }
+    when String.equal v var ->
+    Some
+      {
+        m_name = name;
+        member_cls = cls;
+        m_var = var;
+        m_antecedent = antecedent;
+        target;
+        set_prop;
+      }
+  | _ -> None
+
+let owner_classes schema m =
+  List.filter_map
+    (fun (cd : Schema.class_def) ->
+      let holds (p : Schema.property) =
+        String.equal p.Schema.prop_name m.set_prop
+        && p.Schema.prop_type = Vtype.TSet (Vtype.TObj m.member_cls)
+      in
+      if List.exists holds cd.Schema.properties then Some cd.Schema.cls_name
+      else None)
+    (Schema.classes schema)
+
+(* FORALL x IN C (D: Y): x IS-IN D.S => T(x) == D — every member of an
+   owner's maintained set names that owner as its target. *)
+let owner_invariant (m : maintained) =
+  Implication
+    {
+      name = m.m_name ^ "/owner";
+      cls = m.member_cls;
+      var = m.m_var;
+      antecedent =
+        Expr.Binop
+          ( Expr.IsIn,
+            Expr.Ref m.m_var,
+            Expr.Prop (Expr.Param "D", m.set_prop) );
+      consequent = Expr.Binop (Expr.Eq, m.target, Expr.Param "D");
+    }
+
 let from_inverse_links schema =
   List.concat_map
     (fun (cd : Schema.class_def) ->

@@ -50,6 +50,35 @@ val validate : Schema.t -> t -> (unit, string) result
     variable and parameters, boolean sides are boolean-shaped, the
     method of a query/method equivalence is a declared OWNTYPE method. *)
 
+(** An implication in {e maintained shape}
+    [∀x IN C: A(x) ⇒ x IS-IN T(x).S]: the set property [S] of the
+    object [T(x)] can be kept equal to [{x | A(x) ∧ T(x) = owner}] by a
+    maintainer, which the knowledge-maintenance subsystem does. *)
+type maintained = {
+  m_name : string;  (** name of the implication *)
+  member_cls : string;  (** [C] *)
+  m_var : string;  (** [x] *)
+  m_antecedent : Expr.t;  (** [A(x)] *)
+  target : Expr.t;  (** [T(x)], the owner of the set holding [x] *)
+  set_prop : string;  (** [S] *)
+}
+
+val maintained : t -> maintained option
+(** The maintained-shape view of a spec, if it has that shape.  The one
+    recognizer shared by maintenance, the rule checker and the
+    generator rule {!Derive.generator}. *)
+
+val owner_classes : Schema.t -> maintained -> string list
+(** The classes declaring [S] as a set of the member class: the possible
+    owners of the maintained sets. *)
+
+val owner_invariant : maintained -> t
+(** The proof obligation a maintained set discharges:
+    [∀x IN C (D: Y): x IS-IN D.S ⇒ T(x) == D], named
+    ["<implication>/owner"].  It is what makes the maintained sets
+    usable as generators (every member of [y.S] has [T(x) = y]); it is
+    checked by the rule checker and never compiled into a rewrite. *)
+
 val from_inverse_links : Schema.t -> t list
 (** Derive the condition equivalences the schema's declared inverse links
     induce (Section 5.2: knowledge "may be derived from other

@@ -44,6 +44,33 @@ let delete t v oid =
     Array.blit t.entries (i + 1) a i (n - i - 1);
     t.entries <- a)
 
+(* A value change as one splice: [delete] then [insert] would copy the
+   array twice, and every copy of a large index is a fresh major-heap
+   block that stays in the peak footprint until the major GC sweeps it. *)
+let replace t ~old_value ~new_value oid =
+  let old_e = (old_value, oid) and new_e = (new_value, oid) in
+  let n = Array.length t.entries in
+  let i = lower_bound t old_e and j = lower_bound t new_e in
+  let has k e = k < n && compare_entry t.entries.(k) e = 0 in
+  if compare_entry old_e new_e = 0 then ()
+  else if not (has i old_e) then insert t new_value oid
+  else if has j new_e then delete t old_value oid
+  else begin
+    let src = t.entries and a = Array.make n new_e in
+    if i < j then begin
+      (* [new_e] lands at [j - 1] once [old_e] is gone *)
+      Array.blit src 0 a 0 i;
+      Array.blit src (i + 1) a i (j - 1 - i);
+      Array.blit src j a j (n - j)
+    end
+    else begin
+      Array.blit src 0 a 0 j;
+      Array.blit src j a (j + 1) (i - j);
+      Array.blit src (i + 1) a (i + 1) (n - i - 1)
+    end;
+    t.entries <- a
+  end
+
 type bound = Unbounded | Inclusive of Value.t | Exclusive of Value.t
 
 let above lo v =
@@ -58,28 +85,35 @@ let below hi v =
   | Inclusive b -> Value.compare v b <= 0
   | Exclusive b -> Value.compare v b < 0
 
-(* binary search for the first entry satisfying the lower bound *)
-let first_index t lo =
-  let n = Array.length t.entries in
+(* binary search in [a], from index [from], for the first entry whose
+   value satisfies [ok]; [ok] must be false then true along [a] *)
+let first_where a from ok =
   let rec go l r =
     if l >= r then l
     else
       let m = (l + r) / 2 in
-      let v, _ = t.entries.(m) in
-      if above lo v then go l m else go (m + 1) r
+      if ok (fst a.(m)) then go l m else go (m + 1) r
   in
-  go 0 n
+  go from (Array.length a)
 
+(* Each reads [t.entries] once: splices publish a fresh array and never
+   mutate a published one, so a concurrent writer cannot tear a probe. *)
 let probe_range t counters ~lo ~hi =
   Counters.incr counters Index_probes;
-  let n = Array.length t.entries in
+  let a = t.entries in
+  let n = Array.length a in
   let rec collect i acc =
     if i >= n then List.rev acc
     else
-      let v, oid = t.entries.(i) in
+      let v, oid = a.(i) in
       if below hi v then collect (i + 1) (oid :: acc) else List.rev acc
   in
-  collect (first_index t lo) []
+  collect (first_where a 0 (above lo)) []
+
+let count_range t ~lo ~hi =
+  let a = t.entries in
+  let start = first_where a 0 (above lo) in
+  first_where a start (fun v -> not (below hi v)) - start
 
 let probe_eq t counters v =
   probe_range t counters ~lo:(Inclusive v) ~hi:(Inclusive v)

@@ -17,12 +17,20 @@ val prop : t -> string
 val insert : t -> Value.t -> Oid.t -> unit
 val delete : t -> Value.t -> Oid.t -> unit
 
+val replace : t -> old_value:Value.t -> new_value:Value.t -> Oid.t -> unit
+(** [delete t old_value oid] then [insert t new_value oid], copying the
+    array once. *)
+
 type bound = Unbounded | Inclusive of Value.t | Exclusive of Value.t
 
 val probe_range : t -> Counters.t -> lo:bound -> hi:bound -> Oid.t list
 (** Instances whose indexed value lies between the bounds (under
     {!Value.compare}); charges one index probe.  Duplicate-free, in
     ascending value order. *)
+
+val count_range : t -> lo:bound -> hi:bound -> int
+(** Number of instances {!probe_range} would return, in O(log n) and
+    uncharged: the cost model's range estimate. *)
 
 val probe_eq : t -> Counters.t -> Value.t -> Oid.t list
 

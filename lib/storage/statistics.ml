@@ -12,6 +12,10 @@ type t = {
   mutable writes_since_collect : int;
   mutable base_population : float;
       (* total objects at last full collect, the staleness denominator *)
+  mutable range_counts :
+    ((string * string) * (lo:Sorted_index.bound -> hi:Sorted_index.bound -> int))
+    list;
+      (* exact range counts of ordered indexes, for range selectivity *)
 }
 
 let schema t = t.schema
@@ -65,12 +69,22 @@ let collect store =
       distincts = Hashtbl.create 32;
       writes_since_collect = 0;
       base_population = 0.;
+      range_counts = [];
     }
   in
   recollect t store;
   t
 
 let cardinality t cls = Option.value ~default:0. (Hashtbl.find_opt t.cards cls)
+
+let register_range t ~cls ~prop count =
+  t.range_counts <- ((cls, prop), count) :: List.remove_assoc (cls, prop) t.range_counts
+
+let range_selectivity t ~cls ~prop ~lo ~hi =
+  Option.map
+    (fun count ->
+      Float.min 1.0 (float_of_int (count ~lo ~hi) /. Float.max 1.0 (cardinality t cls)))
+    (List.assoc_opt (cls, prop) t.range_counts)
 
 let fanout t ~cls ~prop =
   match Hashtbl.find_opt t.set_totals (cls, prop) with
@@ -162,6 +176,7 @@ let of_snapshot schema snap =
       distincts = Hashtbl.create 32;
       writes_since_collect = snap.snap_writes;
       base_population = snap.snap_population;
+      range_counts = [];
     }
   in
   List.iter (fun (k, v) -> Hashtbl.replace t.cards k v) snap.snap_cards;

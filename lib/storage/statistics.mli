@@ -49,6 +49,26 @@ val distinct : t -> cls:string -> prop:string -> float
 val eq_selectivity : t -> cls:string -> prop:string -> float
 (** Estimated selectivity of [x.prop == const]: [1 / distinct]. *)
 
+val register_range :
+  t ->
+  cls:string ->
+  prop:string ->
+  (lo:Sorted_index.bound -> hi:Sorted_index.bound -> int) ->
+  unit
+(** Attach an exact range counter for [cls.prop] — an ordered index's
+    {!Sorted_index.count_range} — so {!range_selectivity} need not guess.
+    Registrations survive {!recollect}. *)
+
+val range_selectivity :
+  t ->
+  cls:string ->
+  prop:string ->
+  lo:Sorted_index.bound ->
+  hi:Sorted_index.bound ->
+  float option
+(** Fraction of [cls]'s extent whose [prop] lies between the bounds, when
+    a range counter is registered for it. *)
+
 val method_selectivity : t -> cls:string -> meth:string -> float
 (** Declared selectivity of a boolean method, default 0.5 (the classical
     unknown-predicate guess). *)

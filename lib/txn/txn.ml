@@ -219,6 +219,7 @@ let set_prop t oid prop v =
     fail "Txn: value %s ill-typed for %s.%s : %s" (Value.to_string v)
       (Oid.cls oid) prop
       (Vtype.to_string def.Schema.prop_type);
+  Object_store.check_user_write (store t) ~cls:(Oid.cls oid) ~prop;
   if not (exists t oid) then raise Not_found;
   Hashtbl.replace t.writes (oid, prop) v;
   t.log <- WSet (oid, prop, v) :: t.log
@@ -232,6 +233,7 @@ let insert t ~cls props =
       match Schema.property schema ~cls ~prop:p with
       | None -> fail "Txn: class %s has no property %S" cls p
       | Some def ->
+        Object_store.check_user_write (store t) ~cls ~prop:p;
         if not (Vtype.check def.Schema.prop_type v) then
           fail "Txn: value %s ill-typed for %s.%s : %s" (Value.to_string v) cls
             p

@@ -22,6 +22,8 @@ type t = {
   inst_impls : (string * string, impl) Hashtbl.t;
   own_impls : (string * string, impl) Hashtbl.t;
   mutable observers : (change -> unit) list;  (* in subscription order *)
+  mutable guarded : ((string * string) * string) list;
+      (* (class, property) -> the maintainer that alone writes it *)
 }
 
 and impl = Body of Expr.t | Native of (t -> Value.t -> Value.t list -> Value.t)
@@ -146,6 +148,7 @@ let create ?counters schema =
       inst_impls = Hashtbl.create 32;
       own_impls = Hashtbl.create 32;
       observers = [];
+      guarded = [];
     }
   in
   t.observers <- [ inverse_observer t ];
@@ -161,7 +164,19 @@ let set_prop_origin t origin oid prop v =
   raw_set t oid prop v;
   notify t (Prop_set { oid; prop; old_value; new_value = v; origin })
 
-let set_prop t oid prop v = set_prop_origin t User oid prop v
+let guard_derived t ~cls ~prop ~owner =
+  t.guarded <- ((cls, prop), owner) :: List.remove_assoc (cls, prop) t.guarded
+
+let check_user_write t ~cls ~prop =
+  match List.assoc_opt (cls, prop) t.guarded with
+  | Some owner ->
+    fail "Object_store: %s.%s is derived data maintained by %s; it cannot be written"
+      cls prop owner
+  | None -> ()
+
+let set_prop t oid prop v =
+  check_user_write t ~cls:(Oid.cls oid) ~prop;
+  set_prop_origin t User oid prop v
 let set_prop_derived t oid prop v = set_prop_origin t Derived oid prop v
 
 let get_prop t oid prop =
@@ -189,6 +204,7 @@ let insert_reserved t oid props =
   let cd = Schema.class_exn t.schema cls in
   if exists t oid then
     fail "Object_store: OID %s is already live" (Oid.to_string oid);
+  List.iter (fun (prop, _) -> check_user_write t ~cls ~prop) props;
   let tbl = Hashtbl.create (List.length cd.Schema.properties) in
   Hashtbl.replace t.objects oid tbl;
   (* extents keep insertion order; reserved OIDs inserted out of

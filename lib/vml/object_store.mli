@@ -114,7 +114,18 @@ val set_prop : t -> Oid.t -> string -> Value.t -> unit
 (** Write a property; typechecks the value, emits a [User] {!change} and
     maintains declared inverse links: setting [Section#s.document := d]
     adds [s] to [d.sections] (and removes it from the previous document's
-    set). *)
+    set).
+    @raise Invalid_argument when [prop] is guarded ({!guard_derived}). *)
+
+val guard_derived : t -> cls:string -> prop:string -> owner:string -> unit
+(** Declare [cls.prop] derived data that only the maintainer [owner]
+    writes (through {!set_prop_derived}): from now on {!set_prop},
+    {!create_object} and {!insert_reserved} reject user values for it. *)
+
+val check_user_write : t -> cls:string -> prop:string -> unit
+(** @raise Invalid_argument naming the property and its maintainer when
+    [cls.prop] is guarded by {!guard_derived}.  Buffering layers call it
+    before accepting a write. *)
 
 val set_prop_derived : t -> Oid.t -> string -> Value.t -> unit
 (** Like {!set_prop} but the event carries origin [Derived]: for

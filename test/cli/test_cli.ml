@@ -14,6 +14,18 @@ let soqm args =
   | Unix.WEXITED 0 -> out
   | _ -> Alcotest.failf "soqm %s failed" (String.concat " " args)
 
+(* Run [soqm args] expecting a failure; return its stderr. *)
+let soqm_fails args =
+  let out, inp, err =
+    Unix.open_process_args_full !cli (Array.of_list (!cli :: args)) [||]
+  in
+  close_out inp;
+  ignore (In_channel.input_all out);
+  let msg = In_channel.input_all err in
+  match Unix.close_process_full (out, inp, err) with
+  | Unix.WEXITED 0 -> Alcotest.failf "soqm %s succeeded" (String.concat " " args)
+  | _ -> msg
+
 (* The keys of a flat JSON object, in order. *)
 let json_keys out =
   let re = Str.regexp {|"\([a-z_]+\)": |} in
@@ -61,6 +73,22 @@ let test_stats_json_disk () =
         (maintenance_keys @ storage_keys @ tail_keys)
         (json_keys (soqm (stats @ [ "--db"; dir ]))))
 
+let test_update_refuses_maintained_set () =
+  F.with_temp_dir "soqm_cli" (fun dir ->
+      ignore (soqm [ "save"; "--docs"; "20"; dir ]);
+      let msg =
+        soqm_fails [ "update"; "--db"; dir; "Document#0"; "largeParagraphs=null" ]
+      in
+      let names_it =
+        try
+          ignore (Str.search_forward (Str.regexp_string "largeParagraphs") msg 0);
+          true
+        with Not_found -> false
+      in
+      Alcotest.(check bool) "the error names the property" true names_it;
+      (* the database stays usable: an ordinary update still goes through *)
+      ignore (soqm [ "update"; "--db"; dir; "Document#0"; "title=still" ]))
+
 let () =
   cli := Sys.argv.(1);
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
@@ -69,5 +97,10 @@ let () =
         [
           F.case "json keys in memory" test_stats_json_memory;
           F.case "json keys on a database" test_stats_json_disk;
+        ] );
+      ( "dml",
+        [
+          F.case "update refuses a maintained set"
+            test_update_refuses_maintained_set;
         ] );
     ]

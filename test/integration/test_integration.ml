@@ -86,7 +86,26 @@ let test_word_count_implication () =
   (* the expensive method must be called far less often *)
   check Alcotest.bool "fewer wordCount calls" true
     (Counters.method_call_count with_impl.Engine.counters "Paragraph.wordCount"
-    < Counters.method_call_count without.Engine.counters "Paragraph.wordCount" / 2)
+    < Counters.method_call_count without.Engine.counters "Paragraph.wordCount" / 2);
+  (* the maintained sets generate the answer: the documents are scanned
+     and their largeParagraphs unnested, the paragraphs never are *)
+  let rec nodes p = p :: List.concat_map nodes (Soqm_physical.Plan.inputs p) in
+  let plan =
+    (Option.get with_impl.Engine.opt).Soqm_optimizer.Search.best_plan
+  in
+  check Alcotest.bool "no paragraph scan" false
+    (List.exists
+       (function Soqm_physical.Plan.FullScan (_, "Paragraph") -> true | _ -> false)
+       (nodes plan));
+  check Alcotest.bool "generated from the documents' sets" true
+    (List.exists
+       (function
+         | Soqm_physical.Plan.FlatProp
+             ("p", "largeParagraphs", d, Soqm_physical.Plan.FullScan (d', "Document"))
+           ->
+           String.equal d d'
+         | _ -> false)
+       (nodes plan))
 
 let test_ablation_monotone () =
   (* removing all knowledge classes must not beat the full optimizer on
@@ -290,14 +309,26 @@ let test_derived_data_knowledge_enables_range_scan () =
   in
   let eng = Engine.generate ~extra_specs:[ derived ] d in
   let q = "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500" in
-  let without = Engine.run_optimized (Engine.generate d) q in
+  let default = Engine.run_optimized (Engine.generate d) q in
+  (* the implication's membership filter alone: without maintenance the
+     largeParagraphs sets are not upheld, so they generate nothing *)
+  let without =
+    Engine.run_optimized
+      (Engine.generate (Db.create ~params:F.small_params ~maintain:false ()))
+      q
+  in
   let with_derived = Engine.run_optimized eng q in
   check F.relation "same result" without.Engine.result with_derived.Engine.result;
+  check F.relation "same result as default" default.Engine.result
+    with_derived.Engine.result;
   check Alcotest.int "zero method calls" 0
     (Counters.method_call_count with_derived.Engine.counters "Paragraph.wordCount");
   check Alcotest.bool "far cheaper" true
     (Counters.total_cost with_derived.Engine.counters
     < Counters.total_cost without.Engine.counters /. 10.);
+  check Alcotest.bool "no dearer than the default knowledge" true
+    (Counters.total_cost with_derived.Engine.counters
+    <= Counters.total_cost default.Engine.counters);
   match with_derived.Engine.opt with
   | Some o ->
     let rec uses_range_scan = function

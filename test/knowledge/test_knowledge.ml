@@ -176,6 +176,72 @@ let test_checker_refutes_mutations () =
           (Equivalence.name spec) msg)
     (Rulegen.mutations ())
 
+let sound what spec =
+  match
+    Check.check_spec ~config:check_config ~install ~trusted:declared schema spec
+  with
+  | Check.Sound _ -> ()
+  | Check.Refuted w ->
+    Alcotest.failf "%s refuted:\n%s\nat %s" what w.Check.store_text w.Check.detail
+  | Check.Unsupported msg -> Alcotest.failf "%s unsupported: %s" what msg
+
+let test_checker_typed_parameters () =
+  (* D is declared a Document: a set of documents bound to it would
+     make the (sound) owner invariant look refuted *)
+  sound "parsed owner invariant"
+    (Spec_lang.parse_spec schema
+       "FORALL p IN Paragraph (D: Document): p IS-IN D.largeParagraphs => \
+        p->document() == D");
+  let expect what want spec =
+    Alcotest.(check (list (pair string (option string))))
+      what want
+      (List.map
+         (fun (p, t) -> (p, Option.map Vtype.to_string t))
+         (Check.param_types schema spec))
+  in
+  expect "comparison with a document" [ ("D", Some "Document") ]
+    (Equivalence.owner_invariant
+       (Option.get (Equivalence.maintained Soqm_core.Doc_knowledge.word_count_implication)));
+  (* membership in D makes it a set: the inverse-link form keeps its
+     set-valued parameter *)
+  List.iter
+    (fun spec ->
+      match Check.param_types schema spec with
+      | [ ("D", Some (Vtype.TSet (Vtype.TObj _))) ] -> ()
+      | _ ->
+        Alcotest.failf "%s: D is not a set of objects" (Equivalence.name spec))
+    (Equivalence.from_inverse_links schema);
+  expect "compared with a title" [ ("s", Some "STRING") ]
+    (List.find (fun spec -> Equivalence.name spec = "E2-title-index") declared)
+
+let test_checker_owner_obligations () =
+  (* the generator rules rest on the owner invariant of every maintained
+     implication: check-rules checks it, saturation and search never
+     see it *)
+  let engine = Soqm_core.Engine.generate (Soqm_testlib.Fixtures.tiny_db ()) in
+  let owner =
+    List.filter
+      (fun (spec, _) ->
+        String.ends_with ~suffix:"/owner" (Equivalence.name spec))
+      (Soqm_core.Engine.check_rules ~config:check_config engine)
+  in
+  Alcotest.(check (list string))
+    "one obligation per maintained implication" [ "large-paragraphs/owner" ]
+    (List.map (fun (spec, _) -> Equivalence.name spec) owner);
+  List.iter
+    (fun (spec, verdict) ->
+      match verdict with
+      | Check.Sound _ -> ()
+      | v ->
+        Alcotest.failf "%s: %s" (Equivalence.name spec)
+          (Format.asprintf "%a" Check.pp_verdict v))
+    owner;
+  Alcotest.(check bool) "not knowledge" false
+    (List.exists
+       (fun spec -> String.ends_with ~suffix:"/owner" (Equivalence.name spec))
+       (Saturate.specs (Soqm_core.Engine.knowledge engine)));
+  Alcotest.(check int) "seven seeded mutations" 7 (List.length (Rulegen.mutations ()))
+
 let test_checker_deterministic_across_jobs () =
   (* same seed, different fan-out: the witness model is identical *)
   let _, spec = List.hd (Rulegen.mutations ()) in
@@ -338,6 +404,8 @@ let () =
           Soqm_testlib.Fixtures.case "accepts derived" test_checker_accepts_derived;
           Soqm_testlib.Fixtures.case "refutes mutations"
             test_checker_refutes_mutations;
+          Soqm_testlib.Fixtures.case "typed parameters" test_checker_typed_parameters;
+          Soqm_testlib.Fixtures.case "owner obligations" test_checker_owner_obligations;
           Soqm_testlib.Fixtures.case "deterministic across jobs"
             test_checker_deterministic_across_jobs;
           Soqm_testlib.Fixtures.case "counters" test_checker_counters;

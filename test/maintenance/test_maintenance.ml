@@ -477,6 +477,173 @@ let prop_dml_interleaving_matches_oracle =
            queries)
 
 (* ------------------------------------------------------------------ *)
+(* Write guard on maintained sets                                      *)
+(* ------------------------------------------------------------------ *)
+
+let large_query = List.nth queries 2
+
+let agrees_with_naive db engine q =
+  Soqm_algebra.Relation.equal (Engine.run_naive db q).Engine.result
+    (Engine.run_optimized engine q).Engine.result
+
+let rejected what f =
+  match f () with
+  | exception Invalid_argument msg ->
+    let names_it =
+      try
+        ignore (Str.search_forward (Str.regexp_string "largeParagraphs") msg 0);
+        true
+      with Not_found -> false
+    in
+    check Alcotest.bool (what ^ ": the error names the property") true names_it
+  | _ -> Alcotest.failf "%s: a user write to largeParagraphs was accepted" what
+
+let test_guard_rejects_user_writes () =
+  let db = Db.create ~params:F.small_params () in
+  let engine = Engine.generate db in
+  let d = F.first_document db in
+  let before = Object_store.peek_prop db.Db.store d "largeParagraphs" in
+  rejected "Engine.update" (fun () ->
+      Engine.update engine d ~prop:"largeParagraphs" (Value.Set []));
+  rejected "Engine.insert" (fun () ->
+      Engine.insert engine ~cls:"Document"
+        [ ("title", Value.Str "forged"); ("largeParagraphs", Value.Set []) ]);
+  check Alcotest.int "the rejected insert created nothing" 20
+    (Object_store.extent_size db.Db.store "Document");
+  let mgr = Soqm_txn.Txn.manager db in
+  let txn = Soqm_txn.Txn.begin_ mgr in
+  rejected "Txn.set_prop" (fun () ->
+      Soqm_txn.Txn.set_prop txn d "largeParagraphs" (Value.Set []));
+  rejected "Txn.insert" (fun () ->
+      Soqm_txn.Txn.insert txn ~cls:"Document" [ ("largeParagraphs", Value.Set []) ]);
+  (* the transaction stays usable after a rejected write *)
+  Soqm_txn.Txn.set_prop txn d "title" (Value.Str "still usable");
+  (match Soqm_txn.Txn.commit txn with
+  | Ok _ -> ()
+  | Error (`Conflict reason) -> Alcotest.failf "commit: %s" reason);
+  check F.value "the set is untouched" before
+    (Object_store.peek_prop db.Db.store d "largeParagraphs");
+  check Alcotest.bool "large query still equals naive" true
+    (agrees_with_naive db engine large_query)
+
+(* ------------------------------------------------------------------ *)
+(* Property: generator plans under DML                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Operations that move paragraphs in and out of the maintained sets:
+   word counts crossing 500 (and 800) both ways, paragraph insert and
+   delete, a section moving to another document, a document deleted
+   with its sections and paragraphs (parent first or children first). *)
+type gen_op =
+  | Wc of int * int  (* paragraph picker, word-count picker *)
+  | Add_para of int * int  (* section picker, word-count picker *)
+  | Drop_para of int
+  | Move_section of int * int  (* section picker, document picker *)
+  | Drop_document of int * bool  (* document picker, document first? *)
+
+let word_counts = [| 120; 499; 500; 501; 650; 800; 801; 950 |]
+
+let gen_op_gen =
+  let open QCheck2.Gen in
+  let pick = int_range 0 1000 in
+  oneof
+    [
+      map2 (fun i w -> Wc (i, w)) pick pick;
+      map2 (fun s w -> Add_para (s, w)) pick pick;
+      map (fun i -> Drop_para i) pick;
+      map2 (fun s d -> Move_section (s, d)) pick pick;
+      map2 (fun d first -> Drop_document (d, first)) pick bool;
+    ]
+
+let apply_gen_op db engine op =
+  let store = db.Db.store in
+  let extent cls = Array.of_list (Object_store.extent store cls) in
+  let wc w = Value.Int word_counts.(w mod Array.length word_counts) in
+  let children oid prop =
+    match Object_store.peek_prop store oid prop with
+    | Value.Set xs -> List.filter_map (function Value.Obj o -> Some o | _ -> None) xs
+    | _ -> []
+  in
+  match op with
+  | Wc (i, w) ->
+    Option.iter
+      (fun p -> Engine.update engine p ~prop:"word_count" (wc w))
+      (pick (extent "Paragraph") i)
+  | Add_para (s, w) ->
+    Option.iter
+      (fun sec ->
+        ignore
+          (Engine.insert engine ~cls:"Paragraph"
+             [
+               ("number", Value.Int 99);
+               ("word_count", wc w);
+               ("content", Value.Str "added paragraph");
+               ("section", Value.Obj sec);
+             ]))
+      (pick (extent "Section") s)
+  | Drop_para i -> Option.iter (Engine.delete engine) (pick (extent "Paragraph") i)
+  | Move_section (s, d) -> (
+    match pick (extent "Section") s, pick (extent "Document") d with
+    | Some sec, Some doc -> Engine.update engine sec ~prop:"document" (Value.Obj doc)
+    | _ -> ())
+  | Drop_document (d, parent_first) ->
+    Option.iter
+      (fun doc ->
+        let secs = children doc "sections" in
+        let paras = List.concat_map (fun s -> children s "paragraphs") secs in
+        if parent_first then Engine.delete engine doc;
+        List.iter (Engine.delete engine) paras;
+        List.iter (Engine.delete engine) secs;
+        if not parent_first then Engine.delete engine doc)
+      (pick (extent "Document") d)
+
+let generator_queries =
+  [ large_query; "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 800" ]
+
+let dml_parity db =
+  let engines =
+    [
+      Engine.generate db;
+      (* the 16-spec family multiplies the search space: cap it as the
+         knowledge suite does *)
+      Engine.generate ~extra_specs:(Soqm_knowledge.Rulegen.family ())
+        ~config:
+          { Soqm_optimizer.Search.default_config with max_variants = 300 }
+        db;
+    ]
+  in
+  fun ops ->
+    List.for_all
+      (fun op ->
+        apply_gen_op db (List.hd engines) op;
+        large_sets_ok db
+        && List.for_all
+          (fun engine ->
+            List.for_all (agrees_with_naive db engine) generator_queries)
+          engines)
+      ops
+
+let gen_ops_gen = QCheck2.Gen.(list_size (int_range 5 20) gen_op_gen)
+
+let prop_generator_dml_parity_memory =
+  QCheck2.Test.make ~count:10
+    ~name:"generator plans = naive after every DML step (in memory)"
+    gen_ops_gen
+    (fun ops -> dml_parity (Db.create ~params:F.tiny_params ()) ops)
+
+let prop_generator_dml_parity_disk =
+  QCheck2.Test.make ~count:4
+    ~name:"generator plans = naive after every DML step (on disk)"
+    gen_ops_gen
+    (fun ops ->
+      F.with_temp_dir "soqm_gen" (fun dir ->
+          Db.save (Db.create ~params:F.tiny_params ()) dir;
+          let db = Db.open_disk dir in
+          Fun.protect
+            ~finally:(fun () -> Db.close db)
+            (fun () -> dml_parity db ops)))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "maintenance"
@@ -516,4 +683,11 @@ let () =
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_dml_interleaving_matches_oracle ] );
+      ( "generators",
+        [
+          F.case "user writes to maintained sets rejected"
+            test_guard_rejects_user_writes;
+          QCheck_alcotest.to_alcotest prop_generator_dml_parity_memory;
+          QCheck_alcotest.to_alcotest prop_generator_dml_parity_disk;
+        ] );
     ]

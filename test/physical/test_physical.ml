@@ -844,6 +844,34 @@ let test_cost_scan_grows_with_extent () =
     (float_of_int (Object_store.extent_size (store ()) "Paragraph"))
     para.Cost.card
 
+let test_cost_correlated_membership () =
+  (* p IS-IN p->document().largeParagraphs over the paragraph scan: the
+     set comes from the same tuple's p, so the filter passes every
+     member of every document's set, not the members of one random set *)
+  let d = F.small_db () in
+  let membership =
+    Plan.Filter
+      ( Restricted.CIsIn,
+        Restricted.ORef "p",
+        Restricted.ORef "s",
+        Plan.MapProp
+          ( "s",
+            "largeParagraphs",
+            "d",
+            Plan.MapMeth
+              ("d", "document", Restricted.RRef "p", [], Plan.FullScan ("p", "Paragraph"))
+          ) )
+  in
+  let est = (Cost.estimate d.Soqm_core.Db.stats membership).Cost.card in
+  let actual =
+    float_of_int
+      (Relation.cardinality (Exec.run (Soqm_core.Engine.exec_ctx d) membership))
+  in
+  check Alcotest.bool "some paragraphs are large" true (actual > 0.);
+  if est > actual *. 4. || est *. 4. < actual then
+    Alcotest.failf "filter estimate %.1f rows, actual %.0f: not within 4x" est
+      actual
+
 let test_cost_index_beats_scan_filter () =
   let s = stats () in
   let scan_filter =
@@ -985,5 +1013,7 @@ let () =
           F.case "method scan beats per-object" test_cost_method_scan_beats_per_object_method;
           F.case "constant chain is cheap" test_cost_const_chain_cheap;
           F.case "filter selectivity" test_cost_filter_selectivity;
+          F.case "correlated membership selectivity"
+            test_cost_correlated_membership;
         ] );
     ]

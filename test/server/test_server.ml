@@ -230,6 +230,62 @@ let test_concurrent_wire_increments () =
         = Protocol.Value (Value.Int (2 * per)));
       Unix.close c)
 
+let test_wire_crossing_and_guard () =
+  (* the served large query answers from the maintained sets: a wire
+     write crossing 500 shows in the next Query, and a wire write to the
+     set itself is refused by name without breaking the session *)
+  with_server (fun server expected ->
+      let port = Server.port server in
+      let store = (Server.db server).Db.store in
+      let small =
+        List.find
+          (fun p ->
+            match Object_store.peek_prop store p "word_count" with
+            | Value.Int n -> n <= 500
+            | _ -> false)
+          (Object_store.extent store "Paragraph")
+      in
+      let doc = List.hd (Object_store.extent store "Document") in
+      let c = Protocol.connect ~port () in
+      Fun.protect ~finally:(fun () -> Unix.close c) @@ fun () ->
+      let rows () =
+        match rt c (Protocol.Query query_hits) with
+        | Protocol.Rows (_, rows) -> rows
+        | r -> Alcotest.failf "query: %s" (Protocol.encode_response r)
+      in
+      let answers p = List.exists (List.mem (Value.Obj p)) (rows ()) in
+      let update oid prop v =
+        match rt c (Protocol.Update (oid, prop, v)) with
+        | Protocol.Committed _ -> ()
+        | r -> Alcotest.failf "update: %s" (Protocol.encode_response r)
+      in
+      check Alcotest.bool "small paragraph not answered" false (answers small);
+      update small "word_count" (Value.Int 750);
+      check Alcotest.int "crossing up adds a row" (expected + 1)
+        (List.length (rows ()));
+      check Alcotest.bool "the crossed paragraph is answered" true (answers small);
+      update small "word_count" (Value.Int 100);
+      check Alcotest.int "crossing down removes it" expected (List.length (rows ()));
+      let refused what =
+        match rt c (Protocol.Update (doc, "largeParagraphs", Value.Set [])) with
+        | Protocol.Error msg ->
+          check Alcotest.bool (what ^ ": error names the property") true
+            (try
+               ignore
+                 (Str.search_forward (Str.regexp_string "largeParagraphs") msg 0);
+               true
+             with Not_found -> false)
+        | r -> Alcotest.failf "%s: write accepted: %s" what (Protocol.encode_response r)
+      in
+      refused "auto-commit";
+      ignore (rt c Protocol.Begin);
+      refused "in a transaction";
+      (match rt c Protocol.Commit with
+      | Protocol.Committed _ -> ()
+      | r -> Alcotest.failf "commit after refusal: %s" (Protocol.encode_response r));
+      check Alcotest.int "the set is intact" expected (List.length (rows ()));
+      check Alcotest.bool "session still serves" true (rt c Protocol.Ping = Protocol.Done))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -241,5 +297,6 @@ let () =
           F.case "end to end" test_server_end_to_end;
           F.case "disconnect aborts" test_disconnect_aborts_txn;
           F.case "no lost updates over the wire" test_concurrent_wire_increments;
+          F.case "threshold crossing and write guard" test_wire_crossing_and_guard;
         ] );
     ]

@@ -215,21 +215,40 @@ let test_sorted_index_build () =
   check Alcotest.bool "index agrees with scan" true (via_index = via_scan);
   check Alcotest.bool "nonempty" true (via_index <> [])
 
+(* after inserts and value changes ([replace]), probes and the cost
+   model's range counts agree with filtering the current values *)
 let prop_sorted_index_agrees =
   QCheck2.Test.make ~count:100 ~name:"range probe = filtered scan"
     QCheck2.Gen.(
-      pair (list_size (int_range 0 25) (int_range 0 20)) (int_range 0 20))
-    (fun (values, threshold) ->
+      triple
+        (list_size (int_range 0 25) (int_range 0 20))
+        (list_size (int_range 0 10) (pair (int_range 0 24) (int_range 0 20)))
+        (int_range 0 20))
+    (fun (values, moves, threshold) ->
       let idx = Sorted_index.create ~cls:"C" ~prop:"p" in
       let counters = Counters.create () in
       List.iteri (fun i v -> Sorted_index.insert idx (Value.Int v) (oid i)) values;
-      let via_index =
-        List.length
-          (Sorted_index.probe_range idx counters
-             ~lo:(Sorted_index.Inclusive (Value.Int threshold))
-             ~hi:Sorted_index.Unbounded)
+      let values = Array.of_list values in
+      List.iter
+        (fun (i, v) ->
+          if i < Array.length values then begin
+            Sorted_index.replace idx ~old_value:(Value.Int values.(i))
+              ~new_value:(Value.Int v) (oid i);
+            values.(i) <- v
+          end)
+        moves;
+      let lo = Sorted_index.Inclusive (Value.Int threshold)
+      and hi = Sorted_index.Unbounded in
+      let expected =
+        Array.fold_left (fun n v -> if v >= threshold then n + 1 else n) 0 values
       in
-      via_index = List.length (List.filter (fun v -> v >= threshold) values))
+      let entries = ref [] in
+      Sorted_index.iter_entries idx (fun v o -> entries := (v, o) :: !entries);
+      List.length (Sorted_index.probe_range idx counters ~lo ~hi) = expected
+      && Sorted_index.count_range idx ~lo ~hi = expected
+      && List.sort compare !entries
+         = List.sort compare
+             (List.mapi (fun i v -> (Value.Int v, oid i)) (Array.to_list values)))
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
