@@ -5,7 +5,9 @@
    executors in their native formats — canonical tuples from
    [Exec.Interpreted.open_plan], row blocks from [Exec.open_compiled] —
    so the numbers measure executor overhead, not the shared
-   [Relation.make] canonicalization at the query boundary.  Each side is
+   [Relation.make] canonicalization at the query boundary.  The compiled
+   side is the one production form, in which every filter, 1:1 map and
+   projection runs inside a fused kernel.  Each side is
    timed over [reps] runs after a warm-up; the table reports median
    ns/row and the per-entry speedup.  Result sets are additionally
    compared ([Relation.equal]) through full untimed runs: any divergence
@@ -136,36 +138,6 @@ let drain_interpreted ctx plan () =
   go ();
   !n
 
-(* Stream-count without retaining blocks, mirroring the interpreted
-   drain: neither side keeps its output alive. *)
-let drain_compiled ctx compiled () =
-  let b = P.Exec.open_compiled ctx compiled in
-  let n = ref 0 in
-  let rec go () =
-    match b.P.Exec.next_block () with
-    | Some rows ->
-      n := !n + Array.length rows;
-      go ()
-    | None -> b.P.Exec.close_blocks ()
-  in
-  go ();
-  !n
-
-let measure_side f =
-  (* start each side from a settled heap: the hash-heavy entries are
-     otherwise at the mercy of whatever major-GC debt the previous
-     entry left behind, which moves their medians by 2x run to run *)
-  Gc.compact ();
-  ignore (f ()) (* warm-up *);
-  let rows = ref 0 in
-  let times =
-    List.init reps (fun _ ->
-        let n, s = time f in
-        rows := n;
-        s)
-  in
-  (!rows, median times)
-
 type entry_result = {
   name : string;
   rows : int;
@@ -176,17 +148,12 @@ type entry_result = {
 }
 
 let measure_entry ctx (name, plan) =
-  (* [~fuse:false]: this bench gates the *unfused* block executor against
-     the interpreted one, and its absolute ns/row is the regression bound
-     [check_exec.sh] holds the unfused path to.  The fused kernels have
-     their own bench and gates (bench/columnar.ml), measured against the
-     numbers recorded here. *)
-  let compiled = P.Exec.compile ~fuse:false ctx plan in
+  let compiled = P.Exec.compile ctx plan in
   let r_interp = P.Exec.Interpreted.run ctx plan in
   let r_compiled = P.Exec.run_compiled ctx compiled in
   let diverged = not (A.Relation.equal r_interp r_compiled) in
-  let rows_i, t_interp = measure_side (drain_interpreted ctx plan) in
-  let rows_c, t_compiled = measure_side (drain_compiled ctx compiled) in
+  let rows_i, t_interp = measure_median ~reps (drain_interpreted ctx plan) in
+  let rows_c, t_compiled = measure_median ~reps (drain_compiled ctx compiled) in
   assert (rows_i = rows_c);
   let per_row t = t /. float_of_int (max 1 rows_c) *. 1e9 in
   {
@@ -259,7 +226,7 @@ let () =
         (if r.diverged then "  DIVERGED" else ""))
     results;
   let median_speedup = median (List.map (fun r -> r.speedup) results) in
-  (* absolute regression anchor: the median unfused-compiled ns/row over
+  (* absolute regression anchor: the median compiled ns/row over
      the mix, recorded in the JSON so check_exec.sh can bound drift
      against the committed value *)
   let median_compiled_ns = median (List.map (fun r -> r.compiled_ns) results) in

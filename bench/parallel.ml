@@ -192,37 +192,11 @@ let divergences ~seed ~n_docs schema =
 (* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The block driver: stream-count the block drain. *)
-let drain_serial ctx compiled () =
-  let b = P.Exec.open_compiled ctx compiled in
-  let n = ref 0 in
-  let rec go () =
-    match b.P.Exec.next_block () with
-    | Some rows ->
-      n := !n + Array.length rows;
-      go ()
-    | None -> b.P.Exec.close_blocks ()
-  in
-  go ();
-  !n
-
 (* The jobs-dispatched path: jobs=1 degrades to the same streaming
    drain, jobs>1 materializes through the morsel-parallel evaluator. *)
 let drain_jobs ctx compiled ~jobs () =
-  if jobs <= 1 then drain_serial ctx compiled ()
+  if jobs <= 1 then drain_compiled ctx compiled ()
   else Array.length (P.Exec.eval_parallel ctx ~jobs compiled)
-
-let measure_side f =
-  Gc.compact ();
-  ignore (f ()) (* warm-up *);
-  let rows = ref 0 in
-  let times =
-    List.init reps (fun _ ->
-        let n, s = time f in
-        rows := n;
-        s)
-  in
-  (!rows, median times)
 
 (* The informational jobs=1 ratio times the *same* code path twice
    (jobs=1 dispatches to the plain drain), so measure the two sides
@@ -266,10 +240,12 @@ type entry_result = {
 let measure_entry ctx (name, plan) =
   let compiled = P.Exec.compile ctx plan in
   let (rows_s, _, serial_min), (rows_1, jobs1_s, jobs1_min) =
-    measure_interleaved (drain_serial ctx compiled)
+    measure_interleaved (drain_compiled ctx compiled)
       (drain_jobs ctx compiled ~jobs:1)
   in
-  let rows_p, par_s = measure_side (drain_jobs ctx compiled ~jobs:jobs_hi) in
+  let rows_p, par_s =
+    measure_median ~reps (drain_jobs ctx compiled ~jobs:jobs_hi)
+  in
   (* the three drains must agree exactly on cardinality at full size *)
   assert (rows_s = rows_1 && rows_1 = rows_p);
   { name; rows = rows_p; serial_min; jobs1_s; jobs1_min; par_s;

@@ -642,8 +642,8 @@ let method_call ctx (mk : memoizer) m recv args :
    path free of option boxing. *)
 let rejected : Relation.Row.t = [| Value.Null |]
 
-(* The row loop of every 1:1 or row-dropping operator (filter, maps,
-   projections, fused chains, dedup, diff): [f row] is the output row,
+(* The row loop of every 1:1 or row-dropping operator (fused kernels,
+   dedup, diff): [f row] is the output row,
    or [rejected].  Survivors fill one [hi - lo] buffer, trimmed only when
    something was dropped; pass-through operators reuse their input
    rows. *)
@@ -943,6 +943,7 @@ let rec run_steps (steps : (Value.t array -> bool) array) regs i n =
 let step_runner (steps : (Value.t array -> bool) array) :
     Value.t array -> bool =
   match steps with
+  | [||] -> fun _ -> true
   | [| a |] -> a
   | [| a; b |] -> fun regs -> a regs && b regs
   | [| a; b; c |] -> fun regs -> a regs && b regs && c regs
@@ -1053,20 +1054,11 @@ let pure f ~w:_ = f
    an attached disk store charges its traffic) and build its kernels
    against [mk]'s memo tables. *)
 let shape_of ctx (mk : memoizer) sink (c : Plan.compiled) : shape =
-  let width (input : Plan.compiled) = Relation.Layout.width input.Plan.layout in
-  let map input at (value : w:int -> Relation.Row.t -> Value.t) =
-    let ins = make_inserter ~at ~width:(width input) in
-    Stream
-      {
-        input;
-        kernel =
-          (fun ~w ->
-            let value = value ~w in
-            keep_rows (fun row -> ins row (value row)));
-      }
-  in
-  let flat input at (value : w:int -> Relation.Row.t -> Value.t) =
-    let ins = make_inserter ~at ~width:(width input) in
+  let flat (input : Plan.compiled) at
+      (value : w:int -> Relation.Row.t -> Value.t) =
+    let ins =
+      make_inserter ~at ~width:(Relation.Layout.width input.Plan.layout)
+    in
     Stream
       {
         input;
@@ -1118,17 +1110,6 @@ let shape_of ctx (mk : memoizer) sink (c : Plan.compiled) : shape =
     | Value.Set members -> leaf (fun v -> [| v |]) members
     | v ->
       error "method scan %s->%s produced non-set %s" cls m (Value.to_string v))
-  | Plan.CFilter (cmp, x, y, input) ->
-    let gx = slot_getter x and gy = slot_getter y in
-    Stream
-      {
-        input;
-        kernel =
-          pure
-            (keep_rows (fun row ->
-                 if Value.truthy (eval_cmp cmp (gx row) (gy row)) then row
-                 else rejected));
-      }
   | Plan.CNestedLoop (pred, merge, left, right) ->
     let keep =
       match pred with
@@ -1213,22 +1194,11 @@ let shape_of ctx (mk : memoizer) sink (c : Plan.compiled) : shape =
               in
               keep_rows (fun row -> if excluded row then rejected else row));
       }
-  | Plan.CMapProp (at, p, recv, input) -> map input at (prop p recv)
-  | Plan.CMapMeth (at, m, recv, args, input) ->
-    map input at (method_call ctx mk m recv args)
-  | Plan.CMapOp (at, op, args, input) ->
-    map input at (pure (op_applier op args))
   | Plan.CFlatProp (at, p, recv, input) -> flat input at (prop p recv)
   | Plan.CFlatMeth (at, m, recv, args, input) ->
     flat input at (method_call ctx mk m recv args)
   | Plan.CFlatOp (at, op, args, input) ->
     flat input at (pure (op_applier op args))
-  | Plan.CProject (srcs, input) when Plan.keyed_projection srcs input ->
-    (* the kept slots cover a key of the input, so rows are already
-       distinct: copy-out only, no dedup table (DESIGN.md §9) *)
-    Stream { input; kernel = pure (keep_rows (make_copier srcs)) }
-  | Plan.CProject (srcs, input) ->
-    Dedup { input; key = srcs; dedup = (fun first ~w:_ -> keep_rows first) }
   | Plan.CFused (f, input) ->
     let eval = fused_eval ctx mk f in
     (* the chain, then [out] on each surviving register file *)
@@ -1239,8 +1209,9 @@ let shape_of ctx (mk : memoizer) sink (c : Plan.compiled) : shape =
           if regs == rejected then regs else out regs)
     in
     if f.Plan.fdedup && not f.Plan.fkeyed then
-      (* dedup mirrors the standalone projection: values keyed directly
-         when one column survives, the copied row otherwise *)
+      (* values keyed directly when one column survives, the copied row
+         otherwise; a keyed projection's rows are already distinct, so
+         it takes the copy-out below with no dedup table (DESIGN.md §9) *)
       Dedup { input; key = f.Plan.fout; dedup = chain_then }
     else if fused_out_is_regs f then
       (* the register file is the output row: one allocation per
@@ -1569,8 +1540,8 @@ let eval_parallel ?stats ctx ~jobs (root : Plan.compiled) :
   in
   eval root
 
-let compile ?fuse ctx plan =
-  try Plan.compile ?fuse plan
+let compile ctx plan =
+  try Plan.compile plan
   with Plan.Compile_error msg ->
     Counters.incr (counters ctx) Slot_misses;
     error "%s" msg
@@ -1587,32 +1558,16 @@ let effective_jobs ctx jobs (c : Plan.compiled) =
   if jobs <= 1 then 1
   else
     let rec widest (c : Plan.compiled) =
-      let ext cls =
-        try Object_store.extent_size ctx.store cls with Not_found -> 0
-      in
       match c.Plan.cop with
-      | Plan.CUnit -> 0
       | Plan.CFullScan cls
       | Plan.CIndexScan (cls, _, _)
       | Plan.CRangeScan (cls, _, _, _)
-      | Plan.CMethodScan (cls, _, _) ->
-        ext cls
-      | Plan.CFilter (_, _, _, i)
-      | Plan.CMapProp (_, _, _, i)
-      | Plan.CMapMeth (_, _, _, _, i)
-      | Plan.CFlatProp (_, _, _, i)
-      | Plan.CFlatMeth (_, _, _, _, i)
-      | Plan.CMapOp (_, _, _, i)
-      | Plan.CFlatOp (_, _, _, i)
-      | Plan.CProject (_, i)
-      | Plan.CFused (_, i) ->
-        widest i
-      | Plan.CNestedLoop (_, _, l, r)
-      | Plan.CHashJoin (_, _, _, l, r)
-      | Plan.CNaturalJoin (_, _, _, l, r)
-      | Plan.CUnion (l, r)
-      | Plan.CDiff (l, r) ->
-        max (widest l) (widest r)
+      | Plan.CMethodScan (cls, _, _) -> (
+        try Object_store.extent_size ctx.store cls with Not_found -> 0)
+      | _ ->
+        List.fold_left
+          (fun m i -> max m (widest i))
+          0 (Plan.compiled_inputs c)
     in
     if widest c <= morsel_size then 1 else jobs
 

@@ -106,11 +106,10 @@ type node_stats = {
 
 val make_stats : Plan.compiled -> node_stats
 
-val compile : ?fuse:bool -> ctx -> Plan.t -> Plan.compiled
-(** {!Plan.compile} (chain fusion on by default; [~fuse:false] keeps
-    the one-operator-per-node tree), with compile failures charged to
-    the slot-miss counter and re-raised as {!Error} (same messages the
-    interpreted executor raises at run time). *)
+val compile : ctx -> Plan.t -> Plan.compiled
+(** {!Plan.compile}, with compile failures charged to the slot-miss
+    counter and re-raised as {!Error} (same messages the interpreted
+    executor raises at run time). *)
 
 val open_compiled : ?stats:node_stats -> ctx -> Plan.compiled -> biter
 (** The block driver: open the root block iterator, which pulls blocks

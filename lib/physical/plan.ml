@@ -115,13 +115,13 @@ let fail fmt = Format.kasprintf (fun s -> raise (Compile_error s)) fmt
 type slot_operand = SSlot of int | SConst of Value.t
 type slot_receiver = RSlot of int | RClassObj of string
 
-(* Fused select/map/project chains: a maximal run of filters and 1:1
-   maps (optionally topped by a projection) collapses into one kernel
-   that evaluates all steps over a register buffer in a single pass per
-   input row — no intermediate blocks, no intermediate row allocation.
-   Registers 0..fin_width-1 are the input row's slots in order; each map
-   step appends one register.  Operands inside steps index registers,
-   not layout slots. *)
+(* Fused select/map/project chains: every maximal run of filters and
+   1:1 maps (optionally topped by a projection), and every projection on
+   its own, compiles to one kernel that evaluates all steps over a
+   register buffer in a single pass per input row — no intermediate
+   blocks, no intermediate row allocation.  Registers 0..fin_width-1 are
+   the input row's slots in order; each map step appends one register.
+   Operands inside steps index registers, not layout slots. *)
 type fstep =
   | FFilter of Restricted.cmp * slot_operand * slot_operand
   | FProp of int * string * int  (* target register, property, receiver *)
@@ -153,42 +153,204 @@ and cop =
   | CIndexScan of string * string * Value.t
   | CRangeScan of string * string * Sorted_index.bound * Sorted_index.bound
   | CMethodScan of string * string * Value.t list
-  | CFilter of Restricted.cmp * slot_operand * slot_operand * compiled
   | CNestedLoop of (Restricted.cmp * int * int) option * int array * compiled * compiled
   | CHashJoin of int * int * int array * compiled * compiled
   | CNaturalJoin of int array * int array * int array * compiled * compiled
   | CUnion of compiled * compiled
   | CDiff of compiled * compiled
-  | CMapProp of int * string * int * compiled
-  | CMapMeth of int * string * slot_receiver * slot_operand array * compiled
   | CFlatProp of int * string * int * compiled
   | CFlatMeth of int * string * slot_receiver * slot_operand array * compiled
-  | CMapOp of int * Restricted.opname * slot_operand array * compiled
   | CFlatOp of int * Restricted.opname * slot_operand array * compiled
-  | CProject of int array * compiled
   | CFused of fused * compiled
 
-let compile_tree (plan : t) : compiled =
+(* ------------------------------------------------------------------ *)
+(* Distinctness: keys of compiled nodes                                *)
+(* ------------------------------------------------------------------ *)
+
+module Slot_set = Set.Make (Int)
+
+(* A key of a node: a set of output slots whose combined values differ
+   between any two rows the node emits.  [None] means no key is known —
+   the analysis is sound, not complete.  The payoff is the projection
+   fast path: a projection that keeps a whole key of its input provably
+   emits distinct rows, so its dedup hash table (one lookup + one row
+   materialization per input row) is dead weight.
+
+   Per node: scans of extents and index access paths enumerate each
+   object once, so the binding slot alone is a key; method scans may
+   return anything.  Filters and 1:1 maps keep input rows apart.  A
+   join emits each matching (left, right) pair once, so the union of
+   both sides' keys identifies the pair — provided every key slot
+   survives the merge.  Flattens and unions duplicate freely.  A
+   projection's own output is distinct by set semantics (enforced by
+   dedup or proved by this analysis), hence a key of itself. *)
+let rec row_key (c : compiled) : Slot_set.t option =
+  (* remap key slots through a copy plan: output slot [j] copies source
+     [plan.(j)], and key slot [s] is source [src_of s]; [None] when a
+     key slot was dropped *)
+  let remap plan src_of k acc =
+    Slot_set.fold
+      (fun s acc ->
+        Option.bind acc (fun acc ->
+            let pos = ref None in
+            Array.iteri
+              (fun j m -> if !pos = None && m = src_of s then pos := Some j)
+              plan;
+            Option.map (fun j -> Slot_set.add j acc) !pos))
+      k (Some acc)
+  in
+  match c.cop with
+  | CUnit -> Some Slot_set.empty
+  | CFullScan _ | CIndexScan _ | CRangeScan _ -> Some (Slot_set.singleton 0)
+  | CMethodScan _ | CFlatProp _ | CFlatMeth _ | CFlatOp _ | CUnion _ -> None
+  | CNestedLoop (_, merge, l, r)
+  | CHashJoin (_, _, merge, l, r)
+  | CNaturalJoin (_, _, merge, l, r) -> (
+    (* the signed merge plan: [j >= 0] copies left slot [j], [j < 0]
+       copies right slot [-j - 1] *)
+    match (row_key l, row_key r) with
+    | Some kl, Some kr ->
+      Option.bind
+        (remap merge Fun.id kl Slot_set.empty)
+        (remap merge (fun s -> -s - 1) kr)
+    | _ -> None)
+  | CDiff (l, _) -> row_key l
+  | CFused (f, i) ->
+    if f.fdedup && not f.fkeyed then
+      Some (Slot_set.of_list (List.init (Array.length f.fout) Fun.id))
+    else
+      (* 1:1 steps only; input slot [s] is register [s], output slot [j]
+         copies register [fout.(j)] *)
+      Option.bind (row_key i) (fun k -> remap f.fout Fun.id k Slot_set.empty)
+
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let ref_slot layout r =
+  match Relation.Layout.slot layout r with
+  | Some i -> i
+  | None -> fail "unbound reference %S in physical plan" r
+
+let operand layout = function
+  | Restricted.ORef r -> SSlot (ref_slot layout r)
+  | Restricted.OConst v -> SConst v
+  | Restricted.OParam p -> fail "unresolved specification parameter %S" p
+
+let receiver layout = function
+  | Restricted.RRef r -> RSlot (ref_slot layout r)
+  | Restricted.RClass c -> RClassObj c
+
+let insertion layout a =
+  match Relation.Layout.slot layout a with
+  | Some _ -> fail "duplicate target reference %S in physical plan" a
+  | None -> Relation.Layout.insertion layout a
+
+(* Filters and the 1:1 maps fuse; flat (set-valued) operators change
+   cardinality mid-chain and stay standalone. *)
+let fusable_input = function
+  | Filter (_, _, _, i) | MapProp (_, _, _, i) | MapMeth (_, _, _, _, i)
+  | MapOp (_, _, _, i) ->
+    Some i
+  | _ -> None
+
+(* The maximal fusable chain hanging off [p] — possibly empty: its
+   operators bottom-to-top (execution order) and the first non-fusable
+   node feeding them. *)
+let split_chain p =
+  let rec go acc p =
+    match fusable_input p with Some i -> go (p :: acc) i | None -> (acc, p)
+  in
+  go [] p
+
+(* Translate a chain over the compiled [input] into register steps,
+   resolving each operator's references against its own input layout.
+   [reg_of] maps the current layout's slots to registers: it starts as
+   the identity over the input row and tracks every map step's
+   sorted-position insert, so operand slots land on the right register
+   no matter where later inserts shifted them.  Returns the kernel and
+   its output layout. *)
+let build_fused ?project ops (input : compiled) =
+  let fin_width = Relation.Layout.width input.layout in
+  let layout = ref input.layout in
+  let reg_of = ref (Array.init fin_width Fun.id) in
+  let nregs = ref fin_width in
+  let xop o =
+    match operand !layout o with SSlot i -> SSlot !reg_of.(i) | c -> c
+  in
+  let extend a =
+    let next_layout, at = insertion !layout a in
+    let r = !nregs in
+    incr nregs;
+    let prev = !reg_of in
+    let w = Array.length prev in
+    let next = Array.make (w + 1) r in
+    Array.blit prev 0 next 0 at;
+    Array.blit prev at next (at + 1) (w - at);
+    layout := next_layout;
+    reg_of := next;
+    r
+  in
+  let step = function
+    | Filter (cmp, x, y, _) -> FFilter (cmp, xop x, xop y)
+    | MapProp (a, p, a1, _) ->
+      let recv = !reg_of.(ref_slot !layout a1) in
+      FProp (extend a, p, recv)
+    | MapMeth (a, m, recv, args, _) ->
+      let recv =
+        match receiver !layout recv with
+        | RSlot i -> RSlot !reg_of.(i)
+        | RClassObj _ as r -> r
+      in
+      let args = Array.of_list (List.map xop args) in
+      FMeth (extend a, m, recv, args)
+    | MapOp (a, op, xs, _) ->
+      let xs = Array.of_list (List.map xop xs) in
+      FOp (extend a, op, xs)
+    | _ -> assert false
+  in
+  let fsteps = Array.of_list (List.map step ops) in
+  let layout, fout =
+    match project with
+    | None -> (!layout, !reg_of)
+    | Some rs ->
+      let rs = List.sort_uniq String.compare rs in
+      (match
+         List.find_opt
+           (fun r -> Option.is_none (Relation.Layout.slot !layout r))
+           rs
+       with
+      | Some r -> fail "projection reference %S not present" r
+      | None -> ());
+      let layout, srcs = Relation.Layout.projection ~src:!layout rs in
+      (layout, Array.map (fun s -> !reg_of.(s)) srcs)
+  in
+  (* input slot [s] seeds register [s], so a key of the input node reads
+     directly as a register set: the projection is keyed when every key
+     register survives into the copy-out *)
+  let fkeyed =
+    Option.is_some project
+    &&
+    match row_key input with
+    | None -> false
+    | Some k -> Slot_set.for_all (fun s -> Array.exists (Int.equal s) fout) k
+  in
+  ( {
+      fsteps;
+      fin_width;
+      fregs = !nregs;
+      fout;
+      fdedup = Option.is_some project;
+      fkeyed;
+    },
+    layout )
+
+let compile (plan : t) : compiled =
   let next = ref 0 in
   let fresh () =
     let i = !next in
     incr next;
     i
-  in
-  let ref_slot layout r =
-    match Relation.Layout.slot layout r with
-    | Some i -> i
-    | None -> fail "unbound reference %S in physical plan" r
-  in
-  let operand layout = function
-    | Restricted.ORef r -> SSlot (ref_slot layout r)
-    | Restricted.OConst v -> SConst v
-    | Restricted.OParam p -> fail "unresolved specification parameter %S" p
-  in
-  let insertion layout a =
-    match Relation.Layout.slot layout a with
-    | Some _ -> fail "duplicate target reference %S in physical plan" a
-    | None -> Relation.Layout.insertion layout a
   in
   let node source layout cop = { cid = fresh (); layout; source; cop } in
   let rec go (p : t) : compiled =
@@ -202,10 +364,12 @@ let compile_tree (plan : t) : compiled =
       node p (Relation.Layout.of_refs [ a ]) (CRangeScan (cls, prop, lo, hi))
     | MethodScan (a, cls, m, args) ->
       node p (Relation.Layout.of_refs [ a ]) (CMethodScan (cls, m, args))
-    | Filter (c, x, y, input) ->
-      let n = node p [||] CUnit in
-      let ci = go input in
-      { n with layout = ci.layout; cop = CFilter (c, operand ci.layout x, operand ci.layout y, ci) }
+    | Filter _ | MapProp _ | MapMeth _ | MapOp _ ->
+      let ops, input = split_chain p in
+      fused p ops input
+    | Project (rs, input) ->
+      let ops, input = split_chain input in
+      fused p ~project:rs ops input
     | NestedLoop (pred, left, right) ->
       let n = node p [||] CUnit in
       let cl = go left and cr = go right in
@@ -246,335 +410,40 @@ let compile_tree (plan : t) : compiled =
       if not (Relation.Layout.equal cl.layout cr.layout) then
         fail "diff arguments have differing references";
       { n with layout = cl.layout; cop = CDiff (cl, cr) }
-    | MapProp (a, prop, a1, input) ->
-      let n = node p [||] CUnit in
-      let ci = go input in
-      let recv = ref_slot ci.layout a1 in
-      let layout, at = insertion ci.layout a in
-      { n with layout; cop = CMapProp (at, prop, recv, ci) }
     | FlatProp (a, prop, a1, input) ->
       let n = node p [||] CUnit in
       let ci = go input in
       let recv = ref_slot ci.layout a1 in
       let layout, at = insertion ci.layout a in
       { n with layout; cop = CFlatProp (at, prop, recv, ci) }
-    | MapMeth (a, m, recv, args, input) ->
-      let n = node p [||] CUnit in
-      let ci = go input in
-      let recv =
-        match recv with
-        | Restricted.RRef r -> RSlot (ref_slot ci.layout r)
-        | Restricted.RClass c -> RClassObj c
-      in
-      let args = Array.of_list (List.map (operand ci.layout) args) in
-      let layout, at = insertion ci.layout a in
-      { n with layout; cop = CMapMeth (at, m, recv, args, ci) }
     | FlatMeth (a, m, recv, args, input) ->
       let n = node p [||] CUnit in
       let ci = go input in
-      let recv =
-        match recv with
-        | Restricted.RRef r -> RSlot (ref_slot ci.layout r)
-        | Restricted.RClass c -> RClassObj c
-      in
+      let recv = receiver ci.layout recv in
       let args = Array.of_list (List.map (operand ci.layout) args) in
       let layout, at = insertion ci.layout a in
       { n with layout; cop = CFlatMeth (at, m, recv, args, ci) }
-    | MapOp (a, op, xs, input) ->
-      let n = node p [||] CUnit in
-      let ci = go input in
-      let xs = Array.of_list (List.map (operand ci.layout) xs) in
-      let layout, at = insertion ci.layout a in
-      { n with layout; cop = CMapOp (at, op, xs, ci) }
     | FlatOp (a, op, xs, input) ->
       let n = node p [||] CUnit in
       let ci = go input in
       let xs = Array.of_list (List.map (operand ci.layout) xs) in
       let layout, at = insertion ci.layout a in
       { n with layout; cop = CFlatOp (at, op, xs, ci) }
-    | Project (rs, input) ->
-      let n = node p [||] CUnit in
-      let ci = go input in
-      let rs = List.sort_uniq String.compare rs in
-      (match
-         List.find_opt
-           (fun r -> Option.is_none (Relation.Layout.slot ci.layout r))
-           rs
-       with
-      | Some r -> fail "projection reference %S not present" r
-      | None -> ());
-      let layout, srcs = Relation.Layout.projection ~src:ci.layout rs in
-      { n with layout; cop = CProject (srcs, ci) }
+  (* one kernel for the chain [ops] over [input], topped by [project] *)
+  and fused p ?project ops input =
+    let n = node p [||] CUnit in
+    let ci = go input in
+    let f, layout = build_fused ?project ops ci in
+    { n with layout; cop = CFused (f, ci) }
   in
   go plan
-
-(* ------------------------------------------------------------------ *)
-(* Distinctness: keys of compiled nodes                                *)
-(* ------------------------------------------------------------------ *)
-
-module Slot_set = Set.Make (Int)
-
-(* A key of a node: a set of output slots whose combined values differ
-   between any two rows the node emits.  [None] means no key is known —
-   the analysis is sound, not complete.  The payoff is the projection
-   fast path: a projection that keeps a whole key of its input provably
-   emits distinct rows, so its dedup hash table (one lookup + one row
-   materialization per input row) is dead weight.
-
-   Per node: scans of extents and index access paths enumerate each
-   object once, so the binding slot alone is a key; method scans may
-   return anything.  Filters and 1:1 maps keep input rows apart.  A
-   join emits each matching (left, right) pair once, so the union of
-   both sides' keys identifies the pair — provided every key slot
-   survives the merge.  Flattens and unions duplicate freely.  A
-   projection's own output is distinct by set semantics (enforced by
-   dedup or proved by this analysis), hence a key of itself. *)
-let rec row_key (c : compiled) : Slot_set.t option =
-  let shift_for_insert at k =
-    Slot_set.map (fun s -> if s >= at then s + 1 else s) k
-  in
-  let all_slots n = Slot_set.of_list (List.init n Fun.id) in
-  (* remap key slots of one join side through the signed merge plan
-     ([j >= 0] copies left slot [j], [j < 0] copies right slot
-     [-j - 1]); [None] when a key slot was projected away *)
-  let remap merge src_of k acc =
-    Slot_set.fold
-      (fun s acc ->
-        Option.bind acc (fun acc ->
-            let pos = ref None in
-            Array.iteri
-              (fun j m -> if !pos = None && m = src_of s then pos := Some j)
-              merge;
-            Option.map (fun j -> Slot_set.add j acc) !pos))
-      k (Some acc)
-  in
-  match c.cop with
-  | CUnit -> Some Slot_set.empty
-  | CFullScan _ | CIndexScan _ | CRangeScan _ -> Some (Slot_set.singleton 0)
-  | CMethodScan _ -> None
-  | CFilter (_, _, _, i) -> row_key i
-  | CMapProp (at, _, _, i) | CMapMeth (at, _, _, _, i) | CMapOp (at, _, _, i)
-    ->
-    Option.map (shift_for_insert at) (row_key i)
-  | CFlatProp _ | CFlatMeth _ | CFlatOp _ -> None
-  | CNestedLoop (_, merge, l, r)
-  | CHashJoin (_, _, merge, l, r)
-  | CNaturalJoin (_, _, merge, l, r) -> (
-    match (row_key l, row_key r) with
-    | Some kl, Some kr ->
-      Option.bind
-        (remap merge Fun.id kl Slot_set.empty)
-        (remap merge (fun s -> -s - 1) kr)
-    | _ -> None)
-  | CUnion _ -> None
-  | CDiff (l, _) -> row_key l
-  | CProject (srcs, _) -> Some (all_slots (Array.length srcs))
-  | CFused (f, i) ->
-    if f.fdedup && not f.fkeyed then Some (all_slots (Array.length f.fout))
-    else
-      (* 1:1 steps only; input slot [s] is register [s], output slot [j]
-         copies register [fout.(j)] *)
-      Option.bind (row_key i) (fun k ->
-          Slot_set.fold
-            (fun s acc ->
-              Option.bind acc (fun acc ->
-                  let pos = ref None in
-                  Array.iteri
-                    (fun j m -> if !pos = None && m = s then pos := Some j)
-                    f.fout;
-                  Option.map (fun j -> Slot_set.add j acc) !pos))
-            k (Some Slot_set.empty))
-
-(* Does projecting [srcs] out of [input] provably keep rows distinct? *)
-let keyed_projection srcs (input : compiled) =
-  match row_key input with
-  | None -> false
-  | Some k -> Slot_set.for_all (fun s -> Array.exists (Int.equal s) srcs) k
-
-(* ------------------------------------------------------------------ *)
-(* Kernel fusion                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Filters and the 1:1 maps fuse; flat (set-valued) operators change
-   cardinality mid-chain and stay standalone. *)
-let fusable_link c =
-  match c.cop with
-  | CFilter (_, _, _, i)
-  | CMapProp (_, _, _, i)
-  | CMapMeth (_, _, _, _, i)
-  | CMapOp (_, _, _, i) ->
-    Some i
-  | _ -> None
-
-(* The maximal fusable chain hanging off [c]: its operators top-to-bottom
-   and the first non-fusable node feeding them. *)
-let split_chain c =
-  let rec go acc c =
-    match fusable_link c with Some i -> go (c :: acc) i | None -> (List.rev acc, c)
-  in
-  go [] c
-
-(* Translate a chain into register steps.  [reg_of] maps the current
-   layout's slots to registers: it starts as the identity over the input
-   row and tracks every map step's sorted-position insert, so operand
-   slots resolved against intermediate layouts land on the right
-   register no matter where later inserts shifted them. *)
-let build_fused ?project ops input =
-  let fin_width = Relation.Layout.width input.layout in
-  let reg_of = ref (Array.init fin_width Fun.id) in
-  let nregs = ref fin_width in
-  let xop = function
-    | SSlot i -> SSlot !reg_of.(i)
-    | SConst _ as c -> c
-  in
-  let extend at =
-    let r = !nregs in
-    incr nregs;
-    let prev = !reg_of in
-    let w = Array.length prev in
-    let next = Array.make (w + 1) r in
-    Array.blit prev 0 next 0 at;
-    Array.blit prev at next (at + 1) (w - at);
-    reg_of := next;
-    r
-  in
-  let steps =
-    List.map
-      (fun op ->
-        match op.cop with
-        | CFilter (cmp, x, y, _) -> FFilter (cmp, xop x, xop y)
-        | CMapProp (at, p, recv, _) ->
-          let recv = !reg_of.(recv) in
-          FProp (extend at, p, recv)
-        | CMapMeth (at, m, recv, args, _) ->
-          let recv =
-            match recv with
-            | RSlot i -> RSlot !reg_of.(i)
-            | RClassObj _ as r -> r
-          in
-          let args = Array.map xop args in
-          FMeth (extend at, m, recv, args)
-        | CMapOp (at, op, xs, _) ->
-          let xs = Array.map xop xs in
-          FOp (extend at, op, xs)
-        | _ -> assert false)
-      (List.rev ops)
-  in
-  let fout =
-    match project with
-    | Some srcs -> Array.map (fun s -> !reg_of.(s)) srcs
-    | None -> Array.copy !reg_of
-  in
-  (* input slot [s] seeds register [s], so a key of the input node reads
-     directly as a register set: the projection is keyed when every key
-     register survives into the copy-out *)
-  let keyed =
-    Option.is_some project
-    &&
-    match row_key input with
-    | None -> false
-    | Some k -> Slot_set.for_all (fun s -> Array.exists (Int.equal s) fout) k
-  in
-  {
-    fsteps = Array.of_list steps;
-    fin_width;
-    fregs = !nregs;
-    fout;
-    fdedup = Option.is_some project;
-    fkeyed = keyed;
-  }
-
-(* A node starts a fused kernel when it tops a chain worth collapsing:
-   a projection over at least one fusable operator (the copy-out and
-   dedup ride along for free), or a chain of at least two fusable
-   operators on its own. *)
-let fuse_candidate c =
-  match c.cop with
-  | CProject (srcs, i) ->
-    let ops, input = split_chain i in
-    if ops = [] then None else Some (Some srcs, ops, input)
-  | _ -> (
-    match fusable_link c with
-    | None -> None
-    | Some _ -> (
-      match split_chain c with
-      | ([] | [ _ ]), _ -> None
-      | ops, input -> Some (None, ops, input)))
-
-(* Rewrite chains bottom-up and renumber the surviving nodes in preorder
-   (cids must stay dense for the per-node statistics arrays).  A plan
-   with no chain is returned untouched, original numbering included. *)
-let fuse_chains root =
-  let changed = ref false in
-  let next = ref 0 in
-  let fresh () =
-    let i = !next in
-    incr next;
-    i
-  in
-  let rec go c =
-    match fuse_candidate c with
-    | Some (project, ops, input) ->
-      changed := true;
-      let cid = fresh () in
-      let fi = go input in
-      { c with cid; cop = CFused (build_fused ?project ops input, fi) }
-    | None ->
-      let cid = fresh () in
-      let cop =
-        match c.cop with
-        | CUnit | CFullScan _ | CIndexScan _ | CRangeScan _ | CMethodScan _ ->
-          c.cop
-        | CFilter (cmp, x, y, i) -> CFilter (cmp, x, y, go i)
-        | CNestedLoop (p, m, l, r) ->
-          let l = go l in
-          let r = go r in
-          CNestedLoop (p, m, l, r)
-        | CHashJoin (a, b, m, l, r) ->
-          let l = go l in
-          let r = go r in
-          CHashJoin (a, b, m, l, r)
-        | CNaturalJoin (kl, kr, m, l, r) ->
-          let l = go l in
-          let r = go r in
-          CNaturalJoin (kl, kr, m, l, r)
-        | CUnion (l, r) ->
-          let l = go l in
-          let r = go r in
-          CUnion (l, r)
-        | CDiff (l, r) ->
-          let l = go l in
-          let r = go r in
-          CDiff (l, r)
-        | CMapProp (at, p, recv, i) -> CMapProp (at, p, recv, go i)
-        | CMapMeth (at, m, recv, args, i) -> CMapMeth (at, m, recv, args, go i)
-        | CFlatProp (at, p, recv, i) -> CFlatProp (at, p, recv, go i)
-        | CFlatMeth (at, m, recv, args, i) -> CFlatMeth (at, m, recv, args, go i)
-        | CMapOp (at, op, xs, i) -> CMapOp (at, op, xs, go i)
-        | CFlatOp (at, op, xs, i) -> CFlatOp (at, op, xs, go i)
-        | CProject (srcs, i) -> CProject (srcs, go i)
-        | CFused (f, i) -> CFused (f, go i)
-      in
-      { c with cid; cop }
-  in
-  let rewritten = go root in
-  if !changed then rewritten else root
-
-let compile ?(fuse = true) plan =
-  let c = compile_tree plan in
-  if fuse then fuse_chains c else c
 
 let compiled_inputs c =
   match c.cop with
   | CUnit | CFullScan _ | CIndexScan _ | CRangeScan _ | CMethodScan _ -> []
-  | CFilter (_, _, _, i)
-  | CMapProp (_, _, _, i)
-  | CMapMeth (_, _, _, _, i)
   | CFlatProp (_, _, _, i)
   | CFlatMeth (_, _, _, _, i)
-  | CMapOp (_, _, _, i)
   | CFlatOp (_, _, _, i)
-  | CProject (_, i)
   | CFused (_, i) ->
     [ i ]
   | CNestedLoop (_, _, l, r)
@@ -592,8 +461,20 @@ let pp_values ppf vs =
     ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
     Value.pp ppf vs
 
+let pp_operands ppf xs =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+    Restricted.pp_operand ppf xs
+
 let cmp_name c =
   Format.asprintf "%a" Expr.pp_binop (Restricted.cmp_to_binop c)
+
+let opname_label = function
+  | Restricted.OpBin b -> Format.asprintf "%a" Expr.pp_binop b
+  | Restricted.OpNot -> "NOT"
+  | Restricted.OpIdent -> "ident"
+  | Restricted.OpTuple ls -> "tuple[" ^ String.concat "," ls ^ "]"
+  | Restricted.OpSet -> "set"
 
 let rec pp ppf = function
   | Unit -> Format.pp_print_string ppf "unit"
@@ -628,59 +509,22 @@ let rec pp ppf = function
     Format.fprintf ppf "@[<v2>map_property<%s, %s, %s>(@,%a)@]" a p a1 pp i
   | MapMeth (a, m, r, xs, i) ->
     Format.fprintf ppf "@[<v2>map_method<%s, %s, %a, <%a>>(@,%a)@]" a m
-      Restricted.pp_receiver r
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Restricted.pp_operand)
-      xs pp i
+      Restricted.pp_receiver r pp_operands xs pp i
   | FlatProp (a, p, a1, i) ->
     Format.fprintf ppf "@[<v2>flat_property<%s, %s, %s>(@,%a)@]" a p a1 pp i
   | FlatMeth (a, m, r, xs, i) ->
     Format.fprintf ppf "@[<v2>flat_method<%s, %s, %a, <%a>>(@,%a)@]" a m
-      Restricted.pp_receiver r
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Restricted.pp_operand)
-      xs pp i
+      Restricted.pp_receiver r pp_operands xs pp i
   | MapOp (a, op, xs, i) ->
     Format.fprintf ppf "@[<v2>map_operator<%s, %s, %a>(@,%a)@]" a
-      (Format.asprintf "%a"
-         (fun ppf () ->
-           Format.pp_print_string ppf
-             (match op with
-             | Restricted.OpBin b -> Format.asprintf "%a" Expr.pp_binop b
-             | Restricted.OpNot -> "NOT"
-             | Restricted.OpIdent -> "ident"
-             | Restricted.OpTuple ls -> "tuple[" ^ String.concat "," ls ^ "]"
-             | Restricted.OpSet -> "set"))
-         ())
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Restricted.pp_operand)
-      xs pp i
+      (opname_label op) pp_operands xs pp i
   | FlatOp (a, op, xs, i) ->
     Format.fprintf ppf "@[<v2>flat_operator<%s, %s, %a>(@,%a)@]" a
-      (match op with
-      | Restricted.OpBin b -> Format.asprintf "%a" Expr.pp_binop b
-      | Restricted.OpNot -> "NOT"
-      | Restricted.OpIdent -> "ident"
-      | Restricted.OpTuple ls -> "tuple[" ^ String.concat "," ls ^ "]"
-      | Restricted.OpSet -> "set")
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Restricted.pp_operand)
-      xs pp i
+      (opname_label op) pp_operands xs pp i
   | Project (rs, i) ->
     Format.fprintf ppf "@[<v2>project<%s>(@,%a)@]" (String.concat ", " rs) pp i
 
 let to_string t = Format.asprintf "%a" pp t
-
-let opname_label = function
-  | Restricted.OpBin b -> Format.asprintf "%a" Expr.pp_binop b
-  | Restricted.OpNot -> "NOT"
-  | Restricted.OpIdent -> "ident"
-  | Restricted.OpTuple ls -> "tuple[" ^ String.concat "," ls ^ "]"
-  | Restricted.OpSet -> "set"
 
 let slot_operand_label = function
   | SSlot i -> Printf.sprintf "@%d" i
@@ -730,9 +574,6 @@ let compiled_label c =
   | CMethodScan (cls, m, args) ->
     Printf.sprintf "method_scan<%s->%s(%s)>" cls m
       (String.concat ", " (List.map Value.to_string args))
-  | CFilter (cmp, x, y, _) ->
-    Printf.sprintf "filter<%s %s %s>" (slot_operand_label x) (cmp_name cmp)
-      (slot_operand_label y)
   | CNestedLoop (None, _, _, _) -> "nested_loop<true>"
   | CNestedLoop (Some (cmp, i, j), _, _, _) ->
     Printf.sprintf "nested_loop<@%d %s @%d>" i (cmp_name cmp) j
@@ -746,34 +587,28 @@ let compiled_label c =
             (Array.to_list kl) (Array.to_list kr)))
   | CUnion _ -> "union"
   | CDiff _ -> "diff"
-  | CMapProp (at, p, recv, _) ->
-    Printf.sprintf "map_property<@%d := @%d.%s>" at recv p
   | CFlatProp (at, p, recv, _) ->
     Printf.sprintf "flat_property<@%d := @%d.%s>" at recv p
-  | CMapMeth (at, m, recv, args, _) ->
-    Printf.sprintf "map_method<@%d := %s->%s(%s)>" at (slot_receiver_label recv)
-      m
-      (String.concat ", " (Array.to_list (Array.map slot_operand_label args)))
   | CFlatMeth (at, m, recv, args, _) ->
     Printf.sprintf "flat_method<@%d := %s->%s(%s)>" at
       (slot_receiver_label recv) m
       (String.concat ", " (Array.to_list (Array.map slot_operand_label args)))
-  | CMapOp (at, op, xs, _) ->
-    Printf.sprintf "map_operator<@%d := %s(%s)>" at (opname_label op)
-      (String.concat ", " (Array.to_list (Array.map slot_operand_label xs)))
   | CFlatOp (at, op, xs, _) ->
     Printf.sprintf "flat_operator<@%d := %s(%s)>" at (opname_label op)
       (String.concat ", " (Array.to_list (Array.map slot_operand_label xs)))
-  | CProject (srcs, _) -> Printf.sprintf "project<%s>" (slots_label srcs)
   | CFused (f, _) ->
-    Printf.sprintf "fused<%s%s>"
+    let project =
+      if f.fdedup then
+        [
+          Printf.sprintf "project%s %s"
+            (if f.fkeyed then " keyed" else "")
+            (slots_label f.fout);
+        ]
+      else []
+    in
+    Printf.sprintf "fused<%s>"
       (String.concat "; "
-         (List.map fstep_label (Array.to_list f.fsteps)))
-      (if f.fdedup then
-         Printf.sprintf "; project%s %s"
-           (if f.fkeyed then " keyed" else "")
-           (slots_label f.fout)
-       else "")
+         (List.map fstep_label (Array.to_list f.fsteps) @ project))
 
 let pp_compiled ?(annot = fun (_ : compiled) -> "") ppf root =
   let rec go indent c =

@@ -90,14 +90,15 @@ type slot_receiver =
 
 (** {2 Fused kernels}
 
-    A maximal chain of filters and 1:1 maps (optionally topped by a
-    projection) collapses into one {!constructor:CFused} kernel that runs
-    all steps over a {e register} buffer in a single pass per input row —
-    the intermediate operators' blocks and row allocations disappear.
+    Every maximal chain of filters and 1:1 maps (optionally topped by a
+    projection), and every projection on its own, compiles to one
+    {!constructor:CFused} kernel that runs all steps over a {e register}
+    buffer in a single pass per input row — a lone filter or map is a
+    chain of length one, a lone projection one of length zero.
     Registers [0..fin_width-1] are the input row's slots in order; every
     map step appends one register, and step operands index registers
-    (the compiler rewrote each operator's layout slots through the
-    intermediate inserts). *)
+    (the compiler resolved each operator's references against its own
+    input layout and rewrote the slots through the earlier inserts). *)
 
 type fstep =
   | FFilter of Restricted.cmp * slot_operand * slot_operand
@@ -137,7 +138,6 @@ and cop =
       string * string * Soqm_storage.Sorted_index.bound
       * Soqm_storage.Sorted_index.bound
   | CMethodScan of string * string * Value.t list
-  | CFilter of Restricted.cmp * slot_operand * slot_operand * compiled
   | CNestedLoop of
       (Restricted.cmp * int * int) option * int array * compiled * compiled
       (** predicate slots index the {e merged} row; the [int array] is the
@@ -148,25 +148,20 @@ and cop =
       (** shared-key slots on the left/right inputs, then the merge plan *)
   | CUnion of compiled * compiled
   | CDiff of compiled * compiled
-  | CMapProp of int * string * int * compiled
-      (** [target slot in output row, property, receiver slot in input row] *)
-  | CMapMeth of int * string * slot_receiver * slot_operand array * compiled
   | CFlatProp of int * string * int * compiled
+      (** [target slot in output row, property, receiver slot in input row] *)
   | CFlatMeth of int * string * slot_receiver * slot_operand array * compiled
-  | CMapOp of int * Restricted.opname * slot_operand array * compiled
   | CFlatOp of int * Restricted.opname * slot_operand array * compiled
-  | CProject of int array * compiled
-      (** per output slot, the input slot to copy *)
   | CFused of fused * compiled
-      (** one-pass select/map/project kernel over the input's rows *)
+      (** one-pass select/map/project kernel over the input's rows: the
+          compiled form of every filter, 1:1 map and projection *)
 
-val compile : ?fuse:bool -> t -> compiled
-(** Resolve every name to a slot and precompute all copy plans; then
-    (unless [~fuse:false]) collapse every maximal filter/map chain of
-    length two or more — counting a topping projection — into a
-    {!constructor:CFused} kernel and renumber the nodes in preorder.
-    Flat (set-valued) operators break chains: they change cardinality.
-    A plan without such chains is returned untouched.
+val compile : t -> compiled
+(** Resolve every name to a slot and precompute all copy plans.  Each
+    maximal filter/map chain — counting a topping projection — and each
+    projection on its own becomes one {!constructor:CFused} kernel; flat
+    (set-valued) operators break chains, since they change cardinality.
+    Node ids are assigned in preorder.
     @raise Compile_error on unbound references, parameter operands,
     duplicate map targets, or union/diff layout mismatch. *)
 
@@ -183,12 +178,6 @@ val row_key : compiled -> Slot_set.t option
     (each matching pair is emitted once); a projection's output is a key
     of itself by set semantics.  Flattens, unions and method scans drop
     to [None].  Sound, not complete. *)
-
-val keyed_projection : int array -> compiled -> bool
-(** [keyed_projection srcs input]: does projecting slots [srcs] out of
-    [input] provably keep rows distinct — i.e. do the kept slots cover a
-    {!row_key} of [input]?  When true the projection executors skip
-    their dedup hash table (the projection fast path; DESIGN.md §9). *)
 
 val fused_count : compiled -> int
 (** Steps fused into this node (counting a topping projection);

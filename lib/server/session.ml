@@ -121,6 +121,26 @@ let handle s (req : Protocol.request) : Protocol.response =
       | Ok (oids, _) -> Protocol.Oids oids
       | Error (`Conflict reason) -> Protocol.Conflict reason))
 
+(* The message a failed request answers with.  Every exception the query
+   and read paths define maps to a plain sentence; only an exception no
+   path is known to raise falls back to its [Printexc] rendering. *)
+let error_message = function
+  | Soqm_vql.Lexer.Error (msg, pos) ->
+    Printf.sprintf "lexical error at offset %d: %s" pos msg
+  | Soqm_vql.Parser.Error msg -> "parse error: " ^ msg
+  | Soqm_vql.Typecheck.Error msg -> "type error: " ^ msg
+  | Soqm_vql.To_algebra.Error msg -> "translation error: " ^ msg
+  | Soqm_algebra.Translate.Unsupported msg -> "unsupported query: " ^ msg
+  | Runtime.Error msg | Exec.Error msg -> "execution error: " ^ msg
+  | Soqm_txn.Versions.Snapshot_too_old { oid; prop; ts } ->
+    Printf.sprintf
+      "snapshot too old: %s.%s has no version at timestamp %d; retry the \
+       transaction"
+      (Oid.to_string oid) prop ts
+  | Not_found -> "not found"
+  | Invalid_argument msg | Failure msg | Soqm_disk.Codec.Corrupt msg -> msg
+  | e -> Printexc.to_string e
+
 let serve s fd =
   let respond resp = Protocol.write_frame fd (Protocol.encode_response resp) in
   let rec loop () =
@@ -132,11 +152,7 @@ let serve s fd =
         | exception Soqm_disk.Codec.Corrupt msg ->
           Protocol.Error ("bad request: " ^ msg)
         | req -> (
-          try handle s req with
-          | Not_found -> Protocol.Error "not found"
-          | Invalid_argument msg | Failure msg -> Protocol.Error msg
-          | Soqm_disk.Codec.Corrupt msg -> Protocol.Error msg
-          | e -> Protocol.Error (Printexc.to_string e))
+          try handle s req with e -> Protocol.Error (error_message e))
       in
       respond resp;
       loop ()

@@ -111,44 +111,97 @@ let test_project_dedups () =
     (Relation.cardinality r <= min 7 (Object_store.extent_size (store ()) "Document"))
 
 (* The distinctness analysis behind the projection fast path: a
-   projection keeping the scan binding (a key) provably needs no dedup;
-   one dropping it (authors repeat) must keep the dedup table — and in
-   both cases every executor agrees with the interpreted oracle. *)
+   projection keeping a key of its input provably needs no dedup; one
+   dropping it must keep the dedup table — and in every case each
+   executor agrees with the interpreted oracle.  Checked on projections
+   topping a map chain (the scan binding is the key; authors repeat)
+   and on lone projections over a join (the key is both sides' keys;
+   documents repeat across their sections). *)
 let test_keyed_projection () =
-  let keyed =
-    Plan.Project
-      ([ "d"; "a" ],
-        Plan.MapProp ("a", "author", "d", Plan.FullScan ("d", "Document")))
+  let authors =
+    Plan.MapProp ("a", "author", "d", Plan.FullScan ("d", "Document"))
   in
-  let unkeyed =
-    Plan.Project
-      ([ "a" ], Plan.MapProp ("a", "author", "d", Plan.FullScan ("d", "Document")))
+  let keyed = Plan.Project ([ "d"; "a" ], authors) in
+  let unkeyed = Plan.Project ([ "a" ], authors) in
+  let join =
+    Plan.HashJoin
+      ( "d2",
+        "d",
+        Plan.MapProp ("d2", "document", "s", Plan.FullScan ("s", "Section")),
+        Plan.FullScan ("d", "Document") )
   in
-  let analysis plan =
-    match (Exec.compile ~fuse:false (ctx ()) plan).Plan.cop with
-    | Plan.CProject (srcs, input) -> Plan.keyed_projection srcs input
-    | _ -> Alcotest.fail "expected an unfused projection root"
-  in
-  check Alcotest.bool "scan binding kept -> keyed" true (analysis keyed);
-  check Alcotest.bool "scan binding dropped -> not keyed" false
-    (analysis unkeyed);
+  let lone_keyed = Plan.Project ([ "d"; "s" ], join) in
+  let lone_unkeyed = Plan.Project ([ "d" ], join) in
   let fkeyed plan =
     match (Exec.compile (ctx ()) plan).Plan.cop with
     | Plan.CFused (f, _) -> f.Plan.fkeyed
-    | _ -> Alcotest.fail "expected a fused chain"
+    | _ -> Alcotest.fail "expected a fused kernel"
   in
   check Alcotest.bool "fused chain marks keyed" true (fkeyed keyed);
   check Alcotest.bool "fused chain keeps dedup" false (fkeyed unkeyed);
+  check Alcotest.bool "join key kept -> lone projection keyed" true
+    (fkeyed lone_keyed);
+  check Alcotest.bool "join key dropped -> lone projection keeps dedup" false
+    (fkeyed lone_unkeyed);
   List.iter
     (fun plan ->
       let reference = Exec.Interpreted.run (ctx ()) plan in
-      check F.relation "serial fused = interpreted" reference
+      check F.relation "serial = interpreted" reference
         (Exec.run (ctx ()) plan);
-      check F.relation "serial unfused = interpreted" reference
-        (Exec.run_compiled (ctx ()) (Exec.compile ~fuse:false (ctx ()) plan));
       check F.relation "parallel = interpreted" reference
         (Exec.run ~jobs:3 ~clamp:false (ctx ()) plan))
-    [ keyed; unkeyed ]
+    [ keyed; unkeyed; lone_keyed; lone_unkeyed ]
+
+(* A lone filter, map or projection is a fused chain of length one (or
+   zero): one kernel node over its input, whose actual rows are the
+   result, serially and under the morsel scheduler.  The property map's
+   target sorts before the scan binding, so its register file is
+   permuted into the output row rather than passed through. *)
+let test_lone_operators_fuse () =
+  let docs = Plan.FullScan ("d", "Document") in
+  let first_doc = List.hd (Object_store.extent (store ()) "Document") in
+  let plans =
+    [
+      ( "filter",
+        Plan.Filter
+          (Restricted.CEq, Restricted.ORef "d",
+           Restricted.OConst (Value.Obj first_doc), docs) );
+      ("map property before its input", Plan.MapProp ("a", "author", "d", docs));
+      ( "map method",
+        Plan.MapMeth
+          ( "z",
+            "contains_string",
+            Restricted.RRef "p",
+            [ Restricted.OConst (Value.Str "Implementation") ],
+            Plan.FullScan ("p", "Paragraph") ) );
+      ("keyed projection", Plan.Project ([ "d" ], docs));
+      ( "unkeyed projection",
+        Plan.Project ([ "d" ], Plan.FlatProp ("s", "sections", "d", docs)) );
+    ]
+  in
+  List.iter
+    (fun (name, plan) ->
+      let compiled = Exec.compile (ctx ()) plan in
+      (match compiled.Plan.cop with
+      | Plan.CFused (_, input) ->
+        check Alcotest.int (name ^ ": input is the plan's input") 1
+          input.Plan.cid
+      | _ -> Alcotest.failf "%s: expected a fused root" name);
+      check Alcotest.int (name ^ ": one node per operator") (Plan.size plan)
+        (Plan.node_count compiled);
+      let reference = run_interp plan in
+      List.iter
+        (fun jobs ->
+          let stats = Exec.make_stats compiled in
+          let r =
+            Exec.run_compiled ~stats ~jobs ~clamp:false (ctx ()) compiled
+          in
+          let label = Printf.sprintf "%s (jobs=%d)" name jobs in
+          check F.relation (label ^ ": = interpreted") reference r;
+          check Alcotest.int (label ^ ": root rows = result")
+            (Relation.cardinality r) stats.Exec.node_rows.(0))
+        [ 1; 2; 3; 4 ])
+    plans
 
 (* ------------------------------------------------------------------ *)
 (* Memoization of tuple-independent chains                             *)
@@ -353,12 +406,11 @@ let prop_compiled_parity =
         Relation.equal reference (run_interp plan)
         && Relation.equal reference (run_phys plan))
 
-(* Fusion parity: fused select/map/project kernels must be row-for-row
-   identical to the unfused compiled pipeline and the tuple interpreter,
-   serially and across worker counts. *)
+(* Fusion parity: fused select/map/project kernels must agree with the
+   tuple interpreter, serially and across worker counts. *)
 let prop_fusion_parity =
   QCheck2.Test.make ~count:40
-    ~name:"fused kernels = unfused compiled = interpreted (jobs in {1,2,3,4})"
+    ~name:"fused kernels = interpreted (jobs in {1,2,3,4})"
     Soqm_testlib.Gen.term_gen
     (fun g ->
       match General.well_formed g with
@@ -366,14 +418,12 @@ let prop_fusion_parity =
       | Ok () ->
         let plan = Plan.default_implementation (Translate.of_general g) in
         let fused = Exec.compile (ctx ()) plan in
-        let unfused = Exec.compile ~fuse:false (ctx ()) plan in
-        let reference = Exec.run_compiled (ctx ()) unfused in
-        Relation.equal reference (run_interp plan)
-        && List.for_all
-             (fun jobs ->
-               Relation.equal reference
-                 (Exec.run_compiled ~jobs ~clamp:false (ctx ()) fused))
-             [ 1; 2; 3; 4 ])
+        let reference = run_interp plan in
+        List.for_all
+          (fun jobs ->
+            Relation.equal reference
+              (Exec.run_compiled ~jobs ~clamp:false (ctx ()) fused))
+          [ 1; 2; 3; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Batch executor: compilation, Null-key joins, block accounting       *)
@@ -430,7 +480,7 @@ let test_null_keys_pin () =
 
 (* DESIGN.md §7 Null semantics inside a fused kernel: comparisons with
    Null registers are FALSE, and the fused projection dedup treats Null
-   columns structurally — both exactly as the unfused operators do. *)
+   columns structurally — both exactly as the interpreter does. *)
 let test_fused_null_semantics () =
   let with_null a base =
     Plan.MapOp (a, Restricted.OpIdent, [ Restricted.OConst Value.Null ], base)
@@ -450,10 +500,8 @@ let test_fused_null_semantics () =
     Plan.Project ([ "k" ], with_null "k" (Plan.FullScan ("d", "Document")))
   in
   let pf = Exec.compile (ctx ()) proj in
-  let pu = Exec.compile ~fuse:false (ctx ()) proj in
   check Alcotest.bool "projection fused" true (Plan.fused_count pf > 0);
-  check F.relation "fused dedup = unfused dedup"
-    (Exec.run_compiled (ctx ()) pu)
+  check F.relation "fused dedup = interpreted dedup" (run_interp proj)
     (Exec.run_compiled (ctx ()) pf);
   check Alcotest.int "Null rows dedup to one" 1
     (Relation.cardinality (Exec.run_compiled (ctx ()) pf));
@@ -531,14 +579,7 @@ let test_analyze_stats () =
   let n_docs = Object_store.extent_size (store ()) "Document" in
   check Alcotest.int "scan actual rows = extent" n_docs
     stats.Exec.node_rows.(1);
-  (* the unfused tree keeps one node per operator and the same result *)
-  let unfused = Exec.compile ~fuse:false (ctx ()) plan in
-  check Alcotest.int "unfused: three operators" 3 (Plan.node_count unfused);
-  let ustats = Exec.make_stats unfused in
-  let ur = Exec.run_compiled ~stats:ustats (ctx ()) unfused in
-  check Alcotest.bool "fused == unfused result" true (Relation.equal r ur);
-  check Alcotest.int "unfused scan actual rows = extent" n_docs
-    ustats.Exec.node_rows.(2)
+  check F.relation "fused = interpreted result" (run_interp plan) r
 
 let test_compile_layouts () =
   let plan =
@@ -955,6 +996,7 @@ let () =
           F.case "flat property" test_flat_prop;
           F.case "project dedups" test_project_dedups;
           F.case "keyed projection skips dedup" test_keyed_projection;
+          F.case "lone operators fuse" test_lone_operators_fuse;
         ] );
       ( "memoization",
         [

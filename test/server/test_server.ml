@@ -98,9 +98,30 @@ let test_server_end_to_end () =
           | Protocol.Rows (_, rows) ->
             check Alcotest.int "query row count" expected (List.length rows)
           | r -> Alcotest.failf "query: unexpected %s" (Protocol.encode_response r));
-          (match rt c1 (Protocol.Query "ACCESS d FROM d IN") with
-          | Protocol.Error _ -> ()
-          | _ -> Alcotest.fail "parse error must answer Error");
+          (* malformed queries answer a plain message — no module path,
+             no exception constructor — and leave the session usable *)
+          let internal =
+            Str.regexp "[A-Z][A-Za-z0-9_]*\\.[A-Z]\\|[A-Z][a-z_]*[ ]*(\""
+          in
+          List.iter
+            (fun (what, src) ->
+              match rt c1 (Protocol.Query src) with
+              | Protocol.Error msg ->
+                check Alcotest.bool
+                  (Printf.sprintf "%s reads plainly: %S" what msg)
+                  false
+                  (try
+                     ignore (Str.search_forward internal msg 0);
+                     true
+                   with Not_found -> false);
+                check Alcotest.bool (what ^ ": session still answers") true
+                  (rt c1 Protocol.Ping = Protocol.Done)
+              | _ -> Alcotest.failf "%s must answer Error" what)
+            [
+              ("parse error", "ACCESS d FROM d IN");
+              ("unknown class", "ACCESS d FROM d IN Nope");
+              ("unknown property", "ACCESS d.nope FROM d IN Document");
+            ];
           (* extent + transactional read-your-writes over the wire *)
           let doc =
             match rt c1 (Protocol.Extent "Document") with
