@@ -1,6 +1,15 @@
 (* Helpers shared by the bench executables: wall-clock timing, the
-   median of a sample, draining and timing a compiled plan,
-   command-line flag lookup and scratch database directories. *)
+   median of a sample, draining and timing a compiled plan, the flags
+   every bench reads, scratch database directories, the JSON each bench
+   writes and the ledger of its checks.
+
+   The exit rule is the same for every bench: it exits 1 iff a check it
+   ran failed ([finish]).  [--assert] never turns a failure into a pass;
+   where a bench has bounds that only mean something in a gated run
+   (storage's prefetch and replay bounds) or work only an ungated run
+   wants (dml's throughput tables), [assert_mode] chooses them. *)
+
+open Soqm_core
 
 (* [f ()]'s result and the wall-clock seconds it took. *)
 let time f =
@@ -57,19 +66,112 @@ let arg_value flag default parse =
   in
   go (Array.to_list Sys.argv)
 
+(* The flags every bench shares.  [--seed] picks the Datagen seed, so a
+   run over several seeds exercises the gates on independent data sets;
+   [--docs], [--reps] and [--json] take the bench's own default. *)
+let assert_mode = Array.mem "--assert" Sys.argv
+let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string
+let docs default = arg_value "--docs" default int_of_string
+let reps default = arg_value "--reps" default int_of_string
+let json_path bench = arg_value "--json" ("BENCH_" ^ bench ^ ".json") Fun.id
+let cores = Domain.recommended_domain_count ()
+
+(* A generated database of [n_docs] documents from the run's seed. *)
+let database n_docs = Db.create ~params:{ Datagen.default with n_docs; seed } ()
+
 (* A scratch directory for a paged database, removed (one level deep —
    database directories hold no subdirectories) when [f] returns or
-   raises. *)
+   raises, or when the bench exits inside [f]. *)
 let with_temp_dir prefix f =
   let dir = Filename.temp_file prefix ".db" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun entry -> Sys.remove (Filename.concat dir entry))
-          (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () -> f dir)
+  let remove () =
+    if Sys.file_exists dir then begin
+      Array.iter
+        (fun entry -> Sys.remove (Filename.concat dir entry))
+        (Sys.readdir dir);
+      Unix.rmdir dir
+    end
+  in
+  at_exit remove;
+  Fun.protect ~finally:remove (fun () -> f dir)
+
+(* ------------------------------------------------------------------ *)
+(* Results: one JSON layout for every BENCH_*.json                      *)
+(* ------------------------------------------------------------------ *)
+
+type json =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Fixed of int * float  (* printed with this many decimals *)
+  | Str of string
+  | List of json list
+  | Obj of (string * json) list
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* The top-level object holds one field per line, an array in it one
+   element per line; everything deeper stays on one line. *)
+let json_to_string v =
+  let rec go depth = function
+    | Null -> "null"
+    | Bool b -> string_of_bool b
+    | Int n -> string_of_int n
+    | Fixed (_, x) when not (Float.is_finite x) -> "null"
+    | Fixed (d, x) -> Printf.sprintf "%.*f" d x
+    | Str s -> json_string s
+    | List [] -> "[]"
+    | List xs when depth = 1 ->
+      "[\n" ^ lines "    " (List.map (go 2) xs) ^ "\n  ]"
+    | List xs -> "[" ^ String.concat ", " (List.map (go (depth + 1)) xs) ^ "]"
+    | Obj fields ->
+      let field (k, x) = json_string k ^ ": " ^ go (depth + 1) x in
+      if depth = 0 then "{\n" ^ lines "  " (List.map field fields) ^ "\n}"
+      else "{" ^ String.concat ", " (List.map field fields) ^ "}"
+  and lines indent xs = String.concat ",\n" (List.map (( ^ ) indent) xs) in
+  go 0 v
+
+(* The fields that open every bench's JSON, in this order. *)
+let header bench ~n_docs ?paragraphs () =
+  [ ("bench", Str bench); ("n_docs", Int n_docs) ]
+  @ Option.to_list (Option.map (fun p -> ("paragraphs", Int p)) paragraphs)
+  @ [ ("seed", Int seed); ("cores", Int cores) ]
+
+let write_json path fields =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (json_to_string (Obj fields) ^ "\n"));
+  Printf.printf "wrote %s\n" path
+
+(* ------------------------------------------------------------------ *)
+(* Checks                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let failures = ref 0
+
+(* Record one gate and print it as [ok] or [FAIL]. *)
+let check name ok =
+  if not ok then incr failures;
+  Printf.printf "%s %s\n" (if ok then "ok  " else "FAIL") name
+
+(* Exit 1 iff any check failed. *)
+let finish () =
+  if !failures > 0 then begin
+    Printf.printf "\n%d check(s) FAILED\n" !failures;
+    exit 1
+  end
+  else print_string "\nall checks passed\n"

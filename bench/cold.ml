@@ -28,11 +28,10 @@
    Plus the usual oracle: the EXP-A query mix on the fast-opened
    database must match the in-memory database exactly.
 
-   Run with:     dune exec bench/cold.exe
-   Assert mode:  dune exec bench/cold.exe -- --assert [--docs N] [--seed N]
-   (exit code 1 when a bound is violated)
-
-   Emits BENCH_cold.json; [--seed N] is shared across all benches. *)
+   Run with:  dune exec bench/cold.exe -- [--assert] [--docs N] [--seed N]
+                [--reps N] [--json PATH] [--rounds N] [--sample N]
+   Every check runs with or without [--assert]; the exit code is 1 iff
+   one failed.  Emits BENCH_cold.json. *)
 
 open Soqm_vml
 open Soqm_core
@@ -63,14 +62,6 @@ let queries =
 (* gates *)
 let min_open_speedup = 5.0
 let min_locality_ratio = 2.0
-
-let failures = ref 0
-
-let check name ok =
-  if not ok then (
-    incr failures;
-    Printf.printf "FAIL %s\n" name)
-  else Printf.printf "ok   %s\n" name
 
 (* ------------------------------------------------------------------ *)
 (* Growth workload: interleaved paragraph appends                      *)
@@ -133,51 +124,15 @@ let paragraphs_by_document db =
   tbl
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission (BENCH_cold.json)                                     *)
-(* ------------------------------------------------------------------ *)
-
-let write_json path ~n_docs ~paras ~seed ~cores ~fast_ms ~rebuild_ms
-    ~floor_ms ~restore_ms ~derived_rebuild_ms ~open_speedup ~total_speedup
-    ~gate_enforced ~sample_docs ~clustered_pages ~scattered_pages ~ratio
-    ~divergences =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"cold\",\n\
-    \  \"n_docs\": %d,\n\
-    \  \"paragraphs\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"cold_open\": {\"total_fast_ms\": %.1f, \"total_rebuild_ms\": %.1f, \
-     \"total_speedup\": %.2f, \"floor_ms\": %.1f, \"derived_restore_ms\": \
-     %.1f, \"derived_rebuild_ms\": %.1f, \"speedup\": %.2f, \"bound\": \
-     %.2f, \"speedup_gate_enforced\": %b},\n\
-    \  \"locality\": {\"sample_docs\": %d, \"clustered_pages\": %d, \
-     \"scattered_pages\": %d, \"ratio\": %.2f, \"bound\": %.2f},\n\
-    \  \"parity_divergences\": %d\n\
-     }\n"
-    n_docs paras seed cores fast_ms rebuild_ms total_speedup floor_ms
-    restore_ms derived_rebuild_ms open_speedup min_open_speedup gate_enforced
-    sample_docs clustered_pages scattered_pages ratio min_locality_ratio
-    divergences;
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let n_docs = arg_value "--docs" 10_000 int_of_string in
-  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
-  let json_path = arg_value "--json" "BENCH_cold.json" Fun.id in
-  let reps = arg_value "--reps" 2 int_of_string in
+  let n_docs = docs 10_000 in
+  let reps = reps 2 in
   let rounds = arg_value "--rounds" 4 int_of_string in
   let sample = arg_value "--sample" 50 int_of_string in
-  let cores = Domain.recommended_domain_count () in
-  let db, dt_gen =
-    time (fun () -> Db.create ~params:{ Datagen.default with n_docs; seed } ())
-  in
+  let db, dt_gen = time (fun () -> database n_docs) in
   let added, dt_grow = time (fun () -> grow_documents db ~rounds) in
   let paras = Object_store.extent_size db.Db.store "Paragraph" in
   Printf.printf
@@ -313,14 +268,31 @@ let () =
       0 queries
   in
 
-  write_json json_path ~n_docs ~paras ~seed ~cores ~fast_ms ~rebuild_ms
-    ~floor_ms ~restore_ms ~derived_rebuild_ms ~open_speedup ~total_speedup
-    ~gate_enforced
-    ~sample_docs:(List.length sample_ids)
-    ~clustered_pages ~scattered_pages ~ratio ~divergences;
-  Printf.printf "wrote %s\n" json_path;
-  ignore assert_mode;
-  if !failures > 0 then (
-    Printf.printf "\n%d check(s) FAILED\n" !failures;
-    exit 1)
-  else Printf.printf "\nall checks passed\n"
+  write_json (json_path "cold")
+    (header "cold" ~n_docs ~paragraphs:paras ()
+    @ [
+        ( "cold_open",
+          Obj
+            [
+              ("total_fast_ms", Fixed (1, fast_ms));
+              ("total_rebuild_ms", Fixed (1, rebuild_ms));
+              ("total_speedup", Fixed (2, total_speedup));
+              ("floor_ms", Fixed (1, floor_ms));
+              ("derived_restore_ms", Fixed (1, restore_ms));
+              ("derived_rebuild_ms", Fixed (1, derived_rebuild_ms));
+              ("speedup", Fixed (2, open_speedup));
+              ("bound", Fixed (2, min_open_speedup));
+              ("speedup_gate_enforced", Bool gate_enforced);
+            ] );
+        ( "locality",
+          Obj
+            [
+              ("sample_docs", Int (List.length sample_ids));
+              ("clustered_pages", Int clustered_pages);
+              ("scattered_pages", Int scattered_pages);
+              ("ratio", Fixed (2, ratio));
+              ("bound", Fixed (2, min_locality_ratio));
+            ] );
+        ("parity_divergences", Int divergences);
+      ]);
+  finish ()

@@ -24,11 +24,11 @@
    scan of the same class.  Both sides are also reported for the
    EXPERIMENTS.md EXP-L vacuum before/after comparison.
 
-   Run with:     dune exec bench/columnar.exe
-   Assert mode:  dune exec bench/columnar.exe -- --assert [--docs N]
-                                                 [--seed N] [--json PATH]
-   (exit code 1 when the median storage-to-kernel speedup < 2x, the
-   dictionary-column byte ratio < 3x, or any result diverges)
+   Run with:  dune exec bench/columnar.exe -- [--assert] [--docs N]
+                [--seed N] [--json PATH]
+   Every check runs with or without [--assert]; the exit code is 1 iff
+   the median storage-to-kernel speedup < 2x, the dictionary-column byte
+   ratio < 3x, or any result diverges.
 
    All gates are single-core-safe: timing compares two serial pipelines
    on the same core, and the parallel fused speedup is recorded in the
@@ -206,77 +206,22 @@ let measure_bytes ~row_store ~col_store =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission (BENCH_columnar.json)                                 *)
-(* ------------------------------------------------------------------ *)
-
-let write_json path ~n_docs ~paras ~seed ~cores ~jobs results bytes
-    ~median_speedup ~parallel_speedup =
-  let oc = open_out path in
-  let entry r =
-    Printf.sprintf
-      "    {\"name\": %S, \"out_rows\": %d, \"baseline_ns_per_row\": %.1f, \
-       \"columnar_ns_per_row\": %.1f, \"speedup\": %.2f, \"diverged\": %b}"
-      r.name r.out_rows r.baseline_ns r.columnar_ns r.speedup r.diverged
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"columnar\",\n\
-    \  \"n_docs\": %d,\n\
-    \  \"paragraphs\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"reps\": %d,\n\
-    \  \"entries\": [\n%s\n  ],\n\
-    \  \"median_speedup\": %.2f,\n\
-    \  \"parallel_fused_speedup\": %.2f,\n\
-    \  \"dict_column\": {\"class\": \"Document\", \"column\": \"author\", \
-     \"row_full_bytes\": %d, \"row_selective_bytes\": %d, \
-     \"columnar_selective_bytes\": %d, \"row_values_decoded\": %d, \
-     \"columnar_values_decoded\": %d, \"bytes_ratio\": %.2f},\n\
-    \  \"divergences\": %d\n\
-     }\n"
-    n_docs paras seed cores jobs reps
-    (String.concat ",\n" (List.map entry results))
-    median_speedup parallel_speedup bytes.row_full_bytes bytes.row_sel_bytes
-    bytes.col_sel_bytes bytes.row_values bytes.col_values bytes.ratio
-    (List.length (List.filter (fun r -> r.diverged) results));
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
 let () =
-  let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let n_docs = arg_value "--docs" 800 int_of_string in
-  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
-  let json_path = arg_value "--json" "BENCH_columnar.json" Fun.id in
-  let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
+  let n_docs = docs 800 in
+  let db = database n_docs in
   let ctx = Engine.exec_ctx db in
   let paras = Object_store.extent_size db.Db.store "Paragraph" in
-  let cores = Domain.recommended_domain_count () in
   (* worker count for the parallel-fused side: capped at the cores the
      host can actually run; a single-core host measures jobs=1, i.e. the
      identical serial path, and reports ~1.0x instead of handoff noise *)
   let jobs = max 1 (min 4 cores) in
   (* two on-disk images of the same database: one left row-slotted, one
      vacuumed to columnar segments *)
-  let base =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "soqm_bench_columnar_%d" (Unix.getpid ()))
-  in
-  let dir_row = base ^ "_row" and dir_col = base ^ "_col" in
-  rm_rf dir_row;
-  rm_rf dir_col;
+  with_temp_dir "soqm_columnar_row" @@ fun dir_row ->
+  with_temp_dir "soqm_columnar_col" @@ fun dir_col ->
   Db.save db dir_row;
   Db.save db dir_col;
   let row_store = D.Store.open_dir ~counters:(Counters.create ()) dir_row in
@@ -303,7 +248,7 @@ let () =
         (if r.diverged then "  DIVERGED" else ""))
     results;
   let median_speedup = median (List.map (fun r -> r.speedup) results) in
-  let divergences = List.filter (fun r -> r.diverged) results in
+  let divergences = List.length (List.filter (fun r -> r.diverged) results) in
   (* parallel fused throughput on the heaviest chain — informational on
      a single core, a real speedup only when cores allow *)
   let parallel_speedup =
@@ -331,35 +276,51 @@ let () =
     median_speedup min_median_speedup;
   Printf.printf "parallel fused speedup (jobs=%d, %d cores): %.2fx\n" jobs
     cores parallel_speedup;
-  write_json json_path ~n_docs ~paras ~seed ~cores ~jobs results bytes
-    ~median_speedup ~parallel_speedup;
-  Printf.printf "wrote %s\n" json_path;
   D.Store.close row_store;
   D.Store.close col_store;
-  rm_rf dir_row;
-  rm_rf dir_col;
-  let failed = ref false in
-  if divergences <> [] then begin
-    Printf.printf "FAIL: %d entries diverged across executors: %s\n"
-      (List.length divergences)
-      (String.concat ", " (List.map (fun r -> r.name) divergences));
-    failed := true
-  end;
-  if median_speedup < min_median_speedup then begin
-    Printf.printf "FAIL: median speedup %.2fx below the %.0fx bound\n"
-      median_speedup min_median_speedup;
-    failed := true
-  end;
-  if bytes.ratio < min_bytes_ratio then begin
-    Printf.printf "FAIL: dictionary-column byte ratio %.2fx below %.0fx\n"
-      bytes.ratio min_bytes_ratio;
-    failed := true
-  end;
-  if not !failed then
-    Printf.printf
-      "OK: columnar+fused %.2fx faster (median), %.1fx fewer bytes on the \
-       dictionary column, %d/%d results identical\n"
-      median_speedup bytes.ratio
-      (List.length results - List.length divergences)
-      (List.length results);
-  if !failed && assert_mode then exit 1
+  let entry r =
+    Obj
+      [
+        ("name", Str r.name);
+        ("out_rows", Int r.out_rows);
+        ("baseline_ns_per_row", Fixed (1, r.baseline_ns));
+        ("columnar_ns_per_row", Fixed (1, r.columnar_ns));
+        ("speedup", Fixed (2, r.speedup));
+        ("diverged", Bool r.diverged);
+      ]
+  in
+  write_json (json_path "columnar")
+    (header "columnar" ~n_docs ~paragraphs:paras ()
+    @ [
+        ("jobs", Int jobs);
+        ("reps", Int reps);
+        ("entries", List (List.map entry results));
+        ("median_speedup", Fixed (2, median_speedup));
+        ("parallel_fused_speedup", Fixed (2, parallel_speedup));
+        ( "dict_column",
+          Obj
+            [
+              ("class", Str "Document");
+              ("column", Str "author");
+              ("row_full_bytes", Int bytes.row_full_bytes);
+              ("row_selective_bytes", Int bytes.row_sel_bytes);
+              ("columnar_selective_bytes", Int bytes.col_sel_bytes);
+              ("row_values_decoded", Int bytes.row_values);
+              ("columnar_values_decoded", Int bytes.col_values);
+              ("bytes_ratio", Fixed (2, bytes.ratio));
+            ] );
+        ("divergences", Int divergences);
+      ]);
+  check
+    (Printf.sprintf "%d/%d entries identical across executors"
+       (List.length results - divergences)
+       (List.length results))
+    (divergences = 0);
+  check
+    (Printf.sprintf "median storage-to-kernel speedup >= %.0fx"
+       min_median_speedup)
+    (median_speedup >= min_median_speedup);
+  check
+    (Printf.sprintf "dictionary-column byte ratio >= %.0fx" min_bytes_ratio)
+    (bytes.ratio >= min_bytes_ratio);
+  finish ()

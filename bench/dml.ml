@@ -23,12 +23,9 @@
       full [Db.refresh] per update batch, and a mixed read/write
       workload.
 
-   Run with:     dune exec bench/dml.exe
-   Assert mode:  dune exec bench/dml.exe -- --assert [--docs N] [--seed N]
-   (exit code 1 when a bound is violated)
-
-   [--seed N] regenerates the database from a different Datagen seed
-   (default 42); shared across all benches. *)
+   Run with:  dune exec bench/dml.exe -- [--assert] [--docs N] [--seed N]
+   Every check runs in any mode; [--assert] skips the two throughput
+   tables.  The exit code is 1 iff a check failed. *)
 
 open Soqm_vml
 open Soqm_core
@@ -53,14 +50,6 @@ let queries =
       "ACCESS p FROM p IN Paragraph WHERE \
        p->contains_string('Implementation')" );
   ]
-
-let failures = ref 0
-
-let check name ok =
-  if not ok then (
-    incr failures;
-    Printf.printf "FAIL %s\n" name)
-  else Printf.printf "ok   %s\n" name
 
 (* ------------------------------------------------------------------ *)
 (* Update workload: flip word counts across the 500 boundary, rewrite   *)
@@ -126,10 +115,10 @@ let large_sets_consistent store =
 
 (* ------------------------------------------------------------------ *)
 
-let run_gate ~n_docs ~seed =
+let run_gate ~n_docs =
   Printf.printf
     "== DML gate: maintained database vs rebuild-from-scratch oracle ==\n";
-  let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
+  let db = database n_docs in
   let store = db.Db.store in
   let engine = Engine.generate db in
   Counters.reset (Db.counters db) Maintenance;
@@ -151,16 +140,7 @@ let run_gate ~n_docs ~seed =
      reload (indexes, statistics and implied sets re-derived from base
      data), fresh optimizer *)
   let oracle_db =
-    let dir = Filename.temp_file "soqm_dml" ".db" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o755;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter
-          (fun e -> Sys.remove (Filename.concat dir e))
-          (Sys.readdir dir);
-        Unix.rmdir dir)
-      (fun () ->
+    with_temp_dir "soqm_dml" (fun dir ->
         Db.save db dir;
         Db.load dir)
   in
@@ -219,9 +199,9 @@ let run_gate ~n_docs ~seed =
 (* EXPERIMENTS tables                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let throughput_table ~n_docs ~seed dt_incremental =
+let throughput_table ~n_docs dt_incremental =
   Printf.printf "\n== update throughput: incremental vs full rebuild ==\n";
-  let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
+  let db = database n_docs in
   let n_updates =
     2 * ((Object_store.extent_size db.Db.store "Paragraph" + 7) / 8)
   in
@@ -238,13 +218,13 @@ let throughput_table ~n_docs ~seed dt_incremental =
      path)\n"
     (dt_refresh *. float_of_int n_updates /. dt_incremental)
 
-let mixed_workload_table ~n_docs ~seed =
+let mixed_workload_table ~n_docs =
   Printf.printf "\n== mixed read/write workload (300 ops) ==\n";
   Printf.printf "%-12s %10s %12s %12s %10s\n" "write frac" "time(ms)"
     "cache hits" "cache miss" "hit rate";
   List.iter
     (fun write_frac ->
-      let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
+      let db = database n_docs in
       let engine = Engine.generate db in
       let paras =
         Array.of_list (Object_store.extent db.Db.store "Paragraph")
@@ -276,14 +256,9 @@ let mixed_workload_table ~n_docs ~seed =
     [ 0; 10; 30 ]
 
 let () =
-  let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let n_docs = arg_value "--docs" 100 int_of_string in
-  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
-  let dt_updates = run_gate ~n_docs ~seed in
+  let n_docs = docs 100 in
+  let dt_updates = run_gate ~n_docs in
   if not assert_mode then (
-    throughput_table ~n_docs ~seed dt_updates;
-    mixed_workload_table ~n_docs ~seed);
-  if !failures > 0 then (
-    Printf.printf "\n%d check(s) FAILED\n" !failures;
-    exit 1)
-  else Printf.printf "\nall checks passed\n"
+    throughput_table ~n_docs dt_updates;
+    mixed_workload_table ~n_docs);
+  finish ()

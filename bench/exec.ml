@@ -17,15 +17,11 @@
    repeatedly through a generated engine must keep the >= 90% hit rate
    established in PR 2 (hits now also skip plan compilation).
 
-   Run with:     dune exec bench/exec.exe
-   Assert mode:  dune exec bench/exec.exe -- --assert [--docs N] [--seed N]
-                                             [--json PATH]
-   (exit code 1 when median speedup < 3x, any result diverges, or the
-   plan-cache hit rate drops below 90%)
-
-   [--seed N] regenerates the database from a different Datagen seed
-   (default 42); all benches share the flag so a run over several seeds
-   exercises the gates on independent data sets. *)
+   Run with:  dune exec bench/exec.exe -- [--assert] [--docs N] [--seed N]
+                [--json PATH]
+   Every check runs with or without [--assert]; the exit code is 1 iff
+   the median speedup is < 3x, any result diverges, or the plan-cache
+   hit rate drops below 90%. *)
 
 open Soqm_vml
 open Soqm_core
@@ -166,50 +162,12 @@ let measure_entry ctx (name, plan) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission (BENCH_exec.json)                                     *)
-(* ------------------------------------------------------------------ *)
-
-let write_json path ~n_docs ~paras ~seed ~cores results ~median_speedup
-    ~median_compiled_ns ~hit_rate =
-  let oc = open_out path in
-  let entry r =
-    Printf.sprintf
-      "    {\"name\": %S, \"rows\": %d, \"interpreted_ns_per_row\": %.1f, \
-       \"compiled_ns_per_row\": %.1f, \"speedup\": %.2f, \"diverged\": %b}"
-      r.name r.rows r.interp_ns r.compiled_ns r.speedup r.diverged
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"exec\",\n\
-    \  \"n_docs\": %d,\n\
-    \  \"paragraphs\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"block_size\": %d,\n\
-    \  \"reps\": %d,\n\
-    \  \"entries\": [\n%s\n  ],\n\
-    \  \"median_speedup\": %.2f,\n\
-    \  \"median_compiled_ns_per_row\": %.1f,\n\
-    \  \"divergences\": %d,\n\
-    \  \"plan_cache_hit_rate\": %.3f\n\
-     }\n"
-    n_docs paras seed cores P.Exec.block_size reps
-    (String.concat ",\n" (List.map entry results))
-    median_speedup median_compiled_ns
-    (List.length (List.filter (fun r -> r.diverged) results))
-    hit_rate;
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let n_docs = arg_value "--docs" 800 int_of_string in
-  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
-  let json_path = arg_value "--json" "BENCH_exec.json" Fun.id in
-  let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
+  let n_docs = docs 800 in
+  let db = database n_docs in
   let ctx = Engine.exec_ctx db in
   let schema = Object_store.schema db.Db.store in
   let paras = Object_store.extent_size db.Db.store "Paragraph" in
@@ -230,7 +188,7 @@ let () =
      the mix, recorded in the JSON so check_exec.sh can bound drift
      against the committed value *)
   let median_compiled_ns = median (List.map (fun r -> r.compiled_ns) results) in
-  let divergences = List.filter (fun r -> r.diverged) results in
+  let divergences = List.length (List.filter (fun r -> r.diverged) results) in
   (* plan-cache hit rate with compiled plans cached (PR 2 invariant) *)
   let engine = Engine.generate db in
   for _ = 1 to 20 do
@@ -242,31 +200,37 @@ let () =
     min_median_speedup;
   Printf.printf "plan-cache hit rate over %d runs: %.1f%% (bound %.0f%%)\n"
     (hits + misses) (100. *. hit_rate) (100. *. min_hit_rate);
-  write_json json_path ~n_docs ~paras ~seed
-    ~cores:(Domain.recommended_domain_count ())
-    results ~median_speedup ~median_compiled_ns ~hit_rate;
-  Printf.printf "wrote %s\n" json_path;
-  let failed = ref false in
-  if divergences <> [] then begin
-    Printf.printf "FAIL: %d entries diverged between executors: %s\n"
-      (List.length divergences)
-      (String.concat ", " (List.map (fun r -> r.name) divergences));
-    failed := true
-  end;
-  if median_speedup < min_median_speedup then begin
-    Printf.printf "FAIL: median speedup %.2fx below the %.0fx bound\n"
-      median_speedup min_median_speedup;
-    failed := true
-  end;
-  if hit_rate < min_hit_rate then begin
-    Printf.printf "FAIL: plan-cache hit rate %.1f%% below %.0f%%\n"
-      (100. *. hit_rate) (100. *. min_hit_rate);
-    failed := true
-  end;
-  if not !failed then
-    Printf.printf "OK: compiled executor %.2fx faster (median), %d/%d results \
-                   identical, cache hot\n"
-      median_speedup
-      (List.length results - List.length divergences)
-      (List.length results);
-  if !failed && assert_mode then exit 1
+  let entry r =
+    Obj
+      [
+        ("name", Str r.name);
+        ("rows", Int r.rows);
+        ("interpreted_ns_per_row", Fixed (1, r.interp_ns));
+        ("compiled_ns_per_row", Fixed (1, r.compiled_ns));
+        ("speedup", Fixed (2, r.speedup));
+        ("diverged", Bool r.diverged);
+      ]
+  in
+  write_json (json_path "exec")
+    (header "exec" ~n_docs ~paragraphs:paras ()
+    @ [
+        ("block_size", Int P.Exec.block_size);
+        ("reps", Int reps);
+        ("entries", List (List.map entry results));
+        ("median_speedup", Fixed (2, median_speedup));
+        ("median_compiled_ns_per_row", Fixed (1, median_compiled_ns));
+        ("divergences", Int divergences);
+        ("plan_cache_hit_rate", Fixed (3, hit_rate));
+      ]);
+  check
+    (Printf.sprintf "%d/%d entries identical between executors"
+       (List.length results - divergences)
+       (List.length results))
+    (divergences = 0);
+  check
+    (Printf.sprintf "median speedup >= %.0fx" min_median_speedup)
+    (median_speedup >= min_median_speedup);
+  check
+    (Printf.sprintf "plan-cache hit rate >= %.0f%%" (100. *. min_hit_rate))
+    (hit_rate >= min_hit_rate);
+  finish ()

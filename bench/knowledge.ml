@@ -21,11 +21,10 @@
       cost by >= 2x — while agreeing with it exactly, on the whole
       EXP-A mix plus the threshold queries.
 
-   Run with:     dune exec bench/knowledge.exe
-   Assert mode:  dune exec bench/knowledge.exe -- --assert [--docs N] [--seed N]
-   (exit code 1 when a bound is violated)
-
-   Emits BENCH_knowledge.json; [--seed N] is shared across all benches. *)
+   Run with:  dune exec bench/knowledge.exe -- [--assert] [--docs N]
+                [--seed N] [--json PATH]
+   Every check runs with or without [--assert]; the exit code is 1 iff
+   one failed.  Emits BENCH_knowledge.json. *)
 
 open Soqm_vml
 open Soqm_core
@@ -60,54 +59,12 @@ let derived_query = "ACCESS p FROM p IN Paragraph WHERE p.word_count > 800"
 let min_derived = 100
 let min_cost_ratio = 2.0
 
-let failures = ref 0
-
-let check name ok =
-  if not ok then (
-    incr failures;
-    Printf.printf "FAIL %s\n" name)
-  else Printf.printf "ok   %s\n" name
-
-(* ------------------------------------------------------------------ *)
-(* JSON emission (BENCH_knowledge.json)                                 *)
-(* ------------------------------------------------------------------ *)
-
-let write_json path ~n_docs ~seed ~cores ~declared ~derived ~subsumed ~rounds
-    ~truncated ~saturate_ms ~rules_sound ~rules_total ~mutations_refuted
-    ~mutations_total ~models_checked ~check_ms ~divergences ~naive_cost
-    ~opt_cost ~ratio =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"knowledge\",\n\
-    \  \"n_docs\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"saturation\": {\"declared\": %d, \"derived\": %d, \"subsumed\": %d, \
-     \"rounds\": %d, \"truncated\": %b, \"ms\": %.1f, \"min_derived\": %d},\n\
-    \  \"checker\": {\"rules_sound\": %d, \"rules_total\": %d, \
-     \"mutations_refuted\": %d, \"mutations_total\": %d, \"models_checked\": \
-     %d, \"ms\": %.1f},\n\
-    \  \"optimizer\": {\"parity_divergences\": %d, \"naive_cost\": %.1f, \
-     \"saturated_cost\": %.1f, \"cost_ratio\": %.2f, \"bound\": %.2f, \
-     \"speedup_gate_enforced\": true}\n\
-     }\n"
-    n_docs seed cores declared derived subsumed rounds truncated saturate_ms
-    min_derived rules_sound rules_total mutations_refuted mutations_total
-    models_checked check_ms divergences naive_cost opt_cost ratio
-    min_cost_ratio;
-  close_out oc
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let n_docs = arg_value "--docs" 200 int_of_string in
-  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
-  let json_path = arg_value "--json" "BENCH_knowledge.json" Fun.id in
-  let cores = Domain.recommended_domain_count () in
+  let n_docs = docs 200 in
   let schema = Doc_schema.schema in
   Printf.printf "knowledge bench (n_docs=%d, seed=%d, %d core(s))\n\n" n_docs
     seed cores;
@@ -183,7 +140,7 @@ let () =
     (refuted = List.length mutations);
 
   (* -- claim 3: saturation pays, and stays correct ----------------- *)
-  let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
+  let db = database n_docs in
   let config =
     { Soqm_optimizer.Search.default_config with max_variants = 400 }
   in
@@ -217,18 +174,39 @@ let () =
        min_cost_ratio)
     (ratio >= min_cost_ratio);
 
-  write_json json_path ~n_docs ~seed ~cores ~declared:stats.Saturate.declared
-    ~derived:stats.Saturate.derived ~subsumed:stats.Saturate.subsumed
-    ~rounds:stats.Saturate.rounds ~truncated:stats.Saturate.truncated
-    ~saturate_ms:(saturate_s *. 1000.) ~rules_sound:sound
-    ~rules_total:(List.length checked) ~mutations_refuted:refuted
-    ~mutations_total:(List.length mutations)
-    ~models_checked:(Counters.get counters Models_checked)
-    ~check_ms:((check_s +. refute_s) *. 1000.)
-    ~divergences:!divergences ~naive_cost ~opt_cost ~ratio;
-  Printf.printf "\nwrote %s\n" json_path;
-
-  if assert_mode && !failures > 0 then begin
-    Printf.printf "\n%d gate(s) FAILED\n" !failures;
-    exit 1
-  end
+  write_json (json_path "knowledge")
+    (header "knowledge" ~n_docs ()
+    @ [
+        ( "saturation",
+          Obj
+            [
+              ("declared", Int stats.Saturate.declared);
+              ("derived", Int stats.Saturate.derived);
+              ("subsumed", Int stats.Saturate.subsumed);
+              ("rounds", Int stats.Saturate.rounds);
+              ("truncated", Bool stats.Saturate.truncated);
+              ("ms", Fixed (1, saturate_s *. 1000.));
+              ("min_derived", Int min_derived);
+            ] );
+        ( "checker",
+          Obj
+            [
+              ("rules_sound", Int sound);
+              ("rules_total", Int (List.length checked));
+              ("mutations_refuted", Int refuted);
+              ("mutations_total", Int (List.length mutations));
+              ("models_checked", Int (Counters.get counters Models_checked));
+              ("ms", Fixed (1, (check_s +. refute_s) *. 1000.));
+            ] );
+        ( "optimizer",
+          Obj
+            [
+              ("parity_divergences", Int !divergences);
+              ("naive_cost", Fixed (1, naive_cost));
+              ("saturated_cost", Fixed (1, opt_cost));
+              ("cost_ratio", Fixed (2, ratio));
+              ("bound", Fixed (2, min_cost_ratio));
+              ("speedup_gate_enforced", Bool true);
+            ] );
+      ]);
+  finish ()

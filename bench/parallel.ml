@@ -33,14 +33,11 @@
       visible reason (divergence and serial-dispatch checks always
       apply).
 
-   Run with:     dune exec bench/parallel.exe
-   Assert mode:  dune exec bench/parallel.exe -- --assert [--docs N]
-                                                 [--seed N] [--json PATH]
-   (exit code 1 when an enforced bound is violated)
-
-   [--seed N] regenerates the databases from a different Datagen seed
-   (default 42); shared across all benches.  Writes BENCH_parallel.json
-   (same schema family as BENCH_exec.json). *)
+   Run with:  dune exec bench/parallel.exe -- [--assert] [--docs N]
+                [--seed N] [--json PATH]
+   Every check runs with or without [--assert]; the exit code is 1 iff
+   an enforced bound is violated.  Writes BENCH_parallel.json (same
+   schema family as BENCH_exec.json). *)
 
 open Soqm_vml
 open Soqm_core
@@ -173,11 +170,10 @@ let divergent_on ctx db ~naive (name, plan) =
     not (A.Relation.equal serial (Engine.run_logical_reference db query_q))
   | _ -> false
 
-let divergences ~seed ~n_docs schema =
-  let db_of n = Db.create ~params:{ Datagen.default with n_docs = n; seed } () in
-  let parity_db = db_of (min n_docs parity_docs) in
+let divergences ~n_docs schema =
+  let parity_db = database (min n_docs parity_docs) in
   let parity_ctx = Engine.exec_ctx parity_db in
-  let naive_db = db_of (min n_docs naive_docs) in
+  let naive_db = database (min n_docs naive_docs) in
   let naive_ctx = Engine.exec_ctx naive_db in
   List.filter_map
     (fun entry ->
@@ -267,59 +263,15 @@ let serial_dispatch ctx entries =
   in
   (morsels, P.Pool.total_spawned () - spawned_before)
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (BENCH_parallel.json)                                 *)
-(* ------------------------------------------------------------------ *)
-
 let per_row r t = t /. float_of_int (max 1 r.rows) *. 1e9
-
-let write_json path ~n_docs ~paras ~seed ~cores ~enforced results
-    ~median_speedup ~serial_ratio ~jobs1_morsels ~jobs1_spawned ~divergences
-    =
-  let oc = open_out path in
-  let entry r =
-    Printf.sprintf
-      "    {\"name\": %S, \"rows\": %d, \"jobs1_ns_per_row\": %.1f, \
-       \"jobs%d_ns_per_row\": %.1f, \"speedup\": %.2f}"
-      r.name r.rows (per_row r r.jobs1_s) jobs_hi (per_row r r.par_s)
-      r.speedup
-  in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"parallel\",\n\
-    \  \"n_docs\": %d,\n\
-    \  \"paragraphs\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"block_size\": %d,\n\
-    \  \"morsel_size\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"reps\": %d,\n\
-    \  \"entries\": [\n%s\n  ],\n\
-    \  \"median_speedup\": %.2f,\n\
-    \  \"serial_regression\": %.3f,\n\
-    \  \"jobs1_morsels\": %d,\n\
-    \  \"jobs1_domains_spawned\": %d,\n\
-    \  \"divergences\": %d,\n\
-    \  \"speedup_gate_enforced\": %b\n\
-     }\n"
-    n_docs paras seed P.Exec.block_size P.Exec.morsel_size jobs_hi cores reps
-    (String.concat ",\n" (List.map entry results))
-    median_speedup serial_ratio jobs1_morsels jobs1_spawned
-    (List.length divergences) enforced;
-  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let n_docs = arg_value "--docs" 3200 int_of_string in
-  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
-  let json_path = arg_value "--json" "BENCH_parallel.json" Fun.id in
-  let cores = Domain.recommended_domain_count () in
-  let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
+  let n_docs = docs 3200 in
+  let db = database n_docs in
   let ctx = Engine.exec_ctx db in
   let schema = Object_store.schema db.Db.store in
   let paras = Object_store.extent_size db.Db.store "Paragraph" in
@@ -330,7 +282,7 @@ let () =
   Printf.printf
     "parity: 4 executors at n_docs=%d, Naive join oracle at n_docs=%d\n"
     (min n_docs parity_docs) (min n_docs naive_docs);
-  let diverged = divergences ~seed ~n_docs schema in
+  let diverged = divergences ~n_docs schema in
   Printf.printf "%-16s %10s %13s %13s %9s\n" "operator" "rows" "jobs1 ns/row"
     (Printf.sprintf "jobs%d ns/row" jobs_hi)
     "speedup";
@@ -357,40 +309,44 @@ let () =
     serial_ratio;
   Printf.printf "jobs=1 dispatch: %d morsel(s) recorded, %d domain(s) spawned\n"
     jobs1_morsels jobs1_spawned;
-  write_json json_path ~n_docs ~paras ~seed ~cores ~enforced results
-    ~median_speedup ~serial_ratio ~jobs1_morsels ~jobs1_spawned
-    ~divergences:diverged;
-  Printf.printf "wrote %s\n" json_path;
-  let failed = ref false in
-  if diverged <> [] then begin
-    Printf.printf "FAIL: %d entries diverged between executors: %s\n"
-      (List.length diverged)
-      (String.concat ", " diverged);
-    failed := true
-  end;
-  if jobs1_morsels <> 0 || jobs1_spawned <> 0 then begin
-    Printf.printf
-      "FAIL: jobs=1 left the block driver (%d morsels, %d domains spawned)\n"
-      jobs1_morsels jobs1_spawned;
-    failed := true
-  end;
-  if enforced then begin
-    if median_speedup < min_median_speedup then begin
-      Printf.printf "FAIL: median speedup %.2fx below the %.1fx bound\n"
-        median_speedup min_median_speedup;
-      failed := true
-    end
-  end
+  let entry r =
+    Obj
+      [
+        ("name", Str r.name);
+        ("rows", Int r.rows);
+        ("jobs1_ns_per_row", Fixed (1, per_row r r.jobs1_s));
+        (Printf.sprintf "jobs%d_ns_per_row" jobs_hi, Fixed (1, per_row r r.par_s));
+        ("speedup", Fixed (2, r.speedup));
+      ]
+  in
+  write_json (json_path "parallel")
+    (header "parallel" ~n_docs ~paragraphs:paras ()
+    @ [
+        ("block_size", Int P.Exec.block_size);
+        ("morsel_size", Int P.Exec.morsel_size);
+        ("jobs", Int jobs_hi);
+        ("reps", Int reps);
+        ("entries", List (List.map entry results));
+        ("median_speedup", Fixed (2, median_speedup));
+        ("serial_regression", Fixed (3, serial_ratio));
+        ("jobs1_morsels", Int jobs1_morsels);
+        ("jobs1_domains_spawned", Int jobs1_spawned);
+        ("divergences", Int (List.length diverged));
+        ("speedup_gate_enforced", Bool enforced);
+      ]);
+  check
+    (Printf.sprintf "%d/%d entries identical under jobs in {1,2,%d}"
+       (List.length results - List.length diverged)
+       (List.length results) jobs_hi)
+    (diverged = []);
+  check "jobs=1 stays on the block driver (no morsels, no domains)"
+    (jobs1_morsels = 0 && jobs1_spawned = 0);
+  if enforced then
+    check
+      (Printf.sprintf "median speedup at jobs=%d >= %.1fx" jobs_hi
+         min_median_speedup)
+      (median_speedup >= min_median_speedup)
   else
     Printf.printf
-      "SKIP: speedup bound needs >= %d cores, host reports %d (divergence \
-       and serial-dispatch checks still enforced)\n"
-      jobs_hi cores;
-  if not !failed then
-    Printf.printf "OK: %d/%d results identical under jobs in {2,%d}%s\n"
-      (List.length results - List.length diverged)
-      (List.length results) jobs_hi
-      (if enforced then
-         Printf.sprintf ", median parallel speedup %.2fx" median_speedup
-       else "");
-  if !failed && assert_mode then exit 1
+      "SKIP speedup bound needs >= %d cores, host reports %d\n" jobs_hi cores;
+  finish ()

@@ -14,13 +14,10 @@
       and [Relation.equal] must hold between both results at every size
       the naive side runs at.
 
-   Run with:     dune exec bench/scaling.exe
-   Assert mode:  dune exec bench/scaling.exe -- --assert [--seed N]
-                                                [--json PATH]
-   (exit code 1 when a bound is violated)
-
-   [--seed N] regenerates the databases from a different Datagen seed
-   (default 42); shared across all benches.
+   Run with:  dune exec bench/scaling.exe -- [--assert] [--seed N]
+                [--json PATH]
+   Both checks run with or without [--assert]; the exit code is 1 iff
+   one failed.
 
    [--json PATH] additionally writes the measured rows and fitted
    exponents as machine-readable JSON (same shape family as
@@ -75,6 +72,10 @@ let sizes = [ 50; 200; 800; 3200 ]
    minutes beyond it (that is the point of this PR). *)
 let naive_max = 800
 
+(* gates *)
+let max_exponent = 1.75
+let min_naive_speedup = 5.0
+
 type row = {
   n_docs : int;
   paras : int;
@@ -102,11 +103,10 @@ let hash_suite store sections documents paragraphs selected =
   let d = A.Eval.run store diff_term in
   (j, nj, d)
 
-let measure ~seed =
+let measure () =
   List.map
     (fun n_docs ->
-      let db = Db.create ~params:{ Datagen.default with n_docs; seed } () in
-      let store = db.Db.store in
+      let store = (database n_docs).Db.store in
       let schema = Object_store.schema store in
       let q_term = Soqm_vql.To_algebra.query_to_algebra schema query_q in
       let _, q_s = time_best (fun () -> ignore (A.Eval.run store q_term)) in
@@ -151,37 +151,11 @@ let exponent rows value =
     log (value b /. value a) /. log (float b.paras /. float a.paras)
   | _ -> nan
 
-let json_of_rows rows ~e_q ~e_join =
-  let row r =
-    let naive =
-      match r.naive_join_s with
-      | Some s -> Printf.sprintf "%.6f" s
-      | None -> "null"
-    in
-    Printf.sprintf
-      "    {\"n_docs\": %d, \"paragraphs\": %d, \"worked_q_s\": %.6f, \
-       \"joins_s\": %.6f, \"naive_joins_s\": %s}"
-      r.n_docs r.paras r.q_s r.join_s naive
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"bench\": \"scaling\",\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"exponent_worked_q\": %.3f,\n\
-    \  \"exponent_joins\": %.3f\n\
-     }\n"
-    (String.concat ",\n" (List.map row rows))
-    e_q e_join
-
 let () =
-  let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let json_path = arg_value "--json" None Option.some in
-  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
-  let failed = ref false in
   Printf.printf "logical-evaluator scaling (reference interpreter, Eval.run)\n";
   Printf.printf "%8s %12s | %12s %12s %14s %9s\n" "docs" "paragraphs"
     "worked Q (s)" "joins (s)" "naive joins(s)" "speedup";
-  let rows = measure ~seed in
+  let rows = measure () in
   List.iter
     (fun r ->
       let naive, speedup =
@@ -197,36 +171,41 @@ let () =
   Printf.printf
     "\ngrowth exponent over the last size doubling: worked Q %.2f, joins %.2f\n"
     e_q e_join;
-  (match json_path with
+  (match arg_value "--json" None Option.some with
   | Some path ->
-    let oc = open_out path in
-    output_string oc (json_of_rows rows ~e_q ~e_join);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
+    let row r =
+      Obj
+        [
+          ("n_docs", Int r.n_docs);
+          ("paragraphs", Int r.paras);
+          ("worked_q_s", Fixed (6, r.q_s));
+          ("joins_s", Fixed (6, r.join_s));
+          ( "naive_joins_s",
+            Option.fold ~none:Null ~some:(fun s -> Fixed (6, s)) r.naive_join_s
+          );
+        ]
+    in
+    write_json path
+      [
+        ("bench", Str "scaling");
+        ("rows", List (List.map row rows));
+        ("exponent_worked_q", Fixed (3, e_q));
+        ("exponent_joins", Fixed (3, e_join));
+      ]
   | None -> ());
-  let bound = 1.75 in
-  if e_join > bound || e_q > bound then (
-    Printf.printf "FAIL: evaluator scales superlinearly (bound %.2f)\n" bound;
-    failed := true)
-  else Printf.printf "OK: no quadratic blow-up (bound %.2f)\n" bound;
-  (match
-     List.find_opt (fun r -> r.n_docs = naive_max) rows
-   with
-  | Some ({ naive_join_s = Some naive_s; _ } as r) ->
-    let speedup = naive_s /. r.join_s in
-    let min_speedup = 5.0 in
-    if speedup >= min_speedup then
-      Printf.printf
-        "OK: hash evaluator is %.1fx faster than the seed operators at \
-         n_docs=%d (bound %.0fx)\n"
-        speedup naive_max min_speedup
-    else (
-      Printf.printf
-        "FAIL: hash evaluator only %.1fx faster than the seed operators at \
-         n_docs=%d (bound %.0fx)\n"
-        speedup naive_max min_speedup;
-      failed := true)
-  | _ ->
-    Printf.printf "FAIL: no naive measurement at n_docs=%d\n" naive_max;
-    failed := true);
-  if !failed && assert_mode then exit 1
+  check
+    (Printf.sprintf "no quadratic blow-up (growth exponent <= %.2f)"
+       max_exponent)
+    (Float.max e_q e_join <= max_exponent);
+  let naive_speedup =
+    match List.find_opt (fun r -> r.n_docs = naive_max) rows with
+    | Some { naive_join_s = Some naive_s; join_s; _ } -> naive_s /. join_s
+    | _ -> 0.
+  in
+  Printf.printf "hash evaluator vs the seed operators at n_docs=%d: %.1fx\n"
+    naive_max naive_speedup;
+  check
+    (Printf.sprintf "hash evaluator >= %.0fx faster than the seed operators"
+       min_naive_speedup)
+    (naive_speedup >= min_naive_speedup);
+  finish ()

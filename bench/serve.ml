@@ -25,12 +25,10 @@
       with >= 4 cores, mirroring bench/parallel.ml — bounds on p99
       latency and aggregate throughput.
 
-   Run with:     dune exec bench/serve.exe
-   Assert mode:  dune exec bench/serve.exe -- --assert [--docs N]
-                 [--clients N] [--ops N] [--seed N]
-   (exit code 1 when a bound is violated)
-
-   Emits BENCH_serve.json; [--seed N] is shared across all benches. *)
+   Run with:  dune exec bench/serve.exe -- [--assert] [--docs N]
+                [--clients N] [--ops N] [--seed N] [--json PATH]
+   Every check runs with or without [--assert]; the exit code is 1 iff
+   one failed.  Emits BENCH_serve.json. *)
 
 open Soqm_vml
 open Soqm_core
@@ -58,14 +56,6 @@ let max_fsync_per_commit = 1.0
 let max_p99_ms = 200.
 let min_throughput_rps = 300.
 let min_cores_for_latency_gate = 4
-
-let failures = ref 0
-
-let check name ok =
-  if not ok then (
-    incr failures;
-    Printf.printf "FAIL %s\n" name)
-  else Printf.printf "ok   %s\n" name
 
 let rt = Protocol.roundtrip
 
@@ -134,11 +124,13 @@ let client_body ~port ~ops ~expected ~shared ~own ~out_path =
       attempt 0
   done;
   Unix.close c;
-  let oc = open_out out_path in
-  Printf.fprintf oc "committed %d\nconflicts %d\nanomalies %d\nown_final %d\n"
-    res.committed res.conflicts res.anomalies res.own_final;
-  List.iter (fun l -> Printf.fprintf oc "lat %.9f\n" l) !(res.lats);
-  close_out oc
+  Out_channel.with_open_text out_path (fun oc ->
+      output_string oc
+        (Printf.sprintf "committed %d\nconflicts %d\nanomalies %d\nown_final %d\n"
+           res.committed res.conflicts res.anomalies res.own_final);
+      List.iter
+        (fun l -> output_string oc (Printf.sprintf "lat %.9f\n" l))
+        !(res.lats))
 
 let client_main () =
   let port = arg_value "--client-port" 0 int_of_string in
@@ -187,38 +179,6 @@ let percentile sorted p =
   else sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1 |> max 0))
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission (BENCH_serve.json)                                    *)
-(* ------------------------------------------------------------------ *)
-
-let write_json path ~n_docs ~seed ~cores ~clients ~ops ~requests ~wall_s
-    ~throughput ~p50_ms ~p99_ms ~enforced ~anomalies ~lost ~initial ~final
-    ~committed ~conflicts ~wal_commits ~wal_fsyncs ~fsync_ratio =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"serve\",\n\
-    \  \"n_docs\": %d,\n\
-    \  \"seed\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"ops_per_client\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"wall_s\": %.3f,\n\
-    \  \"throughput_rps\": %.1f,\n\
-    \  \"latency_ms\": {\"p50\": %.3f, \"p99\": %.3f, \"p99_bound\": %.1f, \
-     \"min_rps\": %.1f, \"gates_enforced\": %b},\n\
-    \  \"isolation\": {\"anomalies\": %d, \"lost_updates\": %d, \
-     \"shared_initial\": %d, \"shared_final\": %d, \"committed\": %d, \
-     \"conflicts\": %d},\n\
-    \  \"group_commit\": {\"wal_commits\": %d, \"wal_fsyncs\": %d, \
-     \"fsyncs_per_commit\": %.3f, \"bound\": %.1f}\n\
-     }\n"
-    n_docs seed cores clients ops requests wall_s throughput p50_ms p99_ms
-    max_p99_ms min_throughput_rps enforced anomalies lost initial final
-    committed conflicts wal_commits wal_fsyncs fsync_ratio max_fsync_per_commit;
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -227,14 +187,10 @@ let () =
     client_main ();
     exit 0
   end;
-  let assert_mode = Array.exists (String.equal "--assert") Sys.argv in
-  let n_docs = arg_value "--docs" 200 int_of_string in
-  let seed = arg_value "--seed" Datagen.default.Datagen.seed int_of_string in
+  let n_docs = docs 200 in
   let clients = max 8 (arg_value "--clients" 8 int_of_string) in
   let ops = arg_value "--ops" 150 int_of_string in
-  let json_path = arg_value "--json" "BENCH_serve.json" Fun.id in
-  let cores = Domain.recommended_domain_count () in
-  let mem = Db.create ~params:{ Datagen.default with n_docs; seed } () in
+  let mem = database n_docs in
   (* expected row counts, computed once on the in-memory twin *)
   let expected =
     let engine = Engine.generate mem in
@@ -364,9 +320,40 @@ let () =
   else
     Printf.printf "note: %d core(s) < %d, latency/throughput gates recorded only\n"
       cores min_cores_for_latency_gate;
-  write_json json_path ~n_docs ~seed ~cores ~clients ~ops ~requests ~wall_s
-    ~throughput ~p50_ms ~p99_ms ~enforced ~anomalies:!anomalies ~lost ~initial:0
-    ~final ~committed:!committed ~conflicts:!conflicts ~wal_commits ~wal_fsyncs
-    ~fsync_ratio;
-  Printf.printf "wrote %s\n" json_path;
-  if assert_mode && !failures > 0 then exit 1
+  write_json (json_path "serve")
+    (header "serve" ~n_docs ()
+    @ [
+        ("clients", Int clients);
+        ("ops_per_client", Int ops);
+        ("requests", Int requests);
+        ("wall_s", Fixed (3, wall_s));
+        ("throughput_rps", Fixed (1, throughput));
+        ( "latency_ms",
+          Obj
+            [
+              ("p50", Fixed (3, p50_ms));
+              ("p99", Fixed (3, p99_ms));
+              ("p99_bound", Fixed (1, max_p99_ms));
+              ("min_rps", Fixed (1, min_throughput_rps));
+              ("gates_enforced", Bool enforced);
+            ] );
+        ( "isolation",
+          Obj
+            [
+              ("anomalies", Int !anomalies);
+              ("lost_updates", Int lost);
+              ("shared_initial", Int 0);
+              ("shared_final", Int final);
+              ("committed", Int !committed);
+              ("conflicts", Int !conflicts);
+            ] );
+        ( "group_commit",
+          Obj
+            [
+              ("wal_commits", Int wal_commits);
+              ("wal_fsyncs", Int wal_fsyncs);
+              ("fsyncs_per_commit", Fixed (3, fsync_ratio));
+              ("bound", Fixed (1, max_fsync_per_commit));
+            ] );
+      ]);
+  finish ()

@@ -112,44 +112,51 @@ let store_errors f =
         Printf.sprintf "%s: %s (%s)" (if arg = "" then fn else arg)
           (Unix.error_message e) fn )
 
+(* Query failures print the one line the server answers with
+   ([Session.error_message]) and exit non-zero; an exception it does not
+   name is a bug and reaches cmdliner with its backtrace. *)
+let on_query_error e ~report =
+  let bt = Printexc.get_raw_backtrace () in
+  match Soqm_server.Session.error_message e with
+  | Some msg -> report msg
+  | None -> Printexc.raise_with_backtrace e bt
+
+let query_errors f =
+  try f () with e -> on_query_error e ~report:(fun msg -> `Error (false, msg))
+
 let run_cmd =
   let run query docs hit seed jobs disabled saturate trace naive dot =
-    try
-      let db = make_db ~jobs docs hit seed in
-      let classes =
-        List.filter (fun c -> not (List.mem c disabled)) Doc_knowledge.all_classes
-      in
-      let engine = Engine.generate ~classes ~saturate db in
-      let opt = Engine.run_optimized engine query in
-      (match opt.Engine.opt with
-      | Some o when trace ->
-        Format.printf "%a@."
-          (Soqm_optimizer.Trace.pp_result
-             ~provenance:(Engine.provenance engine))
-          o
-      | Some o -> Format.printf "%a@." Soqm_optimizer.Trace.pp_summary o
-      | None -> ());
-      (match opt.Engine.opt, dot with
-      | Some o, Some path ->
-        let oc = open_out path in
-        output_string oc (Soqm_optimizer.Dot.of_derivation o);
-        close_out oc;
-        Printf.printf "derivation graph written to %s\n" path
-      | _ -> ());
-      Format.printf "%a@." Soqm_algebra.Relation.pp opt.Engine.result;
-      print_report "optimized" opt;
-      if naive then (
-        let nv = Engine.run_naive db query in
-        print_report "naive" nv;
-        if not (Soqm_algebra.Relation.equal nv.Engine.result opt.Engine.result) then (
-          prerr_endline "ERROR: naive and optimized results differ!";
-          exit 2));
-      `Ok ()
-    with
-    | Soqm_vql.Parser.Error msg -> `Error (false, "parse error: " ^ msg)
-    | Soqm_vql.Typecheck.Error msg -> `Error (false, "type error: " ^ msg)
-    | Soqm_algebra.Eval.Error msg | Soqm_physical.Exec.Error msg ->
-      `Error (false, "execution error: " ^ msg)
+    query_errors @@ fun () ->
+    let db = make_db ~jobs docs hit seed in
+    let classes =
+      List.filter (fun c -> not (List.mem c disabled)) Doc_knowledge.all_classes
+    in
+    let engine = Engine.generate ~classes ~saturate db in
+    let opt = Engine.run_optimized engine query in
+    (match opt.Engine.opt with
+    | Some o when trace ->
+      Format.printf "%a@."
+        (Soqm_optimizer.Trace.pp_result
+           ~provenance:(Engine.provenance engine))
+        o
+    | Some o -> Format.printf "%a@." Soqm_optimizer.Trace.pp_summary o
+    | None -> ());
+    (match opt.Engine.opt, dot with
+    | Some o, Some path ->
+      let oc = open_out path in
+      output_string oc (Soqm_optimizer.Dot.of_derivation o);
+      close_out oc;
+      Printf.printf "derivation graph written to %s\n" path
+    | _ -> ());
+    Format.printf "%a@." Soqm_algebra.Relation.pp opt.Engine.result;
+    print_report "optimized" opt;
+    if naive then (
+      let nv = Engine.run_naive db query in
+      print_report "naive" nv;
+      if not (Soqm_algebra.Relation.equal nv.Engine.result opt.Engine.result) then (
+        prerr_endline "ERROR: naive and optimized results differ!";
+        exit 2));
+    `Ok ()
   in
   let doc = "Run a VQL query against a synthetic document database." in
   Cmd.v
@@ -180,91 +187,83 @@ let explain_cmd =
     Arg.(value & opt (some string) None & info [ "db" ] ~docv:"DIR" ~doc)
   in
   let explain query docs hit seed jobs disabled analyze db_dir pool_pages =
+    query_errors @@ fun () ->
     store_errors @@ fun () ->
-    try
-      let db =
-        match db_dir with
-        | Some dir -> Db.open_disk ~jobs ?pool_pages dir
-        | None -> make_db ~jobs docs hit seed
+    let db =
+      match db_dir with
+      | Some dir -> Db.open_disk ~jobs ?pool_pages dir
+      | None -> make_db ~jobs docs hit seed
+    in
+    let classes =
+      List.filter (fun c -> not (List.mem c disabled)) Doc_knowledge.all_classes
+    in
+    let engine = Engine.generate ~classes db in
+    let logical = Engine.logical_of_query db query in
+    match Engine.safe_to_optimize db logical with
+    | Error msg -> `Error (false, "cannot optimize: " ^ msg)
+    | Ok () ->
+      let opt, compiled = Engine.optimize_compiled engine logical in
+      (* the per-node morsel/partition columns follow the executor that
+         actually ran: [run_compiled] clamps [jobs] the same way *)
+      let ran_parallel =
+        Soqm_physical.Exec.effective_jobs (Engine.exec_ctx db) jobs compiled
+        > 1
       in
-      let classes =
-        List.filter (fun c -> not (List.mem c disabled)) Doc_knowledge.all_classes
+      let actuals =
+        if analyze then begin
+          let ns = Soqm_physical.Exec.make_stats compiled in
+          ignore
+            (Soqm_physical.Exec.run_compiled ~stats:ns ~jobs
+               (Engine.exec_ctx db) compiled);
+          Some ns
+        end
+        else None
       in
-      let engine = Engine.generate ~classes db in
-      let logical = Engine.logical_of_query db query in
-      match Engine.safe_to_optimize db logical with
-      | Error msg -> `Error (false, "cannot optimize: " ^ msg)
-      | Ok () ->
-        let opt, compiled = Engine.optimize_compiled engine logical in
-        (* the per-node morsel/partition columns follow the executor that
-           actually ran: [run_compiled] clamps [jobs] the same way *)
-        let ran_parallel =
-          Soqm_physical.Exec.effective_jobs (Engine.exec_ctx db) jobs compiled
-          > 1
+      let annot (c : Soqm_physical.Plan.compiled) =
+        let e = Soqm_physical.Cost.estimate db.Db.stats c.Soqm_physical.Plan.source in
+        let fused =
+          match Soqm_physical.Plan.fused_count c with
+          | 0 -> ""
+          | n -> Printf.sprintf " fused=%d" n
         in
-        let actuals =
-          if analyze then begin
-            let ns = Soqm_physical.Exec.make_stats compiled in
-            ignore
-              (Soqm_physical.Exec.run_compiled ~stats:ns ~jobs
-                 (Engine.exec_ctx db) compiled);
-            Some ns
-          end
-          else None
+        let est =
+          Printf.sprintf "width=%d est_rows=%.0f%s"
+            (Soqm_algebra.Relation.Layout.width c.Soqm_physical.Plan.layout)
+            e.Soqm_physical.Cost.card fused
         in
-        let annot (c : Soqm_physical.Plan.compiled) =
-          let e = Soqm_physical.Cost.estimate db.Db.stats c.Soqm_physical.Plan.source in
-          let fused =
-            match Soqm_physical.Plan.fused_count c with
-            | 0 -> ""
-            | n -> Printf.sprintf " fused=%d" n
+        match actuals with
+        | Some ns ->
+          let cid = c.Soqm_physical.Plan.cid in
+          let parallel =
+            if ran_parallel then
+              Printf.sprintf " morsels=%d parts=%d"
+                ns.Soqm_physical.Exec.node_morsels.(cid)
+                ns.Soqm_physical.Exec.node_partitions.(cid)
+            else ""
           in
-          let est =
-            Printf.sprintf "width=%d est_rows=%.0f%s"
-              (Soqm_algebra.Relation.Layout.width c.Soqm_physical.Plan.layout)
-              e.Soqm_physical.Cost.card fused
+          let pages =
+            if db.Db.disk <> None then
+              Printf.sprintf " pages=%d bytes=%d"
+                ns.Soqm_physical.Exec.node_pages.(cid)
+                ns.Soqm_physical.Exec.node_bytes.(cid)
+            else ""
           in
-          match actuals with
-          | Some ns ->
-            let cid = c.Soqm_physical.Plan.cid in
-            let parallel =
-              if ran_parallel then
-                Printf.sprintf " morsels=%d parts=%d"
-                  ns.Soqm_physical.Exec.node_morsels.(cid)
-                  ns.Soqm_physical.Exec.node_partitions.(cid)
-              else ""
-            in
-            let pages =
-              if db.Db.disk <> None then
-                Printf.sprintf " pages=%d bytes=%d"
-                  ns.Soqm_physical.Exec.node_pages.(cid)
-                  ns.Soqm_physical.Exec.node_bytes.(cid)
-              else ""
-            in
-            Printf.sprintf "(%s actual_rows=%d blocks=%d%s%s)" est
-              ns.Soqm_physical.Exec.node_rows.(cid)
-              ns.Soqm_physical.Exec.node_blocks.(cid)
-              parallel pages
-          | None -> Printf.sprintf "(%s)" est
-        in
-        Printf.printf
-          "plan: estimated cost %.1f, %d variant(s) explored, %d operator(s), \
-           block size %d\n"
-          opt.Soqm_optimizer.Search.best_cost
-          opt.Soqm_optimizer.Search.variants_explored
-          (Soqm_physical.Plan.node_count compiled)
-          Soqm_physical.Exec.block_size;
-        print_endline (Soqm_physical.Plan.compiled_to_string ~annot compiled);
-        Db.close db;
-        `Ok ()
-    with
-    | Soqm_vql.Parser.Error msg -> `Error (false, "parse error: " ^ msg)
-    | Soqm_vql.Typecheck.Error msg -> `Error (false, "type error: " ^ msg)
-    | Soqm_disk.Store.Format_error msg -> `Error (false, "bad database: " ^ msg)
-    | Soqm_physical.Plan.Compile_error msg ->
-      `Error (false, "compile error: " ^ msg)
-    | Soqm_algebra.Eval.Error msg | Soqm_physical.Exec.Error msg ->
-      `Error (false, "execution error: " ^ msg)
+          Printf.sprintf "(%s actual_rows=%d blocks=%d%s%s)" est
+            ns.Soqm_physical.Exec.node_rows.(cid)
+            ns.Soqm_physical.Exec.node_blocks.(cid)
+            parallel pages
+        | None -> Printf.sprintf "(%s)" est
+      in
+      Printf.printf
+        "plan: estimated cost %.1f, %d variant(s) explored, %d operator(s), \
+         block size %d\n"
+        opt.Soqm_optimizer.Search.best_cost
+        opt.Soqm_optimizer.Search.variants_explored
+        (Soqm_physical.Plan.node_count compiled)
+        Soqm_physical.Exec.block_size;
+      print_endline (Soqm_physical.Plan.compiled_to_string ~annot compiled);
+      Db.close db;
+      `Ok ()
   in
   let doc =
     "Print the optimized query's slot-compiled operator tree: per operator \
@@ -327,11 +326,7 @@ let repl_cmd =
            | None -> ());
            Format.printf "%a@." Soqm_algebra.Relation.pp opt.Engine.result;
            print_report "optimized" opt
-         with
-        | Soqm_vql.Parser.Error msg -> Printf.printf "parse error: %s\n" msg
-        | Soqm_vql.Typecheck.Error msg -> Printf.printf "type error: %s\n" msg
-        | Soqm_algebra.Eval.Error msg | Soqm_physical.Exec.Error msg ->
-          Printf.printf "execution error: %s\n" msg);
+         with e -> on_query_error e ~report:print_endline);
         loop ()
     in
     loop ()

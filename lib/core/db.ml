@@ -97,17 +97,18 @@ let attach_maintenance ?set_members t =
 
 let maintenance t = t.maint
 
-let create_empty ?(schema = Doc_schema.schema) ?(maintain = true) ?(jobs = 1) ()
-    =
-  let store = Object_store.create schema in
-  Doc_schema.install_internal_methods store;
+(* The one place that decides which access paths a document database
+   has: the three indexes (empty until [refresh] or a derived image
+   fills them) and the external methods and range counts built on them.
+   No maintenance, no disk. *)
+let make store ~stats ~jobs =
   let t =
     {
       store;
       title_index = Hash_index.create ~cls:"Document" ~prop:"title";
       word_count_index = Sorted_index.create ~cls:"Paragraph" ~prop:"word_count";
       text_index = Soqm_ir.Inverted_index.create ();
-      stats = Statistics.collect store;
+      stats;
       maint = None;
       default_jobs = max 1 jobs;
       disk = None;
@@ -116,6 +117,13 @@ let create_empty ?(schema = Doc_schema.schema) ?(maintain = true) ?(jobs = 1) ()
   in
   register_external_methods t;
   register_range_counts t;
+  t
+
+let create_empty ?(schema = Doc_schema.schema) ?(maintain = true) ?(jobs = 1) ()
+    =
+  let store = Object_store.create schema in
+  Doc_schema.install_internal_methods store;
+  let t = make store ~stats:(Statistics.collect store) ~jobs in
   if maintain then attach_maintenance t;
   t
 
@@ -330,21 +338,7 @@ let of_disk ~attach ~maintain ~jobs ~pool_pages path =
       Statistics.of_snapshot (Object_store.schema store) snap
     | _ -> Statistics.collect store
   in
-  let t =
-    {
-      store;
-      title_index = Hash_index.create ~cls:"Document" ~prop:"title";
-      word_count_index = Sorted_index.create ~cls:"Paragraph" ~prop:"word_count";
-      text_index = Soqm_ir.Inverted_index.create ();
-      stats;
-      maint = None;
-      default_jobs = max 1 jobs;
-      disk = None;
-      disk_buf = None;
-    }
-  in
-  register_external_methods t;
-  register_range_counts t;
+  let t = make store ~stats ~jobs in
   (match image with
   | Some img when load_derived t img ->
     if attach then attach_disk t d;

@@ -24,7 +24,7 @@ type t = {
   mutable implementations : Rule.implementation list;
   mutable declared_specs : Soqm_semantics.Equivalence.t list;
   mutable facts : Saturate.fact list;  (* declared + derived knowledge *)
-  mutable saturation : Saturate.config option;  (* None = saturation off *)
+  saturation : Saturate.config option;  (* None = saturation off *)
   mutable sat_stats : Saturate.stats option;
   mutable provenance : (string * string) list;  (* spec name → trace *)
   mutable checker_install : Object_store.t -> unit;
@@ -248,8 +248,6 @@ let safe_with_schema schema logical =
 let safe_to_optimize (database : Db.t) logical =
   safe_with_schema (Object_store.schema database.Db.store) logical
 
-let set_epoch_source t f = t.epoch_of <- f
-
 (* ------------------------------------------------------------------ *)
 (* knowledge                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -257,10 +255,6 @@ let set_epoch_source t f = t.epoch_of <- f
 let knowledge t = t.facts
 let declared_specs t = t.declared_specs
 let saturation_stats t = t.sat_stats
-
-let set_saturation t config =
-  t.saturation <- config;
-  rebuild_rules t
 
 let provenance t rule_name =
   (* Derive suffixes equivalence rule names with "/map"/"/flat"; the
@@ -295,8 +289,6 @@ let retract_spec t name =
     rebuild_rules t;
     true
   end
-
-let set_checker_install t f = t.checker_install <- f
 
 let check_rules ?config ?install t =
   let install = Option.value ~default:t.checker_install install in

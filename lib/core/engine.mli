@@ -98,13 +98,6 @@ val optimize_query : t -> string -> Search.result
 (** Parse, typecheck and translate against the engine's schema, then
     optimize. *)
 
-val set_epoch_source : t -> (unit -> int) -> unit
-(** Override where {!optimize} reads the current maintenance epoch.
-    {!generate} wires this to the database's attached maintenance
-    automatically; default is the constant 0 (cache never invalidates).
-    The engine adds its own knowledge epoch on top, so rule-set rebuilds
-    invalidate cached plans regardless of the source. *)
-
 (** {1 Knowledge}
 
     The engine owns a declared knowledge base (the specifications it was
@@ -125,10 +118,6 @@ val saturation_stats : t -> Soqm_knowledge.Saturate.stats option
 (** Statistics of the most recent saturation run; [None] when saturation
     is off. *)
 
-val set_saturation : t -> Soqm_knowledge.Saturate.config option -> unit
-(** Turn saturation on (with the given configuration) or off ([None]),
-    and rebuild the rule set. *)
-
 val provenance : t -> string -> string option
 (** The derivation trace of a rule by (rule or specification) name —
     [None] for declared knowledge and builtin rules.  Accepts the
@@ -144,11 +133,6 @@ val retract_spec : t -> string -> bool
 (** Remove a declared specification by name and rebuild; [false] when no
     declared specification has that name.  Derived knowledge cannot be
     retracted directly — it disappears when its parents do. *)
-
-val set_checker_install : t -> (Object_store.t -> unit) -> unit
-(** Method implementations for the soundness checker's candidate stores
-    ({!generate} installs the document schema's internal bodies and scan
-    natives; custom engines start with none). *)
 
 val check_rules :
   ?config:Soqm_knowledge.Check.config ->

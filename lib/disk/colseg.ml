@@ -172,7 +172,6 @@ let remove ~dir ~cls =
       dead_path ~dir ~cls ^ ".tmp" ]
 
 let cls t = t.cls
-let chunk_count t = Array.length t.chunks
 let row_count t = Array.fold_left (fun acc ch -> acc + ch.Column.nrows) 0 t.chunks
 
 let total_bytes t =
@@ -184,27 +183,6 @@ let total_bytes t =
    oid columns and directories. *)
 let meta_bytes t =
   Array.fold_left (fun acc ch -> acc + ch.Column.meta_bytes) 0 t.chunks
-
-(* The decode cost of scanning only [props] (None = all columns): the
-   per-chunk meta bytes plus the byte extents of the selected columns.
-   This is what the scan paths charge to [bytes_read]. *)
-let scan_bytes t props =
-  Array.fold_left
-    (fun acc ch ->
-      let cols =
-        match props with
-        | None ->
-          Array.fold_left (fun a col -> a + col.Column.clen) 0 ch.Column.columns
-        | Some names ->
-          List.fold_left
-            (fun a name ->
-              match Column.find ch name with
-              | Some col -> a + col.Column.clen
-              | None -> a)
-            0 names
-      in
-      acc + ch.Column.meta_bytes + cols)
-    0 t.chunks
 
 let iter_ids t f =
   Array.iter (fun ch -> Array.iter f ch.Column.ids) t.chunks

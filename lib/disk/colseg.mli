@@ -49,7 +49,6 @@ val remove : dir:string -> cls:string -> unit
     present. *)
 
 val cls : t -> string
-val chunk_count : t -> int
 val row_count : t -> int
 
 val total_bytes : t -> int
@@ -58,11 +57,6 @@ val total_bytes : t -> int
 val meta_bytes : t -> int
 (** Chunk header + oid column + directory bytes — the fixed decode cost
     of any scan, before per-column bytes. *)
-
-val scan_bytes : t -> string list option -> int
-(** Decode cost of scanning only these properties ([None] = all):
-    [meta_bytes] plus the selected columns' byte extents.  The number the
-    scan paths charge to [bytes_read]. *)
 
 val iter_ids : t -> (int -> unit) -> unit
 (** All OID ids in ascending order (no column decoding, no charges). *)

@@ -917,8 +917,6 @@ let scan_all ?prefetch t =
   in
   (rows, pages)
 
-let touch_scan ?prefetch t cls = page_pass ?prefetch t cls ~f:(fun _ _ -> ())
-
 (* Per-query scan traffic model: pages driven through the pool plus the
    bytes a scan of this class must decode — whole pages for the
    row-slotted heap, chunk meta (header + oid column + directory) for the

@@ -121,15 +121,10 @@ val scan_all :
 (** Every record of every class, in global allocation order — the
     import feed for {!Soqm_vml.Object_store.make_dump}. *)
 
-val touch_scan : ?prefetch:bool -> t -> string -> int
-(** Drive a class's page sequence through the buffer pool without
-    decoding (the page-traffic model of a full scan over the
-    materialized store); returns pages touched.  Charged to the pool
-    counters like any other access. *)
-
 val scan_cost : ?prefetch:bool -> t -> string -> int * int
-(** {!touch_scan} plus the byte side of the traffic model: [(pages,
-    bytes)] where bytes is whole pages for a row-slotted class and chunk
+(** Drive a class's page sequence through the buffer pool without
+    decoding (charged to the pool counters like any other access), plus
+    the byte side of the traffic model: [(pages, bytes)] where bytes is whole pages for a row-slotted class and chunk
     meta (header + oid column + directory) for a columnar one.  Charges
     the bytes to [Counters.Bytes_read] — the [bytes=] column of
     [explain --analyze]. *)

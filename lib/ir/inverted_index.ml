@@ -55,8 +55,6 @@ let lookup_all t query =
           ws)
       first
 
-let add_posting t ~word ~key = Hashtbl.replace (postings t word) key ()
-
 let load_postings t ~word ~keys =
   let s = Hashtbl.create (List.length keys) in
   List.iter (fun k -> Hashtbl.replace s k ()) keys;

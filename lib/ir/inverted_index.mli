@@ -35,16 +35,11 @@ val lookup_all : 'k t -> string -> 'k list
 (** Conjunctive multi-word query: keys containing {e every} word of the
     given string. *)
 
-val add_posting : 'k t -> word:string -> key:'k -> unit
-(** Add one pre-tokenized posting (the word is stored as given, so
-    feed back only words produced by the tokenizer — the
-    persisted-image load path). *)
-
 val load_postings : 'k t -> word:string -> keys:'k list -> unit
 (** Install the full posting list of one pre-tokenized word in a single
     right-sized allocation, replacing any existing postings for it.
     O(postings) with no rehash growth — the bulk path image restore
-    takes instead of per-key {!add_posting}. *)
+    takes. *)
 
 val iter_postings : 'k t -> (string -> 'k list -> unit) -> unit
 (** Every word with its posting keys (order unspecified) — the dump

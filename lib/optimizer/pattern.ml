@@ -216,58 +216,6 @@ and match_at schema pat term b : bindings list =
                Option.bind (match_pname pm m b) (fun b -> match_pargs pxs xs b))))
   | _ -> []
 
-let ref_vars pat =
-  let acc = ref [] in
-  let note_pref = function PRefVar v -> acc := v :: !acc | PRef _ -> () in
-  let note_poperand = function
-    | PORefOf pr -> note_pref pr
-    | POperand _ | POperandVar _ -> ()
-  in
-  let note_pargs = function
-    | PArgs ps -> List.iter note_poperand ps
-    | PArgsVar _ -> ()
-  in
-  let note_precv = function PRecvRef pr -> note_pref pr | PRecvClass _ -> () in
-  let rec go = function
-    | PAny _ -> ()
-    | PAnyRanging (_, pr, _) -> note_pref pr
-    | PGet (pa, _) -> note_pref pa
-    | PNaturalJoin (p1, p2) | PUnion (p1, p2) | PDiff (p1, p2) | PCross (p1, p2)
-      ->
-      go p1;
-      go p2
-    | PSelectCmp (_, px, py, pi) ->
-      note_poperand px;
-      note_poperand py;
-      go pi
-    | PJoinCmp (_, pa1, pa2, p1, p2) ->
-      note_pref pa1;
-      note_pref pa2;
-      go p1;
-      go p2
-    | PMapProperty (pa, _, pa1, pi) | PFlatProperty (pa, _, pa1, pi) ->
-      note_pref pa;
-      note_pref pa1;
-      go pi
-    | PMapMethod (pa, _, pr, pxs, pi) | PFlatMethod (pa, _, pr, pxs, pi) ->
-      note_pref pa;
-      note_precv pr;
-      note_pargs pxs;
-      go pi
-    | PMapOperator (pa, _, pxs, pi) | PFlatOperator (pa, _, pxs, pi) ->
-      note_pref pa;
-      note_pargs pxs;
-      go pi
-    | PProject (prs, pi) ->
-      (match prs with PRefs ps -> List.iter note_pref ps | PRefsVar _ -> ());
-      go pi
-    | PMethodSource (pa, _, _, pxs) ->
-      note_pref pa;
-      note_pargs pxs
-  in
-  go pat;
-  List.sort_uniq String.compare !acc
-
 exception Unbound of string
 
 let instantiate ~rule ~fresh_seed (b : bindings) (template : t) : Restricted.t =
@@ -366,19 +314,3 @@ let instantiate ~rule ~fresh_seed (b : bindings) (template : t) : Restricted.t =
         (resolve_ref pa, resolve_name pc, resolve_name pm, resolve_args pxs)
   in
   go template
-
-let pp_bindings ppf b =
-  let pp_list name pp_val ppf xs =
-    if xs <> [] then
-      Format.fprintf ppf "%s: %a@ " name
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           (fun ppf (v, x) -> Format.fprintf ppf "?%s=%a" v pp_val x))
-        xs
-  in
-  Format.fprintf ppf "@[<v>";
-  pp_list "plans" (fun ppf t -> Format.fprintf ppf "<%d ops>" (Restricted.size t)) ppf b.plans;
-  pp_list "refs" Format.pp_print_string ppf b.refs;
-  pp_list "names" Format.pp_print_string ppf b.names;
-  pp_list "operands" Restricted.pp_operand ppf b.operands;
-  Format.fprintf ppf "@]"

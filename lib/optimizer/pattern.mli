@@ -66,9 +66,6 @@ val matches : Schema.t -> t -> Restricted.t -> bindings list
     are applied at every node by the search, not by the matcher).
     Multiple results arise only from unbound ranging variables. *)
 
-val ref_vars : t -> string list
-(** Reference variables occurring in the pattern (sorted, unique). *)
-
 exception Unbound of string
 
 val instantiate :
@@ -78,5 +75,3 @@ val instantiate :
     [rule], the variable and [fresh_seed]; [PAny]/[PAnyRanging] splice the
     bound subtree.  @raise Unbound if a plan, name, comparison, operand
     or list variable is unbound. *)
-
-val pp_bindings : Format.formatter -> bindings -> unit

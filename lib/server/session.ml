@@ -121,25 +121,21 @@ let handle s (req : Protocol.request) : Protocol.response =
       | Ok (oids, _) -> Protocol.Oids oids
       | Error (`Conflict reason) -> Protocol.Conflict reason))
 
-(* The message a failed request answers with.  Every exception the query
-   and read paths define maps to a plain sentence; only an exception no
-   path is known to raise falls back to its [Printexc] rendering. *)
 let error_message = function
-  | Soqm_vql.Lexer.Error (msg, pos) ->
-    Printf.sprintf "lexical error at offset %d: %s" pos msg
-  | Soqm_vql.Parser.Error msg -> "parse error: " ^ msg
-  | Soqm_vql.Typecheck.Error msg -> "type error: " ^ msg
-  | Soqm_vql.To_algebra.Error msg -> "translation error: " ^ msg
-  | Soqm_algebra.Translate.Unsupported msg -> "unsupported query: " ^ msg
-  | Runtime.Error msg | Exec.Error msg -> "execution error: " ^ msg
+  | Soqm_vql.Parser.Error msg -> Some ("parse error: " ^ msg)
+  | Soqm_vql.Typecheck.Error msg -> Some ("type error: " ^ msg)
+  | Soqm_vql.To_algebra.Error msg -> Some ("translation error: " ^ msg)
+  | Soqm_algebra.Translate.Unsupported msg -> Some ("unsupported query: " ^ msg)
+  | Runtime.Error msg | Exec.Error msg -> Some ("execution error: " ^ msg)
   | Soqm_txn.Versions.Snapshot_too_old { oid; prop; ts } ->
-    Printf.sprintf
-      "snapshot too old: %s.%s has no version at timestamp %d; retry the \
-       transaction"
-      (Oid.to_string oid) prop ts
-  | Not_found -> "not found"
-  | Invalid_argument msg | Failure msg | Soqm_disk.Codec.Corrupt msg -> msg
-  | e -> Printexc.to_string e
+    Some
+      (Printf.sprintf
+         "snapshot too old: %s.%s has no version at timestamp %d; retry the \
+          transaction"
+         (Oid.to_string oid) prop ts)
+  | Not_found -> Some "not found"
+  | Invalid_argument msg | Failure msg | Soqm_disk.Codec.Corrupt msg -> Some msg
+  | _ -> None
 
 let serve s fd =
   let respond resp = Protocol.write_frame fd (Protocol.encode_response resp) in
@@ -152,7 +148,11 @@ let serve s fd =
         | exception Soqm_disk.Codec.Corrupt msg ->
           Protocol.Error ("bad request: " ^ msg)
         | req -> (
-          try handle s req with e -> Protocol.Error (error_message e))
+          try handle s req
+          with e -> (
+            match error_message e with
+            | Some msg -> Protocol.Error msg
+            | None -> Protocol.Error (Printexc.to_string e)))
       in
       respond resp;
       loop ()

@@ -22,5 +22,13 @@ val create :
 val handle : t -> Protocol.request -> Protocol.response
 (** Process one request (exposed for in-process tests). *)
 
+val error_message : exn -> string option
+(** The one-line message for every exception the query and read paths
+    define (["parse error: …"], ["type error: …"], ["execution error:
+    …"], [Snapshot_too_old], …) — what a failed request answers with and
+    what the CLI prints.  [None] for an exception no path is known to
+    raise: the server answers its [Printexc] rendering, the CLI lets it
+    reach cmdliner with its backtrace. *)
+
 val serve : t -> Unix.file_descr -> unit
 (** Read frames until the peer closes, responding to each in order. *)

@@ -1,6 +1,6 @@
 (* The command-line surface: the key list of [soqm stats --json], which
    scripts read, stays the same (same keys, same order) in memory and on a
-   paged database directory. *)
+   paged database directory; a bad query ends in one diagnostic line. *)
 
 module F = Soqm_testlib.Fixtures
 
@@ -89,6 +89,30 @@ let test_update_refuses_maintained_set () =
       (* the database stays usable: an ordinary update still goes through *)
       ignore (soqm [ "update"; "--db"; dir; "Document#0"; "title=still" ]))
 
+(* A query that fails to parse or to typecheck exits non-zero with exactly
+   one [soqm: parse error: …] or [soqm: type error: …] line on stderr —
+   no internal error, no backtrace. *)
+let test_query_errors () =
+  List.iter
+    (fun (query, prefix) ->
+      List.iter
+        (fun cmd ->
+          let msg = soqm_fails [ cmd; "--docs"; "5"; query ] in
+          let what = Printf.sprintf "%s %S" cmd query in
+          match String.split_on_char '\n' (String.trim msg) with
+          | [ line ] ->
+            Alcotest.(check bool)
+              (what ^ ": " ^ line) true
+              (String.starts_with ~prefix:("soqm: " ^ prefix) line)
+          | lines ->
+            Alcotest.failf "%s: %d lines on stderr:\n%s" what
+              (List.length lines) msg)
+        [ "run"; "explain" ])
+    [
+      ("ACCESS d FROM d IN", "parse error: ");
+      ("ACCESS x FROM x IN Nope", "type error: ");
+    ]
+
 let () =
   cli := Sys.argv.(1);
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
@@ -103,4 +127,5 @@ let () =
           F.case "update refuses a maintained set"
             test_update_refuses_maintained_set;
         ] );
+      ("errors", [ F.case "bad queries end in one line" test_query_errors ]);
     ]
