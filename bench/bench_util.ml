@@ -1,7 +1,7 @@
 (* Helpers shared by the bench executables: wall-clock timing, the
    median of a sample, draining and timing a compiled plan, the flags
    every bench reads, scratch database directories, the JSON each bench
-   writes and the ledger of its checks.
+   writes, the ledger of its checks and the EXP-A query mix.
 
    The exit rule is the same for every bench: it exits 1 iff a check it
    ran failed ([finish]).  [--assert] never turns a failure into a pass;
@@ -175,3 +175,23 @@ let finish () =
     exit 1
   end
   else print_string "\nall checks passed\n"
+
+(* The EXP-A mix: one query per knowledge class, named after Section
+   2.3, that the parity and plan-cache benches run. *)
+let exp_a_queries =
+  [
+    ( "worked example Q (E1+E2+E5)",
+      "ACCESS p FROM p IN Paragraph WHERE \
+       p->contains_string('Implementation') AND (p->document()).title == \
+       'Query Optimization'" );
+    ( "title lookup (E2)",
+      "ACCESS d FROM d IN Document WHERE d.title == 'Query Optimization'" );
+    ( "large paragraphs (Implications)",
+      "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500" );
+    ( "section/document join (E3/E4)",
+      "ACCESS [n: s.number, t: d.title] FROM s IN Section, d IN Document \
+       WHERE s.document == d AND d.title == 'Query Optimization'" );
+    ( "text containment (E5)",
+      "ACCESS p FROM p IN Paragraph WHERE \
+       p->contains_string('Implementation')" );
+  ]

@@ -40,24 +40,6 @@ module A = Soqm_algebra
 module Store = Soqm_disk.Store
 module Persist = Soqm_maintenance.Persist
 
-(* the EXP-A mix of bench/storage.ml *)
-let queries =
-  [
-    ( "worked example Q (E1+E2+E5)",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation') AND (p->document()).title == \
-       'Query Optimization'" );
-    ( "title lookup (E2)",
-      "ACCESS d FROM d IN Document WHERE d.title == 'Query Optimization'" );
-    ( "large paragraphs (Implications)",
-      "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500" );
-    ( "section/document join (E3/E4)",
-      "ACCESS [n: s.number, t: d.title] FROM s IN Section, d IN Document \
-       WHERE s.document == d AND d.title == 'Query Optimization'" );
-    ( "text containment (E5)",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation')" );
-  ]
 
 (* gates *)
 let min_open_speedup = 5.0
@@ -265,7 +247,7 @@ let () =
         let same = A.Relation.equal mem.Engine.result fast.Engine.result in
         check (Printf.sprintf "%s: fast open == memory" name) same;
         if same then acc else acc + 1)
-      0 queries
+      0 exp_a_queries
   in
 
   write_json (json_path "cold")

@@ -32,24 +32,6 @@ open Soqm_core
 open Bench_util
 module A = Soqm_algebra
 
-(* one query per knowledge class; names follow Section 2.3 *)
-let queries =
-  [
-    ( "worked example Q (E1+E2+E5)",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation') AND (p->document()).title == \
-       'Query Optimization'" );
-    ( "title lookup (E2)",
-      "ACCESS d FROM d IN Document WHERE d.title == 'Query Optimization'" );
-    ( "large paragraphs (Implications)",
-      "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500" );
-    ( "section/document join (E3/E4)",
-      "ACCESS [n: s.number, t: d.title] FROM s IN Section, d IN Document \
-       WHERE s.document == d AND d.title == 'Query Optimization'" );
-    ( "text containment (E5)",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation')" );
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Update workload: flip word counts across the 500 boundary, rewrite   *)
@@ -124,7 +106,7 @@ let run_gate ~n_docs =
   Counters.reset (Db.counters db) Maintenance;
 
   (* warm the plan cache *)
-  List.iter (fun (_, q) -> ignore (Engine.run_optimized engine q)) queries;
+  List.iter (fun (_, q) -> ignore (Engine.run_optimized engine q)) exp_a_queries;
 
   let (flipped, total), dt_updates =
     time (fun () -> flip_paragraphs engine store ~every:8)
@@ -157,7 +139,7 @@ let run_gate ~n_docs =
       check
         (Printf.sprintf "%s: maintained == reference evaluator" name)
         (A.Relation.equal live.Engine.result reference))
-    queries;
+    exp_a_queries;
 
   check "largeParagraphs sets match recomputation from base data"
     (large_sets_consistent store);
@@ -166,7 +148,7 @@ let run_gate ~n_docs =
      the physically identical result (search loop skipped) *)
   let h0, m0 = Engine.cache_stats engine in
   for _ = 1 to 30 do
-    List.iter (fun (_, q) -> ignore (Engine.run_optimized engine q)) queries
+    List.iter (fun (_, q) -> ignore (Engine.run_optimized engine q)) exp_a_queries
   done;
   let hits, misses = Engine.cache_stats engine in
   let rate =
@@ -177,8 +159,8 @@ let run_gate ~n_docs =
      the repeat phase)\n"
     hits misses (100. *. rate) (hits - h0) (misses - m0);
   check "plan-cache hit rate >= 90%" (rate >= 0.90);
-  let r1 = Engine.optimize_query engine (snd (List.hd queries)) in
-  let r2 = Engine.optimize_query engine (snd (List.hd queries)) in
+  let r1 = Engine.optimize_query engine (snd (List.hd exp_a_queries)) in
+  let r2 = Engine.optimize_query engine (snd (List.hd exp_a_queries)) in
   check "cache hit returns the identical result (no re-search)" (r1 == r2);
   let c = Counters.snapshot (Db.counters db) in
   let hits', misses' = Engine.cache_stats engine in
@@ -246,7 +228,7 @@ let mixed_workload_table ~n_docs =
               else
                 ignore
                   (Engine.run_optimized engine
-                     (snd (List.nth queries (i mod List.length queries))))
+                     (snd (List.nth exp_a_queries (i mod List.length exp_a_queries))))
             done)
       in
       let hits, misses = Engine.cache_stats engine in

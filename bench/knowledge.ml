@@ -33,24 +33,6 @@ module Saturate = Soqm_knowledge.Saturate
 module Check = Soqm_knowledge.Check
 module Rulegen = Soqm_knowledge.Rulegen
 
-(* the EXP-A mix of bench/dml.ml *)
-let exp_a =
-  [
-    ( "worked example Q (E1+E2+E5)",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation') AND (p->document()).title == \
-       'Query Optimization'" );
-    ( "title lookup (E2)",
-      "ACCESS d FROM d IN Document WHERE d.title == 'Query Optimization'" );
-    ( "large paragraphs (Implications)",
-      "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500" );
-    ( "section/document join (E3/E4)",
-      "ACCESS [n: s.number, t: d.title] FROM s IN Section, d IN Document \
-       WHERE s.document == d AND d.title == 'Query Optimization'" );
-    ( "text containment (E5)",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation')" );
-  ]
 
 (* reachable only through derived rules: no declared antecedent matches *)
 let derived_query = "ACCESS p FROM p IN Paragraph WHERE p.word_count > 800"
@@ -156,7 +138,7 @@ let () =
         incr divergences;
         Printf.printf "  DIVERGENCE on %s\n" name
       end)
-    (exp_a @ [ ("derived threshold", derived_query) ]);
+    (exp_a_queries @ [ ("derived threshold", derived_query) ]);
   Printf.printf "\nparity: %d divergence(s) on the EXP-A mix + threshold\n"
     !divergences;
   check "saturated engine agrees with naive everywhere" (!divergences = 0);

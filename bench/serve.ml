@@ -36,20 +36,6 @@ open Bench_util
 module Server = Soqm_server.Server
 module Protocol = Soqm_server.Protocol
 
-(* the EXP-A mix of bench/dml.ml *)
-let queries =
-  [
-    ( "worked",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation') AND (p->document()).title == \
-       'Query Optimization'" );
-    ("title", "ACCESS d FROM d IN Document WHERE d.title == 'Query Optimization'");
-    ("large", "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500");
-    ( "join",
-      "ACCESS [n: s.number, t: d.title] FROM s IN Section, d IN Document \
-       WHERE s.document == d AND d.title == 'Query Optimization'" );
-    ("contains", "ACCESS p FROM p IN Paragraph WHERE p->contains_string('Implementation')")
-  ]
 
 (* gates *)
 let max_fsync_per_commit = 1.0
@@ -82,13 +68,13 @@ let client_body ~port ~ops ~expected ~shared ~own ~out_path =
     { committed = 0; conflicts = 0; anomalies = 0; own_final = 0; lats = ref [] }
   in
   let c = Protocol.connect ~port () in
-  let n_q = List.length queries in
+  let n_q = List.length exp_a_queries in
   for j = 1 to ops do
     match j mod 3 with
     | 0 ->
       (* optimized query: the row count is the isolation oracle *)
       let k = j / 3 mod n_q in
-      let _, src = List.nth queries k in
+      let _, src = List.nth exp_a_queries k in
       (match timed_rt res c (Protocol.Query src) with
       | Protocol.Rows (_, rows) ->
         if List.length rows <> List.nth expected k then
@@ -198,7 +184,7 @@ let () =
       (fun (_, src) ->
         Soqm_algebra.Relation.cardinality
           (Engine.run_optimized engine src).Engine.result)
-      queries
+      exp_a_queries
   in
   with_temp_dir "soqm_serve_db" @@ fun db_dir ->
   Db.save mem db_dir;

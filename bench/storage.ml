@@ -36,24 +36,6 @@ module A = Soqm_algebra
 module Store = Soqm_disk.Store
 module Wal = Soqm_disk.Wal
 
-(* the EXP-A mix of bench/dml.ml *)
-let queries =
-  [
-    ( "worked example Q (E1+E2+E5)",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation') AND (p->document()).title == \
-       'Query Optimization'" );
-    ( "title lookup (E2)",
-      "ACCESS d FROM d IN Document WHERE d.title == 'Query Optimization'" );
-    ( "large paragraphs (Implications)",
-      "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500" );
-    ( "section/document join (E3/E4)",
-      "ACCESS [n: s.number, t: d.title] FROM s IN Section, d IN Document \
-       WHERE s.document == d AND d.title == 'Query Optimization'" );
-    ( "text containment (E5)",
-      "ACCESS p FROM p IN Paragraph WHERE \
-       p->contains_string('Implementation')" );
-  ]
 
 (* gates *)
 let min_prefetch_speedup = 1.5
@@ -181,7 +163,7 @@ let () =
         let same = A.Relation.equal mem.Engine.result disk.Engine.result in
         check (Printf.sprintf "%s: disk == memory" name) same;
         if same then acc else acc + 1)
-      0 queries
+      0 exp_a_queries
   in
 
   (* working-set mix: two optimized queries, one unoptimizable full
@@ -194,7 +176,7 @@ let () =
   let (), dt_mix =
     time (fun () ->
         for _ = 1 to rounds do
-          ignore (Engine.run_optimized disk_engine (snd (List.hd queries)));
+          ignore (Engine.run_optimized disk_engine (snd (List.hd exp_a_queries)));
           ignore
             (Engine.run_optimized disk_engine
                "ACCESS d FROM d IN Document WHERE d.title == 'Query \

@@ -203,6 +203,19 @@ let rec rename_ref ~old_ref ~new_ref t =
   | Project (rs, s) -> Project (List.map rr rs, rn s)
   | MethodSource (a, cls, m, xs) -> MethodSource (rr a, cls, m, List.map ro xs)
 
+let rec map_operands f t =
+  let t = with_inputs t (List.map (map_operands f) (inputs t)) in
+  match t with
+  | SelectCmp (c, x, y, s) -> SelectCmp (c, f x, f y, s)
+  | MapMethod (a, m, r, xs, s) -> MapMethod (a, m, r, List.map f xs, s)
+  | FlatMethod (a, m, r, xs, s) -> FlatMethod (a, m, r, List.map f xs, s)
+  | MapOperator (a, op, xs, s) -> MapOperator (a, op, List.map f xs, s)
+  | FlatOperator (a, op, xs, s) -> FlatOperator (a, op, List.map f xs, s)
+  | MethodSource (a, cls, m, xs) -> MethodSource (a, cls, m, List.map f xs)
+  | Unit | Get _ | NaturalJoin _ | Union _ | Diff _ | Cross _ | JoinCmp _
+  | MapProperty _ | FlatProperty _ | Project _ ->
+    t
+
 (* Temporary references of a term in a deterministic traversal order:
    bottom-up (inputs first), then the operator's own references.  A
    temporary's first occurrence is therefore where it is produced. *)

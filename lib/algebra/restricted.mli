@@ -100,6 +100,11 @@ val rename_ref : old_ref:string -> new_ref:string -> t -> t
 (** Rename a reference throughout the term (targets, operands, receivers,
     join and projection lists). *)
 
+val map_operands : (operand -> operand) -> t -> t
+(** Apply [f] to every operand of the term (selection operands, method
+    and operator arguments, method-source arguments), leaving operators,
+    names and references as they are. *)
+
 val alpha_canonical : t -> t
 (** Rename every compiler-generated temporary reference to [$1], [$2], ...
     in first-occurrence order of a deterministic traversal.  Two terms that

@@ -7,6 +7,8 @@ module Check = Soqm_knowledge.Check
 
 type cache_entry = {
   result : Search.result;
+  consts : Value.t array;
+      (* the inert constants [result] was produced for, by key slot *)
   entry_epoch : int;  (* maintenance epoch the plan was produced under *)
   mutable last_used : int;
   mutable compiled : Soqm_physical.Plan.compiled option;
@@ -27,24 +29,29 @@ type t = {
   saturation : Saturate.config option;  (* None = saturation off *)
   mutable sat_stats : Saturate.stats option;
   mutable provenance : (string * string) list;  (* spec name → trace *)
-  mutable checker_install : Object_store.t -> unit;
+  mutable rule_consts : Value.t list;
+      (* every constant of the knowledge base: never inert in a key *)
+  range_types : Vtype.t list;  (* types of the range-indexed properties *)
+  checker_install : Object_store.t -> unit;
   maintained : string list;
       (* implications whose sets a maintainer upholds: their declared
          specs yield generator rules and owner-invariant obligations *)
   opt_ctx : Rule.opt_ctx;
   config : Search.config;
-  (* optimization results keyed by the alpha-canonical logical term, so
-     re-running a query (or an alpha-variant of it) skips the search;
-     bounded LRU, entries from a stale maintenance epoch count as misses *)
+  (* optimization results keyed by the query shape (see [parametric_key]),
+     so re-running a query, an alpha-variant of it or the same query with
+     other inert constants skips the search; bounded LRU, entries from a
+     stale maintenance epoch count as misses *)
   plan_cache : (Restricted.t, cache_entry) Hashtbl.t;
   cache_capacity : int;
-  mutable epoch_of : unit -> int;
+  epoch_of : unit -> int;
   mutable knowledge_epoch : int;
       (* bumped by every rule-set rebuild; added to the maintenance epoch
          so knowledge DML epoch-invalidates cached plans *)
   mutable cache_tick : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
+  mutable cache_fallbacks : int;
   mutable jobs : int;  (* default worker count for executions *)
 }
 
@@ -114,6 +121,18 @@ let maintained_specs t =
       | _ -> None)
     t.declared_specs
 
+(* The constants a specification mentions, which its rules may match on
+   or copy into plans. *)
+let spec_consts (spec : Soqm_semantics.Equivalence.t) =
+  let module E = Soqm_semantics.Equivalence in
+  match spec with
+  | E.Expr_equiv { lhs; rhs; _ } | E.Cond_equiv { lhs; rhs; _ }
+  | E.Implication { antecedent = lhs; consequent = rhs; _ } ->
+    Expr.consts lhs @ Expr.consts rhs
+  | E.Query_method { cond; args; _ } ->
+    Expr.consts cond
+    @ List.filter_map (function E.Arg_const v -> Some v | E.Arg_param _ -> None) args
+
 let rebuild_rules t =
   let schema = Object_store.schema t.obj_store in
   let facts =
@@ -133,6 +152,8 @@ let rebuild_rules t =
   in
   t.facts <- facts;
   t.provenance <- Saturate.provenance_alist facts;
+  t.rule_consts <-
+    List.concat_map spec_consts (t.declared_specs @ Saturate.specs facts);
   let derived_t, derived_i = rules_of_facts schema facts in
   t.transformations <-
     t.builtins @ derived_t
@@ -142,7 +163,7 @@ let rebuild_rules t =
 
 let make_engine ~store ~exec ~stats ~has_index ~has_range_index
     ~builtin_filter ~specs ~inverse_links ~saturate ~config ~cache_capacity
-    ~jobs ~maintained =
+    ~jobs ~maintained ~checker_install ~epoch_of =
   let schema = Object_store.schema store in
   let specs =
     if inverse_links then
@@ -166,17 +187,29 @@ let make_engine ~store ~exec ~stats ~has_index ~has_range_index
       saturation = (if saturate then Some Saturate.default_config else None);
       sat_stats = None;
       provenance = [];
-      checker_install = (fun _ -> ());
+      rule_consts = [];
+      range_types =
+        List.concat_map
+          (fun (c : Schema.class_def) ->
+            List.filter_map
+              (fun (p : Schema.property) ->
+                if has_range_index ~cls:c.Schema.cls_name ~prop:p.Schema.prop_name
+                then Some p.Schema.prop_type
+                else None)
+              c.Schema.properties)
+          (Schema.classes schema);
+      checker_install;
       maintained;
       opt_ctx = { Rule.schema; stats; has_index; has_range_index };
       config;
       plan_cache = Hashtbl.create 32;
       cache_capacity;
-      epoch_of = (fun () -> 0);
+      epoch_of;
       knowledge_epoch = 0;
       cache_tick = 0;
       cache_hits = 0;
       cache_misses = 0;
+      cache_fallbacks = 0;
       jobs = max 1 jobs;
     }
   in
@@ -190,8 +223,7 @@ let generate ?(classes = Doc_knowledge.all_classes) ?(extra_specs = [])
   (* inverse-link knowledge is one of the document knowledge classes, so
      the generic inverse derivation stays off here *)
   let specs = Doc_knowledge.specs ~classes () @ extra_specs in
-  let t =
-    make_engine ~store:database.Db.store ~exec:(exec_ctx database)
+  make_engine ~store:database.Db.store ~exec:(exec_ctx database)
       ~stats:database.Db.stats
       ~has_index:(opt_ctx_of database).Rule.has_index
       ~has_range_index:(opt_ctx_of database).Rule.has_range_index
@@ -201,19 +233,19 @@ let generate ?(classes = Doc_knowledge.all_classes) ?(extra_specs = [])
         (match Db.maintenance database with
         | Some m -> Soqm_maintenance.Maintenance.maintained_sets m
         | None -> [])
-  in
-  (* the checker's candidate stores are index-free: give them the
-     internal method bodies plus scan implementations of the externals *)
-  t.checker_install <-
-    (fun store ->
-      Doc_schema.install_internal_methods store;
-      Doc_schema.install_scan_methods store);
-  (* knowledge-preserving DML leaves cached plans valid; a statistics
-     recollect (or resync) bumps the maintenance epoch and invalidates *)
-  (match Db.maintenance database with
-  | Some m -> t.epoch_of <- (fun () -> Soqm_maintenance.Maintenance.epoch m)
-  | None -> ());
-  t
+        (* the checker's candidate stores are index-free: give them the
+           internal method bodies plus scan implementations of the
+           externals *)
+      ~checker_install:(fun store ->
+        Doc_schema.install_internal_methods store;
+        Doc_schema.install_scan_methods store)
+        (* knowledge-preserving DML leaves cached plans valid; a
+           statistics recollect (or resync) bumps the maintenance epoch
+           and invalidates *)
+      ~epoch_of:
+        (match Db.maintenance database with
+        | Some m -> fun () -> Soqm_maintenance.Maintenance.epoch m
+        | None -> fun () -> 0)
 
 let generate_custom ?(specs = []) ?(inverse_links = true) ?(saturate = false)
     ?(config = Search.default_config)
@@ -222,6 +254,7 @@ let generate_custom ?(specs = []) ?(inverse_links = true) ?(saturate = false)
   make_engine ~store ~exec ~stats:(Statistics.collect store) ~has_index
     ~has_range_index ~builtin_filter:(fun _ -> true) ~specs ~inverse_links
     ~saturate ~config ~cache_capacity ~jobs ~maintained:[]
+    ~checker_install:(fun _ -> ()) ~epoch_of:(fun () -> 0)
 
 let store t = t.obj_store
 let set_jobs t jobs = t.jobs <- max 1 jobs
@@ -299,6 +332,7 @@ let check_rules ?config ?install t =
     @ List.map Soqm_semantics.Equivalence.owner_invariant (maintained_specs t))
 
 let cache_stats t = (t.cache_hits, t.cache_misses)
+let cache_fallbacks t = t.cache_fallbacks
 let cache_size t = Hashtbl.length t.plan_cache
 
 let evict_lru t =
@@ -314,24 +348,152 @@ let evict_lru t =
     | Some (key, _) -> Hashtbl.remove t.plan_cache key
     | None -> ())
 
+(* ------------------------------------------------------------------ *)
+(* Parametric plan-cache keys                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The restricted algebra's rules match operator shapes, with constants
+   as atomic parameters (Section 6.1), so most constants do not steer the
+   search: the cache key abstracts each {e inert} constant into a slot.
+   Every place the search or the cost model reads a constant's value,
+   rather than its position or kind:
+   - pattern matching ([Pattern.matches]) compares rule-pattern constants
+     ([POperand]) with [=], and a repeated pattern variable binds equal
+     operands only;
+   - [Rule.native] rules ({!Builtin_rules}) read no value: path-to-join
+     and template seeds hash the printed term into temporary names, which
+     alpha-canonicalization erases; natjoin-to-cascade and
+     natjoin-idempotent compare subterms for equality;
+   - [i_build]: index-scan needs an [OConst] of any value, range-scan
+     copies it into its bounds, and the derived query/method rules copy
+     bound parameter values (and a spec's own [Arg_const]s) into the
+     method-scan arguments;
+   - [Cost.cmp_selectivity] reads [Bool] (boolean methods) and [Set]
+     (set size) constants and otherwise only whether an operand is
+     constant; a [RangeScan] is costed by [Statistics.range_selectivity],
+     which reads its bounds; index and method scans never read keys.
+   So only [Str]/[Int]/[Real] constants can be inert, and a value stays
+   in the key when it occurs in the knowledge base, is an operand of an
+   order comparison, or is compared at all and has the kind of a
+   range-indexed property (a rule may turn the compared expression into
+   that property, e.g. [wordCount()] into [word_count]).  Equal inert
+   values share a slot and distinct ones get distinct slots (numbered by
+   first occurrence), so every equality the search can observe between
+   constants is part of the key. *)
+
+let range_kind ty v =
+  match ty, v with
+  | (Vtype.TInt | Vtype.TReal), (Value.Int _ | Value.Real _)
+  | Vtype.TString, Value.Str _ ->
+    true
+  | _ -> false
+
+(* The key of an alpha-canonical term and the values of its slots. *)
+let parametric_key t canonical =
+  let pinned = ref t.rule_consts and candidates = ref [] in
+  let note ~pin = function
+    | Restricted.OConst ((Value.Str _ | Value.Int _ | Value.Real _) as v) ->
+      if pin v then pinned := v :: !pinned else candidates := v :: !candidates
+    | _ -> ()
+  in
+  List.iter
+    (function
+      | Restricted.SelectCmp (c, x, y, _) ->
+        let order =
+          match c with
+          | Restricted.CLt | Restricted.CLe | Restricted.CGt | Restricted.CGe ->
+            true
+          | _ -> false
+        in
+        let pin v = order || List.exists (fun ty -> range_kind ty v) t.range_types in
+        note ~pin x;
+        note ~pin y
+      | Restricted.MapMethod (_, _, _, xs, _)
+      | Restricted.FlatMethod (_, _, _, xs, _)
+      | Restricted.MapOperator (_, _, xs, _)
+      | Restricted.FlatOperator (_, _, xs, _)
+      | Restricted.MethodSource (_, _, _, xs) ->
+        List.iter (note ~pin:(fun _ -> false)) xs
+      | _ -> ())
+    (Restricted.subtrees canonical);
+  let slots = Hashtbl.create 8 in
+  List.iter
+    (fun v ->
+      if
+        (not (Hashtbl.mem slots v))
+        && not (List.exists (Value.equal v) !pinned)
+      then Hashtbl.replace slots v (Hashtbl.length slots))
+    (List.rev !candidates);
+  if Hashtbl.length slots = 0 then (canonical, [||])
+  else
+    let consts = Array.make (Hashtbl.length slots) Value.Null in
+    Hashtbl.iter (fun v i -> consts.(i) <- v) slots;
+    let key =
+      Restricted.map_operands
+        (function
+          | Restricted.OConst v as o -> (
+            match Hashtbl.find_opt slots v with
+            | Some i -> Restricted.OParam (Printf.sprintf "#%d" i)
+            | None -> o)
+          | o -> o)
+        canonical
+    in
+    (key, consts)
+
+(* The cached result rewritten for other slot values, or [None] when the
+   substituted plan does not cost what the cached one did: a constant
+   the audit above missed changed the estimate, so the plan is not
+   known to be the best one. *)
+let instantiate t (cached : cache_entry) consts =
+  let subst = Hashtbl.create 8 in
+  Array.iteri (fun i v -> Hashtbl.replace subst v consts.(i)) cached.consts;
+  let value v = Option.value ~default:v (Hashtbl.find_opt subst v) in
+  let r = cached.result in
+  let best_plan = Soqm_physical.Plan.map_consts value r.Search.best_plan in
+  if
+    not
+      (Float.equal
+         (Soqm_physical.Cost.cost t.opt_ctx.Rule.stats best_plan)
+         r.Search.best_cost)
+  then None
+  else
+    let term =
+      Restricted.map_operands (function
+        | Restricted.OConst v -> Restricted.OConst (value v)
+        | o -> o)
+    in
+    Some
+      {
+        r with
+        Search.best_plan;
+        best_logical = term r.Search.best_logical;
+        derivation =
+          List.map
+            (fun (s : Search.step) -> { s with Search.term = term s.Search.term })
+            r.Search.derivation;
+      }
+
 let optimize_entry t logical =
-  let key = Restricted.alpha_canonical logical in
+  let key, consts = parametric_key t (Restricted.alpha_canonical logical) in
   (* both summands only ever grow, so the sum strictly increases on any
      maintenance or knowledge change — stale entries can never collide
      with a current epoch *)
   let epoch = t.epoch_of () + t.knowledge_epoch in
   t.cache_tick <- t.cache_tick + 1;
   let counters = Object_store.counters t.obj_store in
-  match Hashtbl.find_opt t.plan_cache key with
-  | Some cached when cached.entry_epoch = epoch ->
-    cached.last_used <- t.cache_tick;
+  let store result =
+    let entry =
+      { result; consts; entry_epoch = epoch; last_used = t.cache_tick; compiled = None }
+    in
+    Hashtbl.replace t.plan_cache key entry;
+    entry
+  in
+  let hit entry =
     t.cache_hits <- t.cache_hits + 1;
     Counters.incr counters Plan_cache_hits;
-    cached
-  | stale ->
-    (* a hit from an older epoch is invalid: knowledge or statistics
-       changed since the plan was costed *)
-    if Option.is_some stale then Hashtbl.remove t.plan_cache key;
+    entry
+  in
+  let miss () =
     t.cache_misses <- t.cache_misses + 1;
     Counters.incr counters Plan_cache_misses;
     let result =
@@ -339,11 +501,25 @@ let optimize_entry t logical =
         t.implementations logical
     in
     evict_lru t;
-    let entry =
-      { result; entry_epoch = epoch; last_used = t.cache_tick; compiled = None }
-    in
-    Hashtbl.replace t.plan_cache key entry;
-    entry
+    store result
+  in
+  match Hashtbl.find_opt t.plan_cache key with
+  | Some cached when cached.entry_epoch = epoch -> (
+    if Array.for_all2 Value.equal cached.consts consts then (
+      cached.last_used <- t.cache_tick;
+      hit cached)
+    else
+      match instantiate t cached consts with
+      | Some result -> hit (store result)
+      | None ->
+        Hashtbl.remove t.plan_cache key;
+        t.cache_fallbacks <- t.cache_fallbacks + 1;
+        miss ())
+  | stale ->
+    (* a hit from an older epoch is invalid: knowledge or statistics
+       changed since the plan was costed *)
+    if Option.is_some stale then Hashtbl.remove t.plan_cache key;
+    miss ()
 
 let optimize t logical = (optimize_entry t logical).result
 

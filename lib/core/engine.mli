@@ -81,12 +81,21 @@ val safe_to_optimize : Db.t -> Restricted.t -> (unit, string) result
 
 val optimize : t -> Restricted.t -> Search.result
 (** Run the rule-based search — or skip it entirely on a plan-cache hit.
-    The cache is a bounded LRU keyed by the alpha-canonical logical term
-    and guarded by the maintenance epoch: knowledge-preserving DML leaves
-    cached plans valid, while epoch bumps (statistics recollects,
-    resyncs, explicit invalidation) turn every older entry into a miss.
-    Hits and misses are counted both cumulatively ({!cache_stats}) and on
-    the store's {!Counters} ([plan_cache_hits]/[plan_cache_misses]). *)
+    The cache is a bounded LRU keyed by the query's {e shape}: the
+    alpha-canonical logical term with every inert constant (a string or
+    number that no rule, cost estimate or index bound reads) replaced by
+    a slot numbered by the first occurrence of its value.  A query that
+    differs from a cached one only in inert constants hits: the cached
+    plan, logical winner and derivation get the new constants and are
+    re-costed, and the result is accepted when the cost is unchanged
+    (otherwise the search runs again and {!cache_fallbacks} counts it).
+    The same constants again return the physically identical result.
+    The cache is guarded by the maintenance epoch: knowledge-preserving
+    DML leaves cached plans valid, while epoch bumps (statistics
+    recollects, resyncs, explicit invalidation) turn every older entry
+    into a miss.  Hits and misses are counted both cumulatively
+    ({!cache_stats}) and on the store's {!Counters}
+    ([plan_cache_hits]/[plan_cache_misses]). *)
 
 val optimize_compiled : t -> Restricted.t -> Search.result * Soqm_physical.Plan.compiled
 (** Like {!optimize}, but also returns the slot-compiled best plan.  The
@@ -148,6 +157,11 @@ val check_rules :
 val cache_stats : t -> int * int
 (** Cumulative plan-cache [(hits, misses)] since generation.  Kept on the
     engine because per-run reports reset the store counters. *)
+
+val cache_fallbacks : t -> int
+(** Cache hits on a query shape whose substituted plan re-costed
+    differently, so the search ran after all (each also counts as a
+    miss).  Stays 0 while the inert-constant classification holds. *)
 
 val cache_size : t -> int
 (** Number of plans currently cached (bounded by the LRU capacity). *)

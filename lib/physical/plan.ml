@@ -66,6 +66,34 @@ let inputs = function
 
 let rec size t = 1 + List.fold_left (fun n i -> n + size i) 0 (inputs t)
 
+let rec map_consts f p =
+  let go = map_consts f in
+  let op = function Restricted.OConst v -> Restricted.OConst (f v) | x -> x in
+  let bound = function
+    | Sorted_index.Inclusive v -> Sorted_index.Inclusive (f v)
+    | Sorted_index.Exclusive v -> Sorted_index.Exclusive (f v)
+    | Sorted_index.Unbounded -> Sorted_index.Unbounded
+  in
+  match p with
+  | Unit | FullScan _ -> p
+  | IndexScan (a, cls, prop, key) -> IndexScan (a, cls, prop, f key)
+  | RangeScan (a, cls, prop, lo, hi) ->
+    RangeScan (a, cls, prop, bound lo, bound hi)
+  | MethodScan (a, cls, m, args) -> MethodScan (a, cls, m, List.map f args)
+  | Filter (c, x, y, i) -> Filter (c, op x, op y, go i)
+  | NestedLoop (pred, l, r) -> NestedLoop (pred, go l, go r)
+  | HashJoin (a1, a2, l, r) -> HashJoin (a1, a2, go l, go r)
+  | NaturalJoin (l, r) -> NaturalJoin (go l, go r)
+  | Union (l, r) -> Union (go l, go r)
+  | Diff (l, r) -> Diff (go l, go r)
+  | MapProp (a, prop, a1, i) -> MapProp (a, prop, a1, go i)
+  | MapMeth (a, m, r, xs, i) -> MapMeth (a, m, r, List.map op xs, go i)
+  | FlatProp (a, prop, a1, i) -> FlatProp (a, prop, a1, go i)
+  | FlatMeth (a, m, r, xs, i) -> FlatMeth (a, m, r, List.map op xs, go i)
+  | MapOp (a, o, xs, i) -> MapOp (a, o, List.map op xs, go i)
+  | FlatOp (a, o, xs, i) -> FlatOp (a, o, List.map op xs, go i)
+  | Project (rs, i) -> Project (rs, go i)
+
 let structural_root (r : Restricted.t) (inputs : t list) : t option =
   match r, inputs with
   | Restricted.Unit, [] -> Some Unit
@@ -324,6 +352,34 @@ let build_fused ?project ops (input : compiled) =
       | None -> ());
       let layout, srcs = Relation.Layout.projection ~src:!layout rs in
       (layout, Array.map (fun s -> !reg_of.(s)) srcs)
+  in
+  (* a map step whose register no later step reads and the copy-out
+     drops computes nothing: leave it out (method calls stay, they may
+     have effects).  Walking back from the copy-out marks what is read. *)
+  let live = Array.make !nregs false in
+  Array.iter (fun r -> live.(r) <- true) fout;
+  let read = function SSlot r -> live.(r) <- true | SConst _ -> () in
+  let fsteps =
+    Array.fold_right
+      (fun st acc ->
+        match st with
+        | (FProp (r, _, _) | FOp (r, _, _)) when not live.(r) -> acc
+        | FFilter (_, x, y) ->
+          read x;
+          read y;
+          st :: acc
+        | FProp (_, _, recv) ->
+          live.(recv) <- true;
+          st :: acc
+        | FMeth (_, _, recv, args) ->
+          (match recv with RSlot r -> live.(r) <- true | RClassObj _ -> ());
+          Array.iter read args;
+          st :: acc
+        | FOp (_, _, xs) ->
+          Array.iter read xs;
+          st :: acc)
+      fsteps []
+    |> Array.of_list
   in
   (* input slot [s] seeds register [s], so a key of the input node reads
      directly as a register set: the projection is keyed when every key

@@ -50,6 +50,10 @@ val refs : t -> string list
 val inputs : t -> t list
 val size : t -> int
 
+val map_consts : (Value.t -> Value.t) -> t -> t
+(** Apply [f] to every constant of the plan: index keys, range bounds,
+    method-scan arguments and constant operands. *)
+
 val structural_root : Restricted.t -> t list -> t option
 (** The structural implementation of a term's root operator given plans
     for its inputs ({!Soqm_algebra.Restricted.inputs} order): every
@@ -111,7 +115,10 @@ type fstep =
 type fused = {
   fsteps : fstep array;  (** execution (bottom-to-top chain) order *)
   fin_width : int;  (** input row width = initial register count *)
-  fregs : int;  (** total registers: [fin_width] + number of map steps *)
+  fregs : int;
+      (** total registers: [fin_width] + one per map of the chain; a map
+          whose register nothing reads is compiled to no step at all, and
+          its register stays [Null] *)
   fout : int array;  (** registers copied to the output row, in order *)
   fdedup : bool;
       (** a projection topped the chain: keep first occurrences only *)

@@ -80,6 +80,18 @@ let rec methods_acc acc = function
 
 let methods_called e = List.sort_uniq String.compare (methods_acc [] e)
 
+let rec consts_acc acc = function
+  | Const v -> v :: acc
+  | Self | Param _ | Ref _ | ClassObj _ -> acc
+  | Prop (e, _) | Not e -> consts_acc acc e
+  | Call (e, _, args) -> List.fold_left consts_acc (consts_acc acc e) args
+  | Binop (_, a, b) -> consts_acc (consts_acc acc a) b
+  | TupleE fields -> List.fold_left (fun acc (_, e) -> consts_acc acc e) acc fields
+  | SetE es -> List.fold_left consts_acc acc es
+  | If (c, a, b) -> consts_acc (consts_acc (consts_acc acc c) a) b
+
+let consts e = consts_acc [] e
+
 let is_boolean_shape = function
   | Binop ((Eq | Neq | Lt | Le | Gt | Ge | IsIn | IsSubset | And | Or), _, _)
   | Not _

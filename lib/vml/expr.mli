@@ -69,6 +69,9 @@ val methods_called : t -> string list
 (** Names of all methods invoked anywhere in the expression, sorted,
     without duplicates. *)
 
+val consts : t -> Value.t list
+(** Every constant of the expression, with repetitions. *)
+
 val is_boolean_shape : t -> bool
 (** Syntactic check: does the expression have a boolean top constructor
     (comparison, [And]/[Or]/[Not], boolean constant)? *)

@@ -348,6 +348,232 @@ let test_plan_cache_lru_eviction () =
   ignore (h1, h2)
 
 (* ------------------------------------------------------------------ *)
+(* Parametric plan cache: one entry per query shape                     *)
+(* ------------------------------------------------------------------ *)
+
+module Plan = Soqm_physical.Plan
+module Restricted = Soqm_algebra.Restricted
+module Search = Soqm_optimizer.Search
+
+let title_q = Printf.sprintf "ACCESS d FROM d IN Document WHERE d.title == '%s'"
+
+let rec plan_has f (p : Plan.t) = f p || List.exists (plan_has f) (Plan.inputs p)
+
+let probes_title title =
+  plan_has (function
+    | Plan.IndexScan (_, _, _, Value.Str t) -> String.equal t title
+    | Plan.MethodScan (_, _, _, [ Value.Str t ]) -> String.equal t title
+    | _ -> false)
+
+let test_parametric_hit_substitutes () =
+  let engine = Engine.generate (Db.create ~params:F.tiny_params ()) in
+  let r3 = Engine.optimize_query engine (title_q "Title 3") in
+  let r9 = Engine.optimize_query engine (title_q "Title 9") in
+  check Alcotest.(pair int int) "one miss, then one hit" (1, 1)
+    (Engine.cache_stats engine);
+  check Alcotest.int "one entry" 1 (Engine.cache_size engine);
+  check Alcotest.bool "the hit probes 'Title 9'" true
+    (probes_title "Title 9" r9.Search.best_plan);
+  check Alcotest.bool "... and not 'Title 3'" false
+    (probes_title "Title 3" r9.Search.best_plan);
+  check Alcotest.bool "same estimated cost" true
+    (Float.equal r3.Search.best_cost r9.Search.best_cost);
+  check Alcotest.int "no fallback" 0 (Engine.cache_fallbacks engine)
+
+let test_parametric_pinned_threshold () =
+  let engine = Engine.generate (Db.create ~params:F.tiny_params ()) in
+  let q = Printf.sprintf "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > %d" in
+  let fired (r : Search.result) =
+    List.exists
+      (fun (s : Search.step) -> String.equal s.Search.rule "large-paragraphs")
+      r.Search.derivation
+  in
+  let r500 = Engine.optimize_query engine (q 500) in
+  let r400 = Engine.optimize_query engine (q 400) in
+  check Alcotest.(pair int int) "two misses" (0, 2) (Engine.cache_stats engine);
+  check Alcotest.int "two entries" 2 (Engine.cache_size engine);
+  check Alcotest.bool "implication fires on 500" true (fired r500);
+  check Alcotest.bool "... not on 400" false (fired r400);
+  (* compared with the range-indexed word_count: both stay *)
+  let q = Printf.sprintf "ACCESS p FROM p IN Paragraph WHERE p.word_count == %d" in
+  ignore (Engine.optimize_query engine (q 42));
+  ignore (Engine.optimize_query engine (q 43));
+  check Alcotest.(pair int int) "range-indexed comparisons: two more misses"
+    (0, 4) (Engine.cache_stats engine)
+
+(* A spec's constant in an equality stays in the key: the rule fires on
+   that title only. *)
+let test_parametric_pinned_spec_constant () =
+  let spec =
+    Soqm_semantics.Equivalence.Cond_equiv
+      {
+        name = "special-title";
+        cls = "Document";
+        var = "d";
+        lhs =
+          Expr.Binop
+            (Expr.Eq, Expr.Prop (Expr.Ref "d", "title"), Expr.Const (Value.Str "Title 3"));
+        rhs =
+          Expr.Binop
+            (Expr.Eq, Expr.Prop (Expr.Ref "d", "author"), Expr.Const (Value.Str "Author 3"));
+      }
+  in
+  let engine =
+    Engine.generate ~extra_specs:[ spec ] (Db.create ~params:F.tiny_params ())
+  in
+  let fired (r : Search.result) = List.mem_assoc "special-title" r.Search.rule_applications in
+  let r3 = Engine.optimize_query engine (title_q "Title 3") in
+  let r9 = Engine.optimize_query engine (title_q "Title 9") in
+  check Alcotest.(pair int int) "two misses" (0, 2) (Engine.cache_stats engine);
+  check Alcotest.bool "the spec fires on its own title" true (fired r3);
+  check Alcotest.bool "... not on another" false (fired r9)
+
+(* Terms built by hand: a constant mapped onto every document. *)
+let const_map v =
+  Restricted.MapOperator
+    ("c", Restricted.OpIdent, [ Restricted.OConst v ], Restricted.Get ("d", "Document"))
+
+let test_parametric_concrete_kinds () =
+  let engine = Engine.generate (Db.create ~params:F.tiny_params ()) in
+  let misses pair =
+    let _, m0 = Engine.cache_stats engine in
+    List.iter (fun v -> ignore (Engine.optimize engine (const_map v))) pair;
+    snd (Engine.cache_stats engine) - m0
+  in
+  check Alcotest.int "Str is inert" 1 (misses [ Value.Str "a"; Value.Str "b" ]);
+  check Alcotest.int "Bool stays concrete" 2
+    (misses [ Value.Bool true; Value.Bool false ]);
+  check Alcotest.int "Cls stays concrete" 2
+    (misses [ Value.Cls "Document"; Value.Cls "Section" ]);
+  check Alcotest.int "Set stays concrete" 2
+    (misses [ Value.set [ Value.Int 1 ]; Value.set [ Value.Int 2 ] ])
+
+let test_parametric_equal_values_share_a_slot () =
+  let engine = Engine.generate (Db.create ~params:F.tiny_params ()) in
+  let q = Printf.sprintf
+      "ACCESS d FROM d IN Document WHERE d.title == '%s' AND d.author == '%s'"
+  in
+  ignore (Engine.optimize_query engine (q "x" "x"));
+  ignore (Engine.optimize_query engine (q "x" "y"));
+  check Alcotest.(pair int int) "equal and distinct values: two keys" (0, 2)
+    (Engine.cache_stats engine);
+  ignore (Engine.optimize_query engine (q "z" "z"));
+  ignore (Engine.optimize_query engine (q "u" "v"));
+  check Alcotest.(pair int int) "each shape hits again" (2, 2)
+    (Engine.cache_stats engine)
+
+let test_parametric_epoch_invalidation () =
+  let db = Db.create ~params:F.tiny_params () in
+  let engine = Engine.generate db in
+  ignore (Engine.optimize_query engine (title_q "Title 3"));
+  Maint.bump_epoch (Option.get (Db.maintenance db));
+  ignore (Engine.optimize_query engine (title_q "Title 9"));
+  check Alcotest.(pair int int) "stale shape misses" (0, 2)
+    (Engine.cache_stats engine)
+
+(* Statistics move within an epoch (exact deltas, no recollect): the
+   substituted plan re-costs differently, so the guard searches again. *)
+let test_parametric_recost_guard () =
+  let db = Db.create ~params:F.small_params () in
+  let engine = Engine.generate db in
+  let m = Option.get (Db.maintenance db) in
+  ignore (Engine.optimize_query engine (title_q "Title 3"));
+  let epoch = Maint.epoch m in
+  ignore (Engine.insert engine ~cls:"Document" [ ("title", Value.Str "Title 99") ]);
+  check Alcotest.int "the epoch did not move" epoch (Maint.epoch m);
+  let r = Engine.optimize_query engine (title_q "Title 9") in
+  check Alcotest.int "one fallback" 1 (Engine.cache_fallbacks engine);
+  check Alcotest.(pair int int) "counted as a miss" (0, 2)
+    (Engine.cache_stats engine);
+  check Alcotest.bool "the new search probes 'Title 9'" true
+    (probes_title "Title 9" r.Search.best_plan);
+  let r' = Engine.optimize_query engine (title_q "Title 9") in
+  check Alcotest.bool "and replaced the entry" true (r == r')
+
+let test_parametric_same_constants_identical () =
+  let db = Db.create ~params:F.tiny_params () in
+  let engine = Engine.generate db in
+  let compiled title =
+    Engine.optimize_compiled engine (Engine.logical_of_query db (title_q title))
+  in
+  let r3, c3 = compiled "Title 3" in
+  let r3', c3' = compiled "Title 3" in
+  check Alcotest.bool "repeat: physically identical" true (r3 == r3' && c3 == c3');
+  let r9, c9 = compiled "Title 9" in
+  let r9', c9' = compiled "Title 9" in
+  check Alcotest.bool "repeat after substitution: physically identical" true
+    (r9 == r9' && c9 == c9');
+  check Alcotest.bool "other constants: a new result" false (r3 == r9)
+
+(* The EXP-A..I query shapes over Datagen titles, authors and words. *)
+let shapes =
+  [
+    (fun ~title ~word ~author:_ ->
+      Printf.sprintf
+        "ACCESS p FROM p IN Paragraph WHERE p->contains_string('%s') AND \
+         (p->document()).title == '%s'"
+        word title);
+    (fun ~title ~word:_ ~author:_ -> title_q title);
+    (fun ~title:_ ~word:_ ~author:_ ->
+      "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500");
+    (fun ~title ~word:_ ~author:_ ->
+      Printf.sprintf
+        "ACCESS [n: s.number, t: d.title] FROM s IN Section, d IN Document \
+         WHERE s.document == d AND d.title == '%s'"
+        title);
+    (fun ~title:_ ~word ~author:_ ->
+      Printf.sprintf "ACCESS p FROM p IN Paragraph WHERE p->contains_string('%s')"
+        word);
+    (fun ~title ~word:_ ~author:_ ->
+      Printf.sprintf "ACCESS s FROM s IN Section WHERE (s.document).title == '%s'"
+        title);
+    (fun ~title:_ ~word ~author:_ ->
+      Printf.sprintf
+        "ACCESS d.title FROM d IN Document, p IN d->paragraphs() WHERE \
+         p->contains_string('%s')"
+        word);
+    (fun ~title:_ ~word:_ ~author ->
+      Printf.sprintf
+        "ACCESS [n: s.number] FROM s IN Section, d IN Document WHERE \
+         s.document == d AND d.author == '%s'"
+        author);
+  ]
+
+let shape_constants_gen =
+  let open QCheck2.Gen in
+  let* d = int_range 0 (F.tiny_params.Datagen.n_docs + 4) in
+  let* w = int_range (-1) (F.tiny_params.Datagen.vocab_size - 1) in
+  return
+    ( (if d = 0 then Datagen.query_title else Printf.sprintf "Title %d" d),
+      (if w < 0 then Datagen.query_word else Printf.sprintf "w%d" w),
+      Printf.sprintf "Author %d" (d mod 7) )
+
+let parametric_db = lazy (Db.create ~params:F.tiny_params ())
+let parametric_engine = lazy (Engine.generate (Lazy.force parametric_db))
+
+let prop_parametric_hit_matches_fresh_search =
+  QCheck2.Test.make ~count:40
+    ~name:"parametric hit = fresh search: same plan, same estimated cost"
+    QCheck2.Gen.(
+      triple (int_range 0 (List.length shapes - 1)) shape_constants_gen
+        shape_constants_gen)
+    (fun (i, (t1, w1, a1), (t2, w2, a2)) ->
+      let db = Lazy.force parametric_db in
+      let engine = Lazy.force parametric_engine in
+      let shape = List.nth shapes i in
+      ignore (Engine.optimize_query engine (shape ~title:t1 ~word:w1 ~author:a1));
+      let h0, _ = Engine.cache_stats engine in
+      let q = shape ~title:t2 ~word:w2 ~author:a2 in
+      let hit = Engine.optimize_query engine q in
+      let h1, _ = Engine.cache_stats engine in
+      let fresh = Engine.optimize_query (Engine.generate db) q in
+      h1 = h0 + 1
+      && Plan.equal hit.Search.best_plan fresh.Search.best_plan
+      && Restricted.equal hit.Search.best_logical fresh.Search.best_logical
+      && Float.equal hit.Search.best_cost fresh.Search.best_cost
+      && Engine.cache_fallbacks engine = 0)
+
+(* ------------------------------------------------------------------ *)
 (* Property: random DML/query interleavings vs scratch rebuild          *)
 (* ------------------------------------------------------------------ *)
 
@@ -680,6 +906,22 @@ let () =
           F.case "knowledge-preserving DML keeps plans"
             test_plan_cache_knowledge_preserving_dml_keeps_plans;
           F.case "LRU eviction" test_plan_cache_lru_eviction;
+          F.case "parametric hit substitutes constants"
+            test_parametric_hit_substitutes;
+          F.case "rule and range-index constants stay in the key"
+            test_parametric_pinned_threshold;
+          F.case "spec constants stay in the key"
+            test_parametric_pinned_spec_constant;
+          F.case "Bool, Cls and Set constants stay concrete"
+            test_parametric_concrete_kinds;
+          F.case "equal constants share a slot"
+            test_parametric_equal_values_share_a_slot;
+          F.case "epoch bump invalidates shapes"
+            test_parametric_epoch_invalidation;
+          F.case "same constants: physically identical"
+            test_parametric_same_constants_identical;
+          F.case "re-cost guard falls back" test_parametric_recost_guard;
+          QCheck_alcotest.to_alcotest prop_parametric_hit_matches_fresh_search;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_dml_interleaving_matches_oracle ] );

@@ -529,6 +529,35 @@ let test_fused_zero_width_row () =
   check Alcotest.int "the unit row survives" 1
     (Relation.cardinality (Exec.run_compiled (ctx ()) fused))
 
+(* A map whose register nothing reads is not compiled; one a later step
+   reads stays, and so does a method call, which may have effects. *)
+let test_fused_dead_steps () =
+  let scan = Plan.FullScan ("d", "Document") in
+  let fused_steps plan =
+    let c = Exec.compile (ctx ()) plan in
+    check F.relation "fused = interpreted" (run_interp plan)
+      (Exec.run_compiled (ctx ()) c);
+    Plan.fused_count c
+  in
+  check Alcotest.int "dead property maps dropped: projection only" 1
+    (fused_steps
+       (Plan.Project
+          ( [ "d" ],
+            Plan.MapProp ("t", "title", "d", Plan.MapProp ("a", "author", "d", scan)) )));
+  check Alcotest.int "a map the filter reads stays" 3
+    (fused_steps
+       (Plan.Project
+          ( [ "d" ],
+            Plan.Filter
+              ( Restricted.CEq,
+                Restricted.ORef "a",
+                Restricted.OConst (Value.Str "Author 0"),
+                Plan.MapProp ("a", "author", "d", scan) ) )));
+  check Alcotest.int "a dead method call stays" 2
+    (fused_steps
+       (Plan.Project
+          ([ "d" ], Plan.MapMeth ("ps", "paragraphs", Restricted.RRef "d", [], scan))))
+
 let test_block_accounting () =
   let d = Lazy.force db in
   let plan = Plan.FullScan ("p", "Paragraph") in
@@ -1030,6 +1059,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_fusion_parity;
           F.case "Null semantics in fused kernels" test_fused_null_semantics;
           F.case "fused chain over a zero-width row" test_fused_zero_width_row;
+          F.case "dead fused steps dropped" test_fused_dead_steps;
           F.case "block accounting" test_block_accounting;
           F.case "slot miss on bad plan" test_slot_miss_charged;
           F.case "analyze stats" test_analyze_stats;
