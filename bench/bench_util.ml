@@ -1,7 +1,8 @@
 (* Helpers shared by the bench executables: wall-clock timing, the
    median of a sample, draining and timing a compiled plan, the flags
    every bench reads, scratch database directories, the JSON each bench
-   writes, the ledger of its checks and the EXP-A query mix.
+   writes, the ledger of its checks, the EXP-A query mix and the
+   operator-mix plans the executor benches time.
 
    The exit rule is the same for every bench: it exits 1 iff a check it
    ran failed ([finish]).  [--assert] never turns a failure into a pass;
@@ -194,4 +195,90 @@ let exp_a_queries =
     ( "text containment (E5)",
       "ACCESS p FROM p IN Paragraph WHERE \
        p->contains_string('Implementation')" );
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The operator mix of bench/exec.ml and bench/parallel.ml             *)
+(* ------------------------------------------------------------------ *)
+
+module A = Soqm_algebra
+module P = Soqm_physical
+
+(* The worked EXP-A query, run as its naive plan in the mix. *)
+let query_q = snd (List.hd exp_a_queries)
+
+(* [ident a src base] extends each tuple with [a := src] — pure executor
+   work (inserts, operand resolution), no object-store access, so the
+   entries below time the operators themselves. *)
+let ident a src base =
+  P.Plan.MapOp (a, A.Restricted.OpIdent, [ A.Restricted.ORef src ], base)
+
+let scan_p = P.Plan.FullScan ("p", "Paragraph")
+
+(* [chain names src base]: one ident map per name, widening the tuple by
+   one reference each — the widths (3-7 references) match what the
+   optimizer's EXP-A plans carry once join keys and derived columns are
+   in flight. *)
+let chain names src base =
+  snd
+    (List.fold_left
+       (fun (src, plan) name -> (name, ident name src plan))
+       (src, base) names)
+
+let map_chain = chain [ "k1"; "k2"; "k3" ] "p" scan_p
+let map_wide = chain [ "m1"; "m2"; "m3"; "m4"; "m5"; "m6" ] "p" scan_p
+
+let filter_plan =
+  P.Plan.Filter
+    (A.Restricted.CEq, A.Restricted.ORef "k1", A.Restricted.ORef "p", map_chain)
+
+let hash_left = chain [ "a1"; "a2" ] "p" scan_p
+let hash_right = chain [ "b1"; "b2" ] "q" (P.Plan.FullScan ("q", "Paragraph"))
+let hash_join_plan = P.Plan.HashJoin ("a1", "b1", hash_left, hash_right)
+
+(* shared reference: [p] only — one-column key, four-column merge *)
+let nat_left = chain [ "c1"; "c2" ] "p" scan_p
+let nat_right = chain [ "d1" ] "p" scan_p
+let natural_join_plan = P.Plan.NaturalJoin (nat_left, nat_right)
+
+let nested_loop_plan =
+  P.Plan.NestedLoop
+    ( None,
+      chain [ "x1" ] "d" (P.Plan.FullScan ("d", "Document")),
+      chain [ "y1" ] "e" (P.Plan.FullScan ("e", "Document")) )
+
+let union_plan = P.Plan.Union (map_chain, map_chain)
+
+(* [base] gated by a constant-false predicate: as the right side of
+   [diff_plan] an empty exclusion set, so every left row survives the
+   probe *)
+let never_filter base =
+  P.Plan.Filter
+    ( A.Restricted.CEq,
+      A.Restricted.OConst (Soqm_vml.Value.Int 1),
+      A.Restricted.OConst (Soqm_vml.Value.Int 2),
+      base )
+
+let diff_plan = P.Plan.Diff (map_chain, never_filter map_chain)
+let project_plan = P.Plan.Project ([ "p" ], map_wide)
+
+(* The named entries, in table order. *)
+let entries schema =
+  let worked_q =
+    P.Plan.default_implementation
+      (A.Translate.of_general
+         (Soqm_vql.To_algebra.query_to_algebra schema query_q))
+  in
+  [
+    ("full_scan", scan_p);
+    ("map_chain", map_chain);
+    ("map_wide", map_wide);
+    ("filter", filter_plan);
+    ("hash_join", hash_join_plan);
+    ("natural_join", natural_join_plan);
+    ("nested_loop", nested_loop_plan);
+    ("union", union_plan);
+    ("diff", diff_plan);
+    ("project", project_plan);
+    ("worked_q_naive", worked_q);
   ]

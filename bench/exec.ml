@@ -29,93 +29,9 @@ open Bench_util
 module A = Soqm_algebra
 module P = Soqm_physical
 
-let query_q =
-  "ACCESS p FROM p IN Paragraph WHERE p->contains_string('Implementation') \
-   AND (p->document()).title == 'Query Optimization'"
-
 let reps = 5
 let min_median_speedup = 3.0
 let min_hit_rate = 0.9
-
-(* ------------------------------------------------------------------ *)
-(* The operator mix                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* [ident a src base] extends each tuple with [a := src] — pure executor
-   work (inserts, operand resolution), no object-store access, so the
-   entries below time the operators themselves. *)
-let ident a src base =
-  P.Plan.MapOp (a, A.Restricted.OpIdent, [ A.Restricted.ORef src ], base)
-
-let scan_p = P.Plan.FullScan ("p", "Paragraph")
-
-(* [chain names src base]: one ident map per name, widening the tuple by
-   one reference each — the widths (3-7 references) match what the
-   optimizer's EXP-A plans carry once join keys and derived columns are
-   in flight. *)
-let chain names src base =
-  snd
-    (List.fold_left
-       (fun (src, plan) name -> (name, ident name src plan))
-       (src, base) names)
-
-let map_chain = chain [ "k1"; "k2"; "k3" ] "p" scan_p
-let map_wide = chain [ "m1"; "m2"; "m3"; "m4"; "m5"; "m6" ] "p" scan_p
-
-let filter_plan =
-  P.Plan.Filter
-    (A.Restricted.CEq, A.Restricted.ORef "k1", A.Restricted.ORef "p", map_chain)
-
-let hash_join_plan =
-  P.Plan.HashJoin
-    ( "a1", "b1",
-      chain [ "a1"; "a2" ] "p" scan_p,
-      chain [ "b1"; "b2" ] "q" (P.Plan.FullScan ("q", "Paragraph")) )
-
-(* shared reference: [p] only — one-column key, four-column merge *)
-let natural_join_plan =
-  P.Plan.NaturalJoin (chain [ "c1"; "c2" ] "p" scan_p, chain [ "d1" ] "p" scan_p)
-
-let nested_loop_plan =
-  P.Plan.NestedLoop
-    ( None,
-      chain [ "x1" ] "d" (P.Plan.FullScan ("d", "Document")),
-      chain [ "y1" ] "e" (P.Plan.FullScan ("e", "Document")) )
-
-let union_plan = P.Plan.Union (map_chain, map_chain)
-
-(* right side is the same pipeline gated by a constant-false predicate:
-   an empty exclusion set, so every left row survives the probe *)
-let diff_plan =
-  P.Plan.Diff
-    ( map_chain,
-      P.Plan.Filter
-        ( A.Restricted.CEq,
-          A.Restricted.OConst (Value.Int 1),
-          A.Restricted.OConst (Value.Int 2),
-          map_chain ) )
-
-let project_plan = P.Plan.Project ([ "p" ], map_wide)
-
-let entries schema =
-  let worked_q =
-    P.Plan.default_implementation
-      (A.Translate.of_general
-         (Soqm_vql.To_algebra.query_to_algebra schema query_q))
-  in
-  [
-    ("full_scan", scan_p);
-    ("map_chain", map_chain);
-    ("map_wide", map_wide);
-    ("filter", filter_plan);
-    ("hash_join", hash_join_plan);
-    ("natural_join", natural_join_plan);
-    ("nested_loop", nested_loop_plan);
-    ("union", union_plan);
-    ("diff", diff_plan);
-    ("project", project_plan);
-    ("worked_q_naive", worked_q);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)

@@ -343,8 +343,8 @@ let exp_h () =
      data ... relationships between these return values and the database\n\
      state exist.'  Telling the optimizer that wordCount() equals the\n\
      stored property turns the method predicate into one ordered-index\n\
-     probe — stronger than the implication, which only narrows the\n\
-     candidates.\n"
+     probe — stronger than the implication, whose maintained sets still\n\
+     have to be read document by document.\n"
 
 (* ------------------------------------------------------------------ *)
 (* EXP-I: cost model calibration                                       *)

@@ -1,7 +1,7 @@
 (* Morsel-driven parallel executor benchmark and CI gate.
 
-   Runs the EXP-A operator mix (the same plans as bench/exec.ml) and
-   checks three things:
+   Runs the EXP-A operator mix ([Bench_util.entries], shared with
+   bench/exec.ml) and checks three things:
 
    1. Zero divergence.  For every entry the parallel results at jobs=2
       and jobs=4 must [Relation.equal] the serial compiled result and
@@ -45,82 +45,11 @@ open Bench_util
 module A = Soqm_algebra
 module P = Soqm_physical
 
-let query_q =
-  "ACCESS p FROM p IN Paragraph WHERE p->contains_string('Implementation') \
-   AND (p->document()).title == 'Query Optimization'"
-
 let reps = 5
 let min_median_speedup = 1.8
 let jobs_hi = 4
 let parity_docs = 800 (* materialized four-way comparison cap *)
 let naive_docs = 200 (* the O(n*m) list-oracle cap *)
-
-(* ------------------------------------------------------------------ *)
-(* The operator mix (mirrors bench/exec.ml)                            *)
-(* ------------------------------------------------------------------ *)
-
-let ident a src base =
-  P.Plan.MapOp (a, A.Restricted.OpIdent, [ A.Restricted.ORef src ], base)
-
-let scan_p = P.Plan.FullScan ("p", "Paragraph")
-
-let chain names src base =
-  snd
-    (List.fold_left
-       (fun (src, plan) name -> (name, ident name src plan))
-       (src, base) names)
-
-let map_chain = chain [ "k1"; "k2"; "k3" ] "p" scan_p
-let map_wide = chain [ "m1"; "m2"; "m3"; "m4"; "m5"; "m6" ] "p" scan_p
-
-let filter_plan =
-  P.Plan.Filter
-    (A.Restricted.CEq, A.Restricted.ORef "k1", A.Restricted.ORef "p", map_chain)
-
-let hash_left = chain [ "a1"; "a2" ] "p" scan_p
-let hash_right = chain [ "b1"; "b2" ] "q" (P.Plan.FullScan ("q", "Paragraph"))
-let hash_join_plan = P.Plan.HashJoin ("a1", "b1", hash_left, hash_right)
-let nat_left = chain [ "c1"; "c2" ] "p" scan_p
-let nat_right = chain [ "d1" ] "p" scan_p
-let natural_join_plan = P.Plan.NaturalJoin (nat_left, nat_right)
-
-let nested_loop_plan =
-  P.Plan.NestedLoop
-    ( None,
-      chain [ "x1" ] "d" (P.Plan.FullScan ("d", "Document")),
-      chain [ "y1" ] "e" (P.Plan.FullScan ("e", "Document")) )
-
-let union_plan = P.Plan.Union (map_chain, map_chain)
-
-let never_filter base =
-  P.Plan.Filter
-    ( A.Restricted.CEq,
-      A.Restricted.OConst (Value.Int 1),
-      A.Restricted.OConst (Value.Int 2),
-      base )
-
-let diff_plan = P.Plan.Diff (map_chain, never_filter map_chain)
-let project_plan = P.Plan.Project ([ "p" ], map_wide)
-
-let entries schema =
-  let worked_q =
-    P.Plan.default_implementation
-      (A.Translate.of_general
-         (Soqm_vql.To_algebra.query_to_algebra schema query_q))
-  in
-  [
-    ("full_scan", scan_p);
-    ("map_chain", map_chain);
-    ("map_wide", map_wide);
-    ("filter", filter_plan);
-    ("hash_join", hash_join_plan);
-    ("natural_join", natural_join_plan);
-    ("nested_loop", nested_loop_plan);
-    ("union", union_plan);
-    ("diff", diff_plan);
-    ("project", project_plan);
-    ("worked_q_naive", worked_q);
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Parity: parallel = serial compiled = interpreted (= oracles)        *)

@@ -174,7 +174,8 @@ let explain_cmd =
   let analyze_arg =
     let doc =
       "Also execute the plan and annotate every operator with the actual \
-       rows and blocks it emitted (from the executor's per-node counters)."
+       rows and blocks it emitted (from the executor's per-node counters) \
+       and the q-error of its row estimate."
     in
     Arg.(value & flag & info [ "analyze" ] ~doc)
   in
@@ -248,8 +249,10 @@ let explain_cmd =
                 ns.Soqm_physical.Exec.node_bytes.(cid)
             else ""
           in
-          Printf.sprintf "(%s actual_rows=%d blocks=%d%s%s)" est
-            ns.Soqm_physical.Exec.node_rows.(cid)
+          let rows = ns.Soqm_physical.Exec.node_rows.(cid) in
+          Printf.sprintf "(%s actual_rows=%d q=%.1f blocks=%d%s%s)" est rows
+            (Soqm_physical.Cost.q_error ~est:e.Soqm_physical.Cost.card
+               ~actual:rows)
             ns.Soqm_physical.Exec.node_blocks.(cid)
             parallel pages
         | None -> Printf.sprintf "(%s)" est
@@ -269,9 +272,11 @@ let explain_cmd =
     "Print the optimized query's slot-compiled operator tree: per operator \
      its output layout, layout width, estimated rows (from the collected \
      statistics) and the number of steps fused into one-pass kernels \
-     ($(b,fused=)); with $(b,--analyze), also the actual rows and blocks \
-     observed by executing the plan (plus per-node morsel and partition \
-     counts when the clamped $(b,--jobs) runs the parallel executor, and \
+     ($(b,fused=)); with $(b,--analyze), also the actual rows, the \
+     q-error of the row estimate ($(b,q=), max(est/act, act/est) with \
+     both at least 1) and the blocks observed by executing the plan (plus \
+     per-node morsel and partition counts when the clamped $(b,--jobs) \
+     runs the parallel executor, and \
      disk pages touched / bytes \
      decoded when run against a paged database, $(b,--db))."
   in

@@ -121,6 +121,23 @@ let maintained_specs t =
       | _ -> None)
     t.declared_specs
 
+(* The maintained specs that alone feed their set property: their sets
+   are exact, so the antecedent can be replaced by membership.  Two specs
+   filling one set make it a union, exact for neither. *)
+let exact_specs t =
+  let schema = Object_store.schema t.obj_store in
+  let module E = Soqm_semantics.Equivalence in
+  let shares a b =
+    String.equal a.E.set_prop b.E.set_prop
+    && List.exists
+         (fun c -> List.mem c (E.owner_classes schema b))
+         (E.owner_classes schema a)
+  in
+  let specs = maintained_specs t in
+  List.filter
+    (fun m -> List.length (List.filter (shares m) specs) = 1)
+    specs
+
 (* The constants a specification mentions, which its rules may match on
    or copy into plans. *)
 let spec_consts (spec : Soqm_semantics.Equivalence.t) =
@@ -155,9 +172,19 @@ let rebuild_rules t =
   t.rule_consts <-
     List.concat_map spec_consts (t.declared_specs @ Saturate.specs facts);
   let derived_t, derived_i = rules_of_facts schema facts in
+  let exact = exact_specs t in
+  (* under an exact set, conjoining the membership (the implication's
+     rewrite) yields nothing the exact rule does not reach in one step *)
+  let superseded (r : Rule.transformation) =
+    List.exists
+      (fun m -> String.equal r.Rule.t_name m.Soqm_semantics.Equivalence.m_name)
+      exact
+  in
   t.transformations <-
-    t.builtins @ derived_t
-    @ List.map (Soqm_semantics.Derive.generator schema) (maintained_specs t);
+    t.builtins
+    @ List.filter (fun r -> not (superseded r)) derived_t
+    @ List.map (Soqm_semantics.Derive.generator schema) (maintained_specs t)
+    @ List.map Soqm_semantics.Derive.exact exact;
   t.implementations <- Builtin_rules.implementations @ derived_i;
   t.knowledge_epoch <- t.knowledge_epoch + 1
 

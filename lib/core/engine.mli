@@ -29,7 +29,11 @@ val generate :
     name it accepts (default: all) — used by the ablation experiments.
     [saturate] (default [false]) additionally closes the declared
     knowledge under {!Soqm_knowledge.Saturate} and compiles the derived
-    specifications into rules too. *)
+    specifications into rules too.  Every implication whose sets the
+    database's maintenance upholds also yields a generator rule
+    ({!Soqm_semantics.Derive.generator}); one that alone fills its set
+    property yields the exact rule ({!Soqm_semantics.Derive.exact}) in
+    place of its conjoining rewrite. *)
 
 val generate_custom :
   ?specs:Soqm_semantics.Equivalence.t list ->
@@ -152,7 +156,9 @@ val check_rules :
     against the declared knowledge as the trusted base, in order,
     followed by the owner invariant ({!Soqm_semantics.Equivalence.owner_invariant})
     of every maintained implication — the obligation the generator
-    rules rest on. *)
+    rules rest on.  The exact rules add none: the checker builds its
+    sets from the trusted specs, so their converse holds there by
+    construction. *)
 
 val cache_stats : t -> int * int
 (** Cumulative plan-cache [(hits, misses)] since generation.  Kept on the

@@ -418,7 +418,7 @@ let rec analyze stats (plan : Plan.t) : info =
       owners = i.owners;
     }
   | Plan.Project (rs, input) ->
-    let i = analyze stats input in
+    let i = analyze stats (Plan.projection_input rs input) in
     {
       e =
         {
@@ -434,3 +434,7 @@ let rec analyze stats (plan : Plan.t) : info =
 
 let estimate stats plan = (analyze stats plan).e
 let cost stats plan = (estimate stats plan).cost
+
+let q_error ~est ~actual =
+  let e = Float.max est 1. and a = Float.max (float_of_int actual) 1. in
+  Float.max (e /. a) (a /. e)

@@ -21,3 +21,8 @@ val estimate : Statistics.t -> Plan.t -> estimate
 
 val cost : Statistics.t -> Plan.t -> float
 (** [(estimate stats plan).cost] *)
+
+val q_error : est:float -> actual:int -> float
+(** The q-error of a cardinality estimate, [max(e/a, a/e)] with both
+    sides raised to at least 1: 1 is exact, and it is symmetric in over-
+    and underestimation. *)

@@ -94,6 +94,28 @@ let rec map_consts f p =
   | FlatOp (a, o, xs, i) -> FlatOp (a, o, List.map op xs, go i)
   | Project (rs, i) -> Project (rs, go i)
 
+(* What a projection to [rs] runs over: projections stacked below it
+   fold into it (pi_rs(pi_rs'(x)) = pi_rs(x)), and a property or
+   operator map in the chain below whose result neither the projection
+   nor a later step reads is left out (method maps stay: they may have
+   effects).  Compilation and the cost model both read this, so the
+   estimate charges what runs. *)
+let projection_input rs input =
+  let refs_of = List.filter_map (function Restricted.ORef r -> Some r | _ -> None) in
+  let rec go live = function
+    | Project (_, i) -> go live i
+    | (MapProp (a, _, _, i) | MapOp (a, _, _, i)) when not (List.mem a live) ->
+      go live i
+    | Filter (c, x, y, i) -> Filter (c, x, y, go (refs_of [ x; y ] @ live) i)
+    | MapProp (a, p, a1, i) -> MapProp (a, p, a1, go (a1 :: live) i)
+    | MapOp (a, op, xs, i) -> MapOp (a, op, xs, go (refs_of xs @ live) i)
+    | MapMeth (a, m, r, xs, i) ->
+      let recv = match r with Restricted.RRef r -> [ r ] | Restricted.RClass _ -> [] in
+      MapMeth (a, m, r, xs, go (recv @ refs_of xs @ live) i)
+    | p -> p
+  in
+  go rs input
+
 let structural_root (r : Restricted.t) (inputs : t list) : t option =
   match r, inputs with
   | Restricted.Unit, [] -> Some Unit
@@ -353,34 +375,6 @@ let build_fused ?project ops (input : compiled) =
       let layout, srcs = Relation.Layout.projection ~src:!layout rs in
       (layout, Array.map (fun s -> !reg_of.(s)) srcs)
   in
-  (* a map step whose register no later step reads and the copy-out
-     drops computes nothing: leave it out (method calls stay, they may
-     have effects).  Walking back from the copy-out marks what is read. *)
-  let live = Array.make !nregs false in
-  Array.iter (fun r -> live.(r) <- true) fout;
-  let read = function SSlot r -> live.(r) <- true | SConst _ -> () in
-  let fsteps =
-    Array.fold_right
-      (fun st acc ->
-        match st with
-        | (FProp (r, _, _) | FOp (r, _, _)) when not live.(r) -> acc
-        | FFilter (_, x, y) ->
-          read x;
-          read y;
-          st :: acc
-        | FProp (_, _, recv) ->
-          live.(recv) <- true;
-          st :: acc
-        | FMeth (_, _, recv, args) ->
-          (match recv with RSlot r -> live.(r) <- true | RClassObj _ -> ());
-          Array.iter read args;
-          st :: acc
-        | FOp (_, _, xs) ->
-          Array.iter read xs;
-          st :: acc)
-      fsteps []
-    |> Array.of_list
-  in
   (* input slot [s] seeds register [s], so a key of the input node reads
      directly as a register set: the projection is keyed when every key
      register survives into the copy-out *)
@@ -424,7 +418,7 @@ let compile (plan : t) : compiled =
       let ops, input = split_chain p in
       fused p ops input
     | Project (rs, input) ->
-      let ops, input = split_chain input in
+      let ops, input = split_chain (projection_input rs input) in
       fused p ~project:rs ops input
     | NestedLoop (pred, left, right) ->
       let n = node p [||] CUnit in

@@ -54,6 +54,13 @@ val map_consts : (Value.t -> Value.t) -> t -> t
 (** Apply [f] to every constant of the plan: index keys, range bounds,
     method-scan arguments and constant operands. *)
 
+val projection_input : string list -> t -> t
+(** What a projection to the given references runs over: its input with
+    every projection in the fusable chain below folded into it, and
+    every property or operator map of that chain whose result neither
+    the projection nor a later step reads left out (method maps stay).
+    Shared by {!compile} and the cost model. *)
+
 val structural_root : Restricted.t -> t list -> t option
 (** The structural implementation of a term's root operator given plans
     for its inputs ({!Soqm_algebra.Restricted.inputs} order): every

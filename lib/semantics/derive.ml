@@ -83,6 +83,12 @@ let compile_select_side ~side ~var ~cls cond =
    map<?a1, expr1(?a2)>(...) <-> map<?a1, expr2(?a2)>(...). *)
 let result_var = "res"
 
+(* select<lhs>(?A) <-> select<rhs>(?A); one-directional on request. *)
+let cond_rule ?bidirectional ~name ~cls ~var lhs rhs =
+  Rule.rewrite name ?bidirectional
+    ~lhs:(compile_select_side ~side:"L" ~var ~cls lhs)
+    ~rhs:(compile_select_side ~side:"R" ~var ~cls rhs)
+
 let transformations schema (spec : Equivalence.t) : Rule.transformation list =
   match Equivalence.validate schema spec with
   | Error msg -> underivable "%s" msg
@@ -108,11 +114,7 @@ let transformations schema (spec : Equivalence.t) : Rule.transformation list =
       in
       map_rule :: flat_rules
     | Equivalence.Cond_equiv { name; cls; var; lhs; rhs } ->
-      [
-        Rule.rewrite name
-          ~lhs:(compile_select_side ~side:"L" ~var ~cls lhs)
-          ~rhs:(compile_select_side ~side:"R" ~var ~cls rhs);
-      ]
+      [ cond_rule ~name ~cls ~var lhs rhs ]
     | Equivalence.Implication { name; cls; var; antecedent; consequent } ->
       (* select<cond1>(?A) !-> natural_join(select<cond1>(?A),
                                             select<cond2>(?A)) *)
@@ -170,6 +172,25 @@ let generator schema (m : Equivalence.maintained) =
   let pattern = to_pattern ~exact_gets:true ~side:"G" ~var:x ~cls in
   Rule.rewrite (m.Equivalence.m_name ^ "/generator") ~bidirectional:false
     ~lhs:(pattern lhs) ~rhs:(pattern rhs)
+
+(* An exact maintained set.  The maintainer keeps [T(x).S] equal to
+   [{x | A(x) ∧ T(x) = owner}], so besides the declared A(x) ⇒ x IS-IN
+   T(x).S its converse holds, and the restriction can be replaced rather
+   than conjoined:
+     select<A(x)>(?A) -> select<x IS-IN T(x).S>(?A)
+   compiled as the condition equivalence it is, one-directionally so the
+   search only ever trades the antecedent for the membership, which the
+   generator rule then turns into a scan of the sets. *)
+let exact (m : Equivalence.maintained) =
+  let membership =
+    Expr.Binop
+      ( Expr.IsIn,
+        Expr.Ref m.Equivalence.m_var,
+        Expr.Prop (m.Equivalence.target, m.Equivalence.set_prop) )
+  in
+  cond_rule ~bidirectional:false ~name:(m.Equivalence.m_name ^ "/exact")
+    ~cls:m.Equivalence.member_cls ~var:m.Equivalence.m_var
+    m.Equivalence.m_antecedent membership
 
 let implementations schema (spec : Equivalence.t) : Rule.implementation list =
   match Equivalence.validate schema spec with

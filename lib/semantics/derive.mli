@@ -42,6 +42,15 @@ val generator : Schema.t -> Equivalence.maintained -> Rule.transformation
     {!Equivalence.owner_invariant}.  Named ["<implication>/generator"].
     @raise Underivable when [T(x)] is not an object-valued chain. *)
 
+val exact : Equivalence.maintained -> Rule.transformation
+(** The one-directional rule [select<A(x)>(?A)] → [select<x IS-IN
+    T(x).S>(?A)], compiled as a condition equivalence.  Sound only while
+    a maintainer keeps the sets {e exact} — equal to
+    [{x | A(x) ∧ T(x) = owner}] — which makes the converse of the
+    implication hold; so only for a set that exactly one maintained
+    implication feeds.  Named ["<implication>/exact"].
+    @raise Underivable when a side cannot be compiled. *)
+
 val rules_of_specs :
   Schema.t ->
   Equivalence.t list ->

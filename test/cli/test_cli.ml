@@ -1,6 +1,7 @@
 (* The command-line surface: the key list of [soqm stats --json], which
    scripts read, stays the same (same keys, same order) in memory and on a
-   paged database directory; a bad query ends in one diagnostic line. *)
+   paged database directory; [explain --analyze] carries its q-error
+   column; a bad query ends in one diagnostic line. *)
 
 module F = Soqm_testlib.Fixtures
 
@@ -89,6 +90,31 @@ let test_update_refuses_maintained_set () =
       (* the database stays usable: an ordinary update still goes through *)
       ignore (soqm [ "update"; "--db"; dir; "Document#0"; "title=still" ]))
 
+(* [explain --analyze] prints a q-error column on every operator line;
+   the large-paragraphs plan reads the maintained sets with no wordCount
+   re-check. *)
+let test_explain_q_error () =
+  let out =
+    soqm
+      [ "explain"; "--analyze"; "--docs"; "20";
+        "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > 500" ]
+  in
+  let ops =
+    List.filter
+      (fun l -> String.starts_with ~prefix:"#" (String.trim l))
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check bool) "operator lines" true (ops <> []);
+  let q = Str.regexp {| actual_rows=[0-9]+ q=[0-9]+\.[0-9] |} in
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) ("q= column: " ^ l) true
+        (try ignore (Str.search_forward q l 0); true with Not_found -> false))
+    ops;
+  Alcotest.(check bool) "no wordCount step" false
+    (try ignore (Str.search_forward (Str.regexp_string "wordCount") out 0); true
+     with Not_found -> false)
+
 (* A query that fails to parse or to typecheck exits non-zero with exactly
    one [soqm: parse error: …] or [soqm: type error: …] line on stderr —
    no internal error, no backtrace. *)
@@ -127,5 +153,6 @@ let () =
           F.case "update refuses a maintained set"
             test_update_refuses_maintained_set;
         ] );
+      ("explain", [ F.case "analyze prints q-error" test_explain_q_error ]);
       ("errors", [ F.case "bad queries end in one line" test_query_errors ]);
     ]

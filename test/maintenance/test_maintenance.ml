@@ -385,14 +385,15 @@ let test_parametric_pinned_threshold () =
   let q = Printf.sprintf "ACCESS p FROM p IN Paragraph WHERE p->wordCount() > %d" in
   let fired (r : Search.result) =
     List.exists
-      (fun (s : Search.step) -> String.equal s.Search.rule "large-paragraphs")
+      (fun (s : Search.step) ->
+        String.equal s.Search.rule "large-paragraphs/exact")
       r.Search.derivation
   in
   let r500 = Engine.optimize_query engine (q 500) in
   let r400 = Engine.optimize_query engine (q 400) in
   check Alcotest.(pair int int) "two misses" (0, 2) (Engine.cache_stats engine);
   check Alcotest.int "two entries" 2 (Engine.cache_size engine);
-  check Alcotest.bool "implication fires on 500" true (fired r500);
+  check Alcotest.bool "exact rule fires on 500" true (fired r500);
   check Alcotest.bool "... not on 400" false (fired r400);
   (* compared with the range-indexed word_count: both stay *)
   let q = Printf.sprintf "ACCESS p FROM p IN Paragraph WHERE p.word_count == %d" in
@@ -644,36 +645,43 @@ let apply_op db engine op =
     | None -> ())
   | Run_query i -> ignore (Engine.run_optimized engine (List.nth queries i))
 
-let large_sets_ok db =
+(* Every maintained set equals [{x | A(x) ∧ T(x) = owner}], computed
+   from the implication itself: the exactness the ["/exact"] rule rests
+   on.  An antecedent or target that fails to evaluate excludes [x], as
+   in maintenance. *)
+let exact_sets_ok db =
   let store = db.Db.store in
+  let module E = Soqm_semantics.Equivalence in
+  let m = Option.get (E.maintained Doc_knowledge.word_count_implication) in
+  let eval x e =
+    let binding r = if String.equal r m.E.m_var then Some (Value.Obj x) else None in
+    try Some (Runtime.eval (Runtime.env ~binding store) e)
+    with Runtime.Error _ | Not_found -> None
+  in
   let want = Hashtbl.create 32 in
   List.iter
-    (fun p ->
-      match Object_store.peek_prop store p "word_count" with
-      | Value.Int n when n > 500 -> (
-        match Object_store.peek_prop store p "section" with
-        | Value.Obj s -> (
-          match Object_store.peek_prop store s "document" with
-          | Value.Obj d ->
-            Hashtbl.replace want d
-              (Value.Obj p
-              :: Option.value ~default:[] (Hashtbl.find_opt want d))
-          | _ -> ())
-        | _ -> ())
+    (fun x ->
+      match eval x m.E.m_antecedent, eval x m.E.target with
+      | Some a, Some (Value.Obj o) when Value.truthy a ->
+        Hashtbl.replace want o
+          (Value.Obj x :: Option.value ~default:[] (Hashtbl.find_opt want o))
       | _ -> ())
-    (Object_store.extent store "Paragraph");
+    (Object_store.extent store m.E.member_cls);
   List.for_all
-    (fun d ->
-      let expected =
-        Value.set (Option.value ~default:[] (Hashtbl.find_opt want d))
-      in
-      let actual =
-        match Object_store.peek_prop store d "largeParagraphs" with
-        | Value.Set _ as v -> v
-        | _ -> Value.Set []
-      in
-      Value.equal expected actual)
-    (Object_store.extent store "Document")
+    (fun cls ->
+      List.for_all
+        (fun o ->
+          let expected =
+            Value.set (Option.value ~default:[] (Hashtbl.find_opt want o))
+          in
+          let actual =
+            match Object_store.peek_prop store o m.E.set_prop with
+            | Value.Set _ as v -> v
+            | _ -> Value.Set []
+          in
+          Value.equal expected actual)
+        (Object_store.extent store cls))
+    (E.owner_classes (Object_store.schema store) m)
 
 let prop_dml_interleaving_matches_oracle =
   QCheck2.Test.make ~count:12
@@ -690,7 +698,7 @@ let prop_dml_interleaving_matches_oracle =
             Db.load dir)
       in
       let oracle_engine = Engine.generate oracle_db in
-      large_sets_ok db
+      exact_sets_ok db
       && List.for_all
            (fun q ->
              let live = (Engine.run_optimized engine q).Engine.result in
@@ -842,7 +850,7 @@ let dml_parity db =
     List.for_all
       (fun op ->
         apply_gen_op db (List.hd engines) op;
-        large_sets_ok db
+        exact_sets_ok db
         && List.for_all
           (fun engine ->
             List.for_all (agrees_with_naive db engine) generator_queries)
@@ -857,6 +865,17 @@ let prop_generator_dml_parity_memory =
     gen_ops_gen
     (fun ops -> dml_parity (Db.create ~params:F.tiny_params ()) ops)
 
+(* Sets and generator plans of a reopened database directory. *)
+let reopened_ok dir =
+  let db = Db.open_disk dir in
+  let engine = Engine.generate db in
+  let ok =
+    exact_sets_ok db
+    && List.for_all (agrees_with_naive db engine) generator_queries
+  in
+  Db.close db;
+  ok
+
 let prop_generator_dml_parity_disk =
   QCheck2.Test.make ~count:4
     ~name:"generator plans = naive after every DML step (on disk)"
@@ -865,9 +884,73 @@ let prop_generator_dml_parity_disk =
       F.with_temp_dir "soqm_gen" (fun dir ->
           Db.save (Db.create ~params:F.tiny_params ()) dir;
           let db = Db.open_disk dir in
-          Fun.protect
-            ~finally:(fun () -> Db.close db)
-            (fun () -> dml_parity db ops)))
+          let live = dml_parity db ops in
+          (* a crash: the handle is dropped without a checkpoint, so the
+             reopen replays the WAL through the maintainers; then a clean
+             close (checkpoint and derived image) and a second reopen *)
+          Soqm_disk.Store.close ~checkpoint:false (Option.get db.Db.disk);
+          let after_replay = reopened_ok dir in
+          let after_close = reopened_ok dir in
+          live && after_replay && after_close))
+
+(* ------------------------------------------------------------------ *)
+(* The exact rule: which plans lose the wordCount re-check             *)
+(* ------------------------------------------------------------------ *)
+
+let large q = "ACCESS p FROM p IN Paragraph WHERE p->wordCount() " ^ q
+
+let calls_word_count (r : Search.result) =
+  let rec go = function
+    | Soqm_physical.Plan.MapMeth (_, "wordCount", _, _, _) -> true
+    | p -> List.exists go (Soqm_physical.Plan.inputs p)
+  in
+  go r.Search.best_plan
+
+let test_exact_rule_drops_the_recheck () =
+  let db = Db.create ~params:F.small_params () in
+  let engine = Engine.generate db in
+  check Alcotest.bool "> 500: no wordCount step" false
+    (calls_word_count (Engine.optimize_query engine (large "> 500")));
+  let r = Engine.run_optimized engine (large "> 500") in
+  check Alcotest.int "no wordCount calls" 0
+    (Counters.method_call_count r.Engine.counters "Paragraph.wordCount");
+  check F.relation "= naive" (Engine.run_naive db (large "> 500")).Engine.result
+    r.Engine.result;
+  List.iter
+    (fun q ->
+      check Alcotest.bool (q ^ " keeps its filter") true
+        (calls_word_count (Engine.optimize_query engine (large q))))
+    [ "> 400"; ">= 500"; "> 600" ]
+
+let test_exact_rule_needs_maintenance () =
+  let engine =
+    Engine.generate (Db.create ~params:F.small_params ~maintain:false ())
+  in
+  check Alcotest.bool "maintain:false keeps the filter" true
+    (calls_word_count (Engine.optimize_query engine (large "> 500")))
+
+(* A set two maintained implications fill is their union: exact for
+   neither, so no exact rule is derived. *)
+let test_exact_rule_needs_one_feeder () =
+  let db = Db.create ~params:F.small_params ~maintain:false () in
+  let short =
+    Soqm_semantics.Spec_lang.parse_spec (Object_store.schema db.Db.store)
+      "[ShortParagraphs] FORALL p IN Paragraph: p->wordCount() < 50 => p \
+       IS-IN p->document().largeParagraphs"
+  in
+  db.Db.maint <-
+    Some
+      (Maint.attach
+         ~implications:[ Doc_knowledge.word_count_implication; short ]
+         ~stats:db.Db.stats db.Db.store);
+  let engine = Engine.generate ~extra_specs:[ short ] db in
+  let r = Engine.optimize_query engine (large "> 500") in
+  check Alcotest.bool "no exact rule fired" false
+    (List.exists
+       (fun (s : Search.step) ->
+         String.ends_with ~suffix:"/exact" s.Search.rule)
+       r.Search.derivation);
+  check Alcotest.bool "the filter stays" true (calls_word_count r)
 
 (* ------------------------------------------------------------------ *)
 
@@ -931,5 +1014,14 @@ let () =
             test_guard_rejects_user_writes;
           QCheck_alcotest.to_alcotest prop_generator_dml_parity_memory;
           QCheck_alcotest.to_alcotest prop_generator_dml_parity_disk;
+        ] );
+      ( "exact-sets",
+        [
+          F.case "the exact rule drops the wordCount re-check"
+            test_exact_rule_drops_the_recheck;
+          F.case "no exact rule without maintenance"
+            test_exact_rule_needs_maintenance;
+          F.case "no exact rule for a set two specs fill"
+            test_exact_rule_needs_one_feeder;
         ] );
     ]
