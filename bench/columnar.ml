@@ -40,6 +40,7 @@ open Bench_util
 module A = Soqm_algebra
 module P = Soqm_physical
 module D = Soqm_disk
+module O = Soqm_oracle
 
 let reps = 5
 let min_median_speedup = 2.0
@@ -143,7 +144,7 @@ let measure_entry ctx ~t_row_decode ~t_col_decode ~extent_rows ~jobs
   let compiled = P.Exec.compile ctx plan in
   (* correctness first, untimed: interpreted = compiled serial =
      compiled parallel *)
-  let r_interp = P.Exec.Interpreted.run ctx plan in
+  let r_interp = O.Interpreted.run ctx plan in
   let r_serial = P.Exec.run_compiled ctx compiled in
   let r_parallel =
     P.Exec.run_compiled ~jobs:(max 2 jobs) ~clamp:false ctx compiled

@@ -2,11 +2,11 @@
    vs slot-compiled.
 
    For each entry the same physical plan is drained through both
-   executors in their native formats — canonical tuples from
-   [Exec.Interpreted.open_plan], row blocks from [Exec.open_compiled] —
-   so the numbers measure executor overhead, not the shared
-   [Relation.make] canonicalization at the query boundary.  The compiled
-   side is the one production form, in which every filter, 1:1 map and
+   executors in their native formats — canonical tuples from the
+   oracle's [Interpreted.open_plan], row blocks from
+   [Exec.open_compiled] — so the numbers measure executor overhead, not
+   the shared [Relation.make] canonicalization at the query boundary.
+   The compiled side is the one production form, in which every filter, 1:1 map and
    projection runs inside a fused kernel.  Each side is
    timed over [reps] runs after a warm-up; the table reports median
    ns/row and the per-entry speedup.  Result sets are additionally
@@ -28,6 +28,7 @@ open Soqm_core
 open Bench_util
 module A = Soqm_algebra
 module P = Soqm_physical
+module O = Soqm_oracle
 
 let reps = 5
 let min_median_speedup = 3.0
@@ -38,14 +39,14 @@ let min_hit_rate = 0.9
 (* ------------------------------------------------------------------ *)
 
 let drain_interpreted ctx plan () =
-  let it = P.Exec.Interpreted.open_plan ctx plan in
+  let it = O.Interpreted.open_plan ctx plan in
   let n = ref 0 in
   let rec go () =
-    match it.P.Exec.next () with
+    match it.O.Interpreted.next () with
     | Some _ ->
       incr n;
       go ()
-    | None -> it.P.Exec.close ()
+    | None -> it.O.Interpreted.close ()
   in
   go ();
   !n
@@ -61,7 +62,7 @@ type entry_result = {
 
 let measure_entry ctx (name, plan) =
   let compiled = P.Exec.compile ctx plan in
-  let r_interp = P.Exec.Interpreted.run ctx plan in
+  let r_interp = O.Interpreted.run ctx plan in
   let r_compiled = P.Exec.run_compiled ctx compiled in
   let diverged = not (A.Relation.equal r_interp r_compiled) in
   let rows_i, t_interp = measure_median ~reps (drain_interpreted ctx plan) in

@@ -41,7 +41,7 @@ let exp_a () =
       let engine = Engine.generate db in
       let naive = Engine.run_naive db query_q in
       let opt = Engine.run_optimized engine query_q in
-      let reference = Engine.run_reference db query_q in
+      let reference = Soqm_oracle.Eval.run_query db query_q in
       let equal =
         Soqm_algebra.Relation.equal naive.Engine.result opt.Engine.result
         && Soqm_algebra.Relation.equal naive.Engine.result
@@ -277,9 +277,9 @@ let exp_g () =
     | Ok () ->
       let r = Soqm_algebra.Translate.of_general g in
       sizes := (Soqm_algebra.General.size g, Soqm_algebra.Restricted.size r) :: !sizes;
-      let expected = Soqm_algebra.Eval.run db.Db.store g in
+      let expected = Soqm_oracle.Eval.run db.Db.store g in
       let got =
-        Soqm_algebra.Eval.run db.Db.store (Soqm_algebra.Restricted.to_general r)
+        Soqm_oracle.Eval.run db.Db.store (Soqm_algebra.Restricted.to_general r)
       in
       if Soqm_algebra.Relation.equal expected got then incr preserved
   done;

@@ -44,6 +44,7 @@ open Soqm_core
 open Bench_util
 module A = Soqm_algebra
 module P = Soqm_physical
+module O = Soqm_oracle
 
 let reps = 5
 let min_median_speedup = 1.8
@@ -68,12 +69,12 @@ let naive_oracle ctx name =
   let run p = P.Exec.run ctx p in
   match name with
   | "hash_join" ->
-    Some (A.Naive.join hash_join_pred (run hash_left) (run hash_right))
+    Some (O.Naive.join hash_join_pred (run hash_left) (run hash_right))
   | "natural_join" ->
-    Some (A.Naive.natural_join (run nat_left) (run nat_right))
-  | "union" -> Some (A.Naive.union (run map_chain) (run map_chain))
+    Some (O.Naive.natural_join (run nat_left) (run nat_right))
+  | "union" -> Some (O.Naive.union (run map_chain) (run map_chain))
   | "diff" ->
-    Some (A.Naive.diff (run map_chain) (run (never_filter map_chain)))
+    Some (O.Naive.diff (run map_chain) (run (never_filter map_chain)))
   | _ -> None
 
 (* All four executors on one database; [naive] additionally holds the
@@ -81,7 +82,7 @@ let naive_oracle ctx name =
 let divergent_on ctx db ~naive (name, plan) =
   let compiled = P.Exec.compile ctx plan in
   let serial = P.Exec.run_compiled ctx compiled in
-  (not (A.Relation.equal serial (P.Exec.Interpreted.run ctx plan)))
+  (not (A.Relation.equal serial (O.Interpreted.run ctx plan)))
   || List.exists
        (fun jobs ->
          not
@@ -96,7 +97,7 @@ let divergent_on ctx db ~naive (name, plan) =
   ||
   match name with
   | "worked_q_naive" ->
-    not (A.Relation.equal serial (Engine.run_logical_reference db query_q))
+    not (A.Relation.equal serial (O.Eval.run_query db query_q).Engine.result)
   | _ -> false
 
 let divergences ~n_docs schema =

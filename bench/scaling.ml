@@ -27,6 +27,7 @@ open Soqm_vml
 open Soqm_core
 open Bench_util
 module A = Soqm_algebra
+module O = Soqm_oracle
 
 let query_q =
   "ACCESS p FROM p IN Paragraph WHERE p->contains_string('Implementation') \
@@ -91,16 +92,16 @@ let naive_suite store sections documents paragraphs selected =
     let binding r = List.assoc_opt r tup in
     Value.truthy (Runtime.eval (Runtime.env ~binding store) join_cond)
   in
-  let j = A.Naive.join pred sections documents in
-  let nj = A.Naive.natural_join paragraphs paragraphs in
-  let d = A.Naive.diff paragraphs selected in
+  let j = O.Naive.join pred sections documents in
+  let nj = O.Naive.natural_join paragraphs paragraphs in
+  let d = O.Naive.diff paragraphs selected in
   (j, nj, d)
 
 let hash_suite store sections documents paragraphs selected =
   ignore (sections, documents, paragraphs, selected);
-  let j = A.Eval.run store join_term in
-  let nj = A.Eval.run store natjoin_term in
-  let d = A.Eval.run store diff_term in
+  let j = O.Eval.run store join_term in
+  let nj = O.Eval.run store natjoin_term in
+  let d = O.Eval.run store diff_term in
   (j, nj, d)
 
 let measure () =
@@ -109,12 +110,12 @@ let measure () =
       let store = (database n_docs).Db.store in
       let schema = Object_store.schema store in
       let q_term = Soqm_vql.To_algebra.query_to_algebra schema query_q in
-      let _, q_s = time_best (fun () -> ignore (A.Eval.run store q_term)) in
+      let _, q_s = time_best (fun () -> ignore (O.Eval.run store q_term)) in
       (* materialize the inputs once so both sides time pure operator work *)
-      let sections = A.Eval.run store (A.General.Get ("s", "Section")) in
-      let documents = A.Eval.run store (A.General.Get ("d", "Document")) in
-      let paragraphs = A.Eval.run store (A.General.Get ("p", "Paragraph")) in
-      let selected = A.Eval.run store small_select in
+      let sections = O.Eval.run store (A.General.Get ("s", "Section")) in
+      let documents = O.Eval.run store (A.General.Get ("d", "Document")) in
+      let paragraphs = O.Eval.run store (A.General.Get ("p", "Paragraph")) in
+      let selected = O.Eval.run store small_select in
       let (hj, hnj, hd), join_s =
         time_best (fun () ->
             hash_suite store sections documents paragraphs selected)

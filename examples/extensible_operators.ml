@@ -124,7 +124,7 @@ let () =
           ( Expr.(Call (Ref "e", "well_paid", [])),
             Soqm_algebra.General.Get ("e", "Employee") ) )
   in
-  let rel = Soqm_algebra.Eval.run store algebra in
+  let rel = Soqm_oracle.Eval.run store algebra in
   Format.printf "via the query algebra: %d qualifying employee(s)@."
     (Soqm_algebra.Relation.cardinality rel);
   assert (

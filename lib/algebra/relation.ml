@@ -32,8 +32,6 @@ module Tuple = struct
 
   let names (t : t) = List.map fst t
 
-  let key key_refs (t : t) = List.map (fun r -> List.assoc r t) key_refs
-
   (* Sorted-order lookup: stops as soon as the walk passes where the
      name would sit, so absent names cost O(position), not O(width). *)
   let find_opt r (t : t) =
@@ -87,17 +85,6 @@ end
 
 let tuple_make = Tuple.make
 let compare_tuple = Tuple.compare
-
-module Tbl = Hashtbl.Make (Tuple)
-
-module Key = struct
-  type t = Value.t list
-
-  let equal a b = List.equal Value.equal a b
-  let hash (k : t) = Hashtbl.hash_param 64 256 k
-end
-
-module KeyTbl = Hashtbl.Make (Key)
 
 (* ------------------------------------------------------------------ *)
 (* Layouts: compiled name -> slot resolution                           *)
@@ -239,56 +226,6 @@ let of_values a vs =
   make ~refs:[ a ] (List.map (fun v -> [ (a, v) ]) (List.sort_uniq Value.compare vs))
 
 let column t r = List.map (fun tup -> field tup r) t.tuples
-
-(* ------------------------------------------------------------------ *)
-(* Hash-based bulk operations                                          *)
-(* ------------------------------------------------------------------ *)
-
-let index t key_refs =
-  let tbl = KeyTbl.create (max 16 (List.length t.tuples)) in
-  List.iter
-    (fun tup ->
-      let k = Tuple.key key_refs tup in
-      match KeyTbl.find_opt tbl k with
-      | Some prev -> KeyTbl.replace tbl k (tup :: prev)
-      | None -> KeyTbl.add tbl k [ tup ])
-    t.tuples;
-  tbl
-
-let mem_set t =
-  let tbl = Tbl.create (max 16 (List.length t.tuples)) in
-  List.iter (fun tup -> Tbl.replace tbl tup ()) t.tuples;
-  fun tup -> Tbl.mem tbl tup
-
-let natural_join r1 r2 =
-  let shared = List.filter (fun r -> List.mem r r2.refs) r1.refs in
-  let out_refs = List.sort_uniq String.compare (r1.refs @ r2.refs) in
-  (* build the hash index on the smaller side, probe with the larger *)
-  let build, probe =
-    if cardinality r1 <= cardinality r2 then (r1, r2) else (r2, r1)
-  in
-  let idx = index build shared in
-  make ~refs:out_refs
-    (List.concat_map
-       (fun tp ->
-         match KeyTbl.find_opt idx (Tuple.key shared tp) with
-         | None -> []
-         | Some matches ->
-           List.map (fun tb -> Tuple.merge_sorted tp tb) matches)
-       probe.tuples)
-
-let union a b =
-  if not (same_refs a b) then
-    invalid_arg "Relation.union: arguments have differing references";
-  let in_a = mem_set a in
-  make ~refs:a.refs
-    (a.tuples @ List.filter (fun tup -> not (in_a tup)) b.tuples)
-
-let diff a b =
-  if not (same_refs a b) then
-    invalid_arg "Relation.diff: arguments have differing references";
-  let in_b = mem_set b in
-  make ~refs:a.refs (List.filter (fun tup -> not (in_b tup)) a.tuples)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>{%s} (%d tuples)@," (String.concat ", " t.refs)

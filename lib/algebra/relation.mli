@@ -8,7 +8,8 @@
 
     Tuples are canonical — components sorted by name, values canonically
     constructed — so structural equality, ordering and the generic hash
-    all agree, and the bulk operations below can be hash-based. *)
+    all agree, and the executors' joins, deduplication and difference
+    can hash tuples and rows. *)
 
 open Soqm_vml
 
@@ -33,11 +34,6 @@ module Tuple : sig
   val names : t -> string list
   (** Component names, in tuple (sorted) order. *)
 
-  val key : string list -> t -> Value.t list
-  (** [key refs t] projects the values of [refs] out of [t], in the
-      given order — the hash key used by joins.
-      @raise Not_found when a reference is absent. *)
-
   val insert : string * Value.t -> t -> t
   (** Insert one field into a sorted tuple (O(|t|), no re-sort). *)
 
@@ -54,12 +50,6 @@ module Tuple : sig
   (** Project onto a {e sorted} reference list in one merge-style pass.
       Names absent from the tuple are silently dropped. *)
 end
-
-module Tbl : Hashtbl.S with type key = tuple
-(** Hash tables keyed by canonical tuples. *)
-
-module KeyTbl : Hashtbl.S with type key = Value.t list
-(** Hash tables keyed by join keys (projected value lists). *)
 
 (** Layouts: the compile-time side of slot-resolved execution.
 
@@ -152,27 +142,5 @@ val of_values : string -> Value.t list -> t
 
 val column : t -> string -> Value.t list
 (** Values of one reference, in tuple order (duplicates preserved). *)
-
-val index : t -> string list -> tuple list KeyTbl.t
-(** [index t refs] buckets the tuples of [t] by their projection onto
-    [refs] — the build side of a hash join.  With [refs = []] every tuple
-    lands in the single bucket keyed [[]]. *)
-
-val mem_set : t -> tuple -> bool
-(** [mem_set t] builds a hash set over the tuples of [t] once and returns
-    O(1) membership (partial application shares the table). *)
-
-val natural_join : t -> t -> t
-(** Hash natural join: index the smaller side on the shared references,
-    probe with the larger.  With no shared references this is the
-    Cartesian product; with all references shared it is intersection. *)
-
-val union : t -> t -> t
-(** Hash-deduplicating set union.
-    @raise Invalid_argument on differing reference lists. *)
-
-val diff : t -> t -> t
-(** Set difference via hash-set membership.
-    @raise Invalid_argument on differing reference lists. *)
 
 val pp : Format.formatter -> t -> unit

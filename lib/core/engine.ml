@@ -121,23 +121,6 @@ let maintained_specs t =
       | _ -> None)
     t.declared_specs
 
-(* The maintained specs that alone feed their set property: their sets
-   are exact, so the antecedent can be replaced by membership.  Two specs
-   filling one set make it a union, exact for neither. *)
-let exact_specs t =
-  let schema = Object_store.schema t.obj_store in
-  let module E = Soqm_semantics.Equivalence in
-  let shares a b =
-    String.equal a.E.set_prop b.E.set_prop
-    && List.exists
-         (fun c -> List.mem c (E.owner_classes schema b))
-         (E.owner_classes schema a)
-  in
-  let specs = maintained_specs t in
-  List.filter
-    (fun m -> List.length (List.filter (shares m) specs) = 1)
-    specs
-
 (* The constants a specification mentions, which its rules may match on
    or copy into plans. *)
 let spec_consts (spec : Soqm_semantics.Equivalence.t) =
@@ -172,19 +155,21 @@ let rebuild_rules t =
   t.rule_consts <-
     List.concat_map spec_consts (t.declared_specs @ Saturate.specs facts);
   let derived_t, derived_i = rules_of_facts schema facts in
-  let exact = exact_specs t in
-  (* under an exact set, conjoining the membership (the implication's
-     rewrite) yields nothing the exact rule does not reach in one step *)
+  (* [Maintenance.attach] admits one maintained spec per set property, so
+     every maintained set is exact: conjoining the membership (the
+     implication's rewrite) yields nothing the exact rule does not reach
+     in one step *)
+  let maintained = maintained_specs t in
   let superseded (r : Rule.transformation) =
     List.exists
       (fun m -> String.equal r.Rule.t_name m.Soqm_semantics.Equivalence.m_name)
-      exact
+      maintained
   in
   t.transformations <-
     t.builtins
     @ List.filter (fun r -> not (superseded r)) derived_t
-    @ List.map (Soqm_semantics.Derive.generator schema) (maintained_specs t)
-    @ List.map Soqm_semantics.Derive.exact exact;
+    @ List.map (Soqm_semantics.Derive.generator schema) maintained
+    @ List.map Soqm_semantics.Derive.exact maintained;
   t.implementations <- Builtin_rules.implementations @ derived_i;
   t.knowledge_epoch <- t.knowledge_epoch + 1
 
@@ -584,33 +569,29 @@ let timed f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-let execute_with ~jobs exec store plan opt =
+(* [compile] runs after the counter reset and inside the timed region:
+   a compile failure charges [Slot_misses] to this run, and [elapsed_s]
+   includes compiling. *)
+let execute ~jobs exec store compile opt =
   let c = Object_store.counters store in
   Counters.reset c Query;
   let result, elapsed_s =
-    timed (fun () -> Soqm_physical.Exec.run ~jobs exec plan)
+    timed (fun () -> Soqm_physical.Exec.run_compiled ~jobs exec (compile ()))
   in
   { result; counters = Counters.snapshot c; opt; elapsed_s }
+
+let execute_plan ~jobs exec store logical =
+  let plan = Soqm_physical.Plan.default_implementation logical in
+  execute ~jobs exec store (fun () -> Soqm_physical.Exec.compile exec plan) None
 
 let run_naive ?jobs (database : Db.t) src =
   let jobs = Option.value ~default:database.Db.default_jobs jobs in
-  let logical = logical_of_query database src in
-  let plan = Soqm_physical.Plan.default_implementation logical in
-  execute_with ~jobs (exec_ctx database) database.Db.store plan None
+  execute_plan ~jobs (exec_ctx database) database.Db.store
+    (logical_of_query database src)
 
 let run_query ?jobs t src =
   let jobs = Option.value ~default:t.jobs jobs in
-  let logical = logical_of_store t.obj_store src in
-  let plan = Soqm_physical.Plan.default_implementation logical in
-  execute_with ~jobs t.exec t.obj_store plan None
-
-let execute_compiled_with ~jobs exec store compiled opt =
-  let c = Object_store.counters store in
-  Counters.reset c Query;
-  let result, elapsed_s =
-    timed (fun () -> Soqm_physical.Exec.run_compiled ~jobs exec compiled)
-  in
-  { result; counters = Counters.snapshot c; opt; elapsed_s }
+  execute_plan ~jobs t.exec t.obj_store (logical_of_store t.obj_store src)
 
 let run_optimized ?jobs t src =
   let jobs = Option.value ~default:t.jobs jobs in
@@ -618,21 +599,7 @@ let run_optimized ?jobs t src =
   match safe_with_schema (Object_store.schema t.obj_store) logical with
   | Ok () ->
     let opt, compiled = optimize_compiled t logical in
-    execute_compiled_with ~jobs t.exec t.obj_store compiled (Some opt)
+    execute ~jobs t.exec t.obj_store (fun () -> compiled) (Some opt)
   | Error _ ->
     (* a potentially updating query: execute as written *)
-    execute_with ~jobs t.exec t.obj_store
-      (Soqm_physical.Plan.default_implementation logical)
-      None
-
-let run_logical_reference (database : Db.t) src =
-  let schema = Object_store.schema database.Db.store in
-  Eval.run database.Db.store (Soqm_vql.To_algebra.query_to_algebra schema src)
-
-let run_reference (database : Db.t) src =
-  let schema = Object_store.schema database.Db.store in
-  let term = Soqm_vql.To_algebra.query_to_algebra schema src in
-  let c = Object_store.counters database.Db.store in
-  Counters.reset c Query;
-  let result, elapsed_s = timed (fun () -> Eval.run database.Db.store term) in
-  { result; counters = Counters.snapshot c; opt = None; elapsed_s }
+    execute_plan ~jobs t.exec t.obj_store logical

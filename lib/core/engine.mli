@@ -31,9 +31,10 @@ val generate :
     knowledge under {!Soqm_knowledge.Saturate} and compiles the derived
     specifications into rules too.  Every implication whose sets the
     database's maintenance upholds also yields a generator rule
-    ({!Soqm_semantics.Derive.generator}); one that alone fills its set
-    property yields the exact rule ({!Soqm_semantics.Derive.exact}) in
-    place of its conjoining rewrite. *)
+    ({!Soqm_semantics.Derive.generator}) and, since maintenance admits
+    one implication per set property, the exact rule
+    ({!Soqm_semantics.Derive.exact}) in place of its conjoining
+    rewrite. *)
 
 val generate_custom :
   ?specs:Soqm_semantics.Equivalence.t list ->
@@ -213,13 +214,3 @@ val run_optimized : ?jobs:int -> t -> string -> report
 val run_query : ?jobs:int -> t -> string -> report
 (** {!run_naive} against the engine's own store/schema (works for custom
     engines too). *)
-
-val run_logical_reference : Db.t -> string -> Relation.t
-(** Evaluate with the general-algebra reference interpreter (the
-    semantics oracle used by tests). *)
-
-val run_reference : Db.t -> string -> report
-(** Like {!run_logical_reference}, but resets the store counters first
-    and wraps the result in a {!report} (counters, wall-clock time), so
-    experiments can put the logical evaluator's tuples-touched and probe
-    counts next to the physical executor's. *)

@@ -350,6 +350,28 @@ let attach ?(policy = default_policy) ?(hash_indexes = [])
     ?(sorted_indexes = []) ?(text_indexes = []) ?(implications = [])
     ?set_members ~stats store =
   let sets = List.filter_map compile_implication implications in
+  (* each set writes its own members over the whole set property, so two
+     specs filling one property on a shared owner class would erase each
+     other's members: their union cannot be maintained *)
+  let rec reject_shared = function
+    | [] -> ()
+    | m :: rest ->
+      List.iter
+        (fun m' ->
+          if
+            String.equal m.spec.set_prop m'.spec.set_prop
+            && List.exists
+                 (fun c -> List.mem c (target_classes store m'))
+                 (target_classes store m)
+          then
+            invalid_arg
+              (Printf.sprintf
+                 "Maintenance.attach: implications %s and %s both fill %s"
+                 m.spec.m_name m'.spec.m_name m.spec.set_prop))
+        rest;
+      reject_shared rest
+  in
+  reject_shared sets;
   let t =
     {
       store;

@@ -56,7 +56,11 @@ val attach :
     [set_members] supplies a spec's [(member, target)] pairs (from
     {!set_members} persisted at checkpoint), in which case that set is
     seeded wholesale and the O(extent) reconcile skipped.  Inverse links
-    need no registration — the store itself maintains them. *)
+    need no registration — the store itself maintains them.
+    @raise Invalid_argument naming both specs when two maintained
+    implications fill the same set property on a shared owner class
+    (each set is kept exact for its own spec, so their union would not
+    be maintained). *)
 
 val observe : t -> Object_store.change -> unit
 (** The observer attached to the store; exposed for replaying events. *)

@@ -1,28 +1,25 @@
 (** Execution of physical plans.
 
-    Two executors share one context:
-
-    {ul
-    {- {!Interpreted} is the original Volcano path — one canonical tuple
-       per [next ()], references resolved by name on every row.  It is
-       the executable specification the batch path is property-tested
-       against.}
-    {- The default path ({!run}) first {!compile}s the plan — resolving
-       every reference, join key and projection to an integer slot
-       against per-operator {!Relation.Layout.t}s — then runs each
-       operator's {e kernel}: its row work over a range of input rows
-       ([Value.t array]s), with no assoc lists and no name lookups
-       inside the per-row loops.  Every operator has exactly one
-       kernel, driven by one of two schedulers: the block driver
-       ({!open_compiled}, [jobs = 1]) and the morsel scheduler
-       ({!eval_parallel}, [jobs >= 2]); see DESIGN.md §9–§10.}}
+    {!run} first {!compile}s the plan — resolving every reference, join
+    key and projection to an integer slot against per-operator
+    {!Relation.Layout.t}s — then runs each operator's {e kernel}: its
+    row work over a range of input rows ([Value.t array]s), with no
+    assoc lists and no name lookups inside the per-row loops.  Every
+    operator has exactly one kernel, driven by one of two schedulers:
+    the block driver ({!open_compiled}, [jobs = 1]) and the morsel
+    scheduler ({!eval_parallel}, [jobs >= 2]); see DESIGN.md §9–§10.
+    The tuple-at-a-time reference executor it is property-tested
+    against lives outside the library, in the test oracle
+    ([Interpreted]), and reuses {!eval_cmp}, {!eval_op} and
+    {!memoized1} so both paths share one comparison, operator and memo
+    semantics.
 
     Per-operator memo tables cache method invocations and property
-    accesses keyed by receiver and argument {e values} in both paths:
-    safe because optimized queries are side-effect free, and exactly
-    what makes tuple-independent operator chains (a class-method call
-    with constant arguments and the accesses hanging off it) cost one
-    evaluation per execution instead of one per tuple. *)
+    accesses keyed by receiver and argument {e values}: safe because
+    optimized queries are side-effect free, and exactly what makes
+    tuple-independent operator chains (a class-method call with constant
+    arguments and the accesses hanging off it) cost one evaluation per
+    execution instead of one per tuple. *)
 
 open Soqm_vml
 open Soqm_algebra
@@ -54,19 +51,17 @@ type ctx = {
 val basic_ctx : Object_store.t -> ctx
 (** A context with no indexes (index and range scans fail to resolve). *)
 
-type iter = {
-  next : unit -> Relation.tuple option;
-  close : unit -> unit;
-}
+val eval_cmp : Restricted.cmp -> Value.t -> Value.t -> Value.t
+(** Apply a comparison.  @raise Error when the operands do not
+    compare. *)
 
-(** The tuple-at-a-time reference executor. *)
-module Interpreted : sig
-  val open_plan : ctx -> Plan.t -> iter
-  (** Open the plan's root iterator.  @raise Error on dynamic failures. *)
+val eval_op : Restricted.opname -> Value.t list -> Value.t
+(** Apply a built-in operator (map/flat operator steps).
+    @raise Error on an arity or operand mismatch. *)
 
-  val run : ctx -> Plan.t -> Relation.t
-  (** Exhaust the plan and canonicalize the result into a relation. *)
-end
+val memoized1 : ('a -> 'b) -> 'a -> 'b
+(** One operator's memo table: [memoized1 f] calls [f] once per
+    distinct (structurally compared) argument. *)
 
 (** {1 Batch execution} *)
 

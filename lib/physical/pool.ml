@@ -6,8 +6,11 @@
 let total_spawned_counter = Atomic.make 0
 let total_spawned () = Atomic.get total_spawned_counter
 
+(* Helper domains a pool ever spawns: just under the runtime's domain
+   limit. *)
+let max_helpers = 126
+
 type t = {
-  max_helpers : int;
   m : Mutex.t;
   work : Condition.t;  (* helpers wait here between tasks *)
   finished : Condition.t;  (* the caller waits here for the join *)
@@ -22,9 +25,8 @@ type t = {
   mutable busy : bool;  (* a task is in flight (re-entrancy guard) *)
 }
 
-let create ?(max_helpers = 126) () =
+let create () =
   {
-    max_helpers = max 0 max_helpers;
     m = Mutex.create ();
     work = Condition.create ();
     finished = Condition.create ();
@@ -77,7 +79,7 @@ let helper_loop t =
 
 let spawn_up_to t wanted =
   (* called with [t.m] held *)
-  while t.spawned < wanted && t.spawned < t.max_helpers do
+  while t.spawned < wanted && t.spawned < max_helpers do
     t.spawned <- t.spawned + 1;
     Atomic.incr total_spawned_counter;
     t.domains <- Domain.spawn (fun () -> helper_loop t) :: t.domains

@@ -1,10 +1,10 @@
 (** A reusable pool of worker domains for morsel-driven execution.
 
     Hand-rolled on stdlib [Domain]/[Mutex]/[Condition] (domainslib is
-    not a dependency).  A pool owns up to [max_helpers] helper domains,
-    {e spawned lazily}: creating a pool spawns nothing, and a run with
-    [jobs = 1] executes inline on the caller — no domain is ever created
-    for serial work.  Helper domains park on a condition variable
+    not a dependency).  A pool owns up to 126 helper domains (just
+    under the runtime's domain limit), {e spawned lazily}: creating a
+    pool spawns nothing, and a run with [jobs = 1] executes inline on
+    the caller — no domain is ever created for serial work.  Helper domains park on a condition variable
     between runs, so the spawn cost is paid once per process, not once
     per query.
 
@@ -20,11 +20,10 @@
 
 type t
 
-val create : ?max_helpers:int -> unit -> t
-(** A pool with no helper domains yet.  [max_helpers] (default 126,
-    just under the runtime's domain limit) caps how many are ever
-    spawned; runs requesting more workers than [1 + max_helpers]
-    still complete, with the excess indices never handed out. *)
+val create : unit -> t
+(** A pool with no helper domains yet.  Runs requesting more workers
+    than 127 still complete, with the excess indices never handed
+    out. *)
 
 val run : t -> jobs:int -> (int -> unit) -> unit
 (** [run t ~jobs f] executes [f 0], ..., [f (jobs-1)] concurrently and

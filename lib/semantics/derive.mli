@@ -47,8 +47,8 @@ val exact : Equivalence.maintained -> Rule.transformation
     T(x).S>(?A)], compiled as a condition equivalence.  Sound only while
     a maintainer keeps the sets {e exact} — equal to
     [{x | A(x) ∧ T(x) = owner}] — which makes the converse of the
-    implication hold; so only for a set that exactly one maintained
-    implication feeds.  Named ["<implication>/exact"].
+    implication hold ([Maintenance.attach] rejects a second implication
+    filling the same set).  Named ["<implication>/exact"].
     @raise Underivable when a side cannot be compiled. *)
 
 val rules_of_specs :

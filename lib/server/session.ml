@@ -53,6 +53,21 @@ let rows_of_relation r =
   in
   (refs, rows)
 
+(* Run [f] inside the session's open transaction, or auto-commit it in
+   a transaction of its own.  [respond] gets [f]'s result and the commit
+   timestamp ([None] inside an open transaction, which commits later). *)
+let in_txn s f respond =
+  match s.txn with
+  | Some txn -> respond (f txn) None
+  | None -> (
+    match Txn.run s.mgr f with
+    | Ok (x, ts) -> respond x (Some ts)
+    | Error (`Conflict reason) -> Protocol.Conflict reason)
+
+let done_or_committed () = function
+  | None -> Protocol.Done
+  | Some ts -> Protocol.Committed ts
+
 let handle s (req : Protocol.request) : Protocol.response =
   match req with
   | Protocol.Ping -> Protocol.Done
@@ -81,45 +96,15 @@ let handle s (req : Protocol.request) : Protocol.response =
       s.txn <- None;
       Txn.abort txn;
       Protocol.Done)
-  | Protocol.Insert (cls, props) -> (
-    match s.txn with
-    | Some txn -> Protocol.Oid (Txn.insert txn ~cls props)
-    | None -> (
-      match Txn.run s.mgr (fun txn -> Txn.insert txn ~cls props) with
-      | Ok (oid, _) -> Protocol.Oid oid
-      | Error (`Conflict reason) -> Protocol.Conflict reason))
-  | Protocol.Update (oid, prop, v) -> (
-    match s.txn with
-    | Some txn ->
-      Txn.set_prop txn oid prop v;
-      Protocol.Done
-    | None -> (
-      match Txn.run s.mgr (fun txn -> Txn.set_prop txn oid prop v) with
-      | Ok ((), ts) -> Protocol.Committed ts
-      | Error (`Conflict reason) -> Protocol.Conflict reason))
-  | Protocol.Delete oid -> (
-    match s.txn with
-    | Some txn ->
-      Txn.delete txn oid;
-      Protocol.Done
-    | None -> (
-      match Txn.run s.mgr (fun txn -> Txn.delete txn oid) with
-      | Ok ((), ts) -> Protocol.Committed ts
-      | Error (`Conflict reason) -> Protocol.Conflict reason))
-  | Protocol.Get (oid, prop) -> (
-    match s.txn with
-    | Some txn -> Protocol.Value (Txn.get_prop txn oid prop)
-    | None -> (
-      match Txn.run s.mgr (fun txn -> Txn.get_prop txn oid prop) with
-      | Ok (v, _) -> Protocol.Value v
-      | Error (`Conflict reason) -> Protocol.Conflict reason))
-  | Protocol.Extent cls -> (
-    match s.txn with
-    | Some txn -> Protocol.Oids (Txn.extent txn cls)
-    | None -> (
-      match Txn.run s.mgr (fun txn -> Txn.extent txn cls) with
-      | Ok (oids, _) -> Protocol.Oids oids
-      | Error (`Conflict reason) -> Protocol.Conflict reason))
+  | Protocol.Insert (cls, props) ->
+    in_txn s (fun txn -> Txn.insert txn ~cls props) (fun oid _ -> Protocol.Oid oid)
+  | Protocol.Update (oid, prop, v) ->
+    in_txn s (fun txn -> Txn.set_prop txn oid prop v) done_or_committed
+  | Protocol.Delete oid -> in_txn s (fun txn -> Txn.delete txn oid) done_or_committed
+  | Protocol.Get (oid, prop) ->
+    in_txn s (fun txn -> Txn.get_prop txn oid prop) (fun v _ -> Protocol.Value v)
+  | Protocol.Extent cls ->
+    in_txn s (fun txn -> Txn.extent txn cls) (fun oids _ -> Protocol.Oids oids)
 
 let error_message = function
   | Soqm_vql.Parser.Error msg -> Some ("parse error: " ^ msg)

@@ -5,6 +5,7 @@
 
 open Soqm_vml
 open Soqm_algebra
+open Soqm_oracle
 module F = Soqm_testlib.Fixtures
 
 let check = Alcotest.check
@@ -608,7 +609,7 @@ let test_equi_join_null_never_matches () =
 let test_natural_join_disjoint_is_product () =
   let r1 = Relation.of_values "a" [ Value.Int 1; Value.Int 2 ] in
   let r2 = Relation.of_values "b" [ Value.Str "x"; Value.Str "y"; Value.Str "z" ] in
-  let j = Relation.natural_join r1 r2 in
+  let j = Eval.natural_join r1 r2 in
   check Alcotest.int "no shared refs: cross product" 6 (Relation.cardinality j);
   check F.relation "agrees with naive" (Naive.natural_join r1 r2) j
 
@@ -616,47 +617,47 @@ let test_natural_join_empty_refs () =
   (* zero-reference relations are the algebra's booleans: {} and {[]} *)
   let unit_r = Relation.make ~refs:[] [ [] ] in
   let zero_r = Relation.empty ~refs:[] in
-  check F.relation "unit * unit" unit_r (Relation.natural_join unit_r unit_r);
-  check F.relation "unit * zero" zero_r (Relation.natural_join unit_r zero_r);
+  check F.relation "unit * unit" unit_r (Eval.natural_join unit_r unit_r);
+  check F.relation "unit * zero" zero_r (Eval.natural_join unit_r zero_r);
   check F.relation "agrees with naive" (Naive.natural_join unit_r zero_r)
-    (Relation.natural_join unit_r zero_r)
+    (Eval.natural_join unit_r zero_r)
 
 let test_union_diff_ref_mismatch_raises () =
   let r1 = Relation.of_values "a" [ Value.Int 1 ] in
   let r2 = Relation.of_values "b" [ Value.Int 1 ] in
   Alcotest.match_raises "union rejects differing refs"
     (function Invalid_argument _ -> true | _ -> false)
-    (fun () -> ignore (Relation.union r1 r2));
+    (fun () -> ignore (Eval.union r1 r2));
   Alcotest.match_raises "diff rejects differing refs"
     (function Invalid_argument _ -> true | _ -> false)
-    (fun () -> ignore (Relation.diff r1 r2))
+    (fun () -> ignore (Eval.diff r1 r2))
 
 let prop_natural_join_agrees =
   QCheck2.Test.make ~count:300
     ~name:"hash natural_join agrees with naive (all ref overlaps)"
     Soqm_testlib.Gen.relation_pair_gen
     (fun (r1, r2) ->
-      Relation.equal (Naive.natural_join r1 r2) (Relation.natural_join r1 r2))
+      Relation.equal (Naive.natural_join r1 r2) (Eval.natural_join r1 r2))
 
 let prop_union_agrees =
   QCheck2.Test.make ~count:300 ~name:"hash union agrees with naive"
     Soqm_testlib.Gen.same_refs_relation_pair_gen
-    (fun (r1, r2) -> Relation.equal (Naive.union r1 r2) (Relation.union r1 r2))
+    (fun (r1, r2) -> Relation.equal (Naive.union r1 r2) (Eval.union r1 r2))
 
 let prop_diff_agrees =
   QCheck2.Test.make ~count:300 ~name:"hash diff agrees with naive"
     Soqm_testlib.Gen.same_refs_relation_pair_gen
-    (fun (r1, r2) -> Relation.equal (Naive.diff r1 r2) (Relation.diff r1 r2))
+    (fun (r1, r2) -> Relation.equal (Naive.diff r1 r2) (Eval.diff r1 r2))
 
 let prop_natural_join_identical_refs_is_intersection =
   QCheck2.Test.make ~count:200
     ~name:"natural_join with all refs shared = set intersection"
     Soqm_testlib.Gen.same_refs_relation_pair_gen
     (fun (r1, r2) ->
-      let j = Relation.natural_join r1 r2 in
+      let j = Eval.natural_join r1 r2 in
       let inter =
         Relation.make ~refs:(Relation.refs r1)
-          (let in2 = Relation.mem_set r2 in
+          (let in2 = Eval.mem_set r2 in
            List.filter in2 (Relation.tuples r1))
       in
       Relation.equal inter j)

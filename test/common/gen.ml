@@ -171,7 +171,7 @@ let term_gen : General.t G.t =
 
 (* Small relations over a tiny value domain (many collisions, so joins,
    unions and diffs all exercise non-trivial matches), for the property
-   tests comparing the hash-based [Relation] operators against the
+   tests comparing the hash-based [Eval] operators against the
    retained list-based [Naive] ones.  Floats are excluded: [Naive.diff]
    dates from the seed and uses polymorphic equality, which disagrees
    with [Value.equal] on NaN / negative zero. *)

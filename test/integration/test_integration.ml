@@ -4,6 +4,7 @@
 
 open Soqm_vml
 open Soqm_algebra
+open Soqm_oracle
 open Soqm_core
 module F = Soqm_testlib.Fixtures
 
@@ -14,7 +15,7 @@ let engine = lazy (Engine.generate (Lazy.force db))
 
 let assert_consistent ?(min_speedup = 1.0) name q =
   let d = Lazy.force db in
-  let reference = Engine.run_logical_reference d q in
+  let reference = (Eval.run_query d q).Engine.result in
   let naive = Engine.run_naive d q in
   let opt = Engine.run_optimized (Lazy.force engine) q in
   check F.relation (name ^ ": naive = reference") reference naive.Engine.result;
@@ -127,7 +128,7 @@ let test_ablation_monotone () =
 let test_each_class_ablation_sound () =
   (* dropping any one knowledge class must preserve correctness *)
   let d = Lazy.force db in
-  let reference = Engine.run_logical_reference d query_q in
+  let reference = (Eval.run_query d query_q).Engine.result in
   List.iter
     (fun dropped ->
       let classes =
@@ -366,7 +367,7 @@ let test_snapshot_roundtrip () =
         (Object_store.extent d.Db.store "Paragraph"
         = Object_store.extent d'.Db.store "Paragraph");
       (* same query results, methods and access paths rewired *)
-      let reference = Engine.run_logical_reference d query_q in
+      let reference = (Eval.run_query d query_q).Engine.result in
       let eng = Engine.generate d' in
       let opt = Engine.run_optimized eng query_q in
       check F.relation "loaded db answers identically" reference opt.Engine.result;

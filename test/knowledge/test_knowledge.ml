@@ -280,6 +280,7 @@ module Engine = Soqm_core.Engine
 module Db = Soqm_core.Db
 module F = Soqm_testlib.Fixtures
 open Soqm_algebra
+open Soqm_oracle
 
 let e2e_db = lazy (F.tiny_db ())
 let declared_engine = lazy (Engine.generate (Lazy.force e2e_db))

@@ -1,4 +1,5 @@
 open Soqm_vml
+open Soqm_algebra
 
 exception Error of string
 
@@ -13,6 +14,75 @@ let eval_expr store tuple e =
    tuples actually touched by the reference interpreter alongside the
    deterministic method-call costs. *)
 let counters store = Object_store.counters store
+
+(* ------------------------------------------------------------------ *)
+(* Hash-based bulk operations                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Tbl = Hashtbl.Make (Relation.Tuple)
+
+module KeyTbl = Hashtbl.Make (struct
+  type t = Value.t list
+
+  let equal a b = List.equal Value.equal a b
+  let hash (k : t) = Hashtbl.hash_param 64 256 k
+end)
+
+let key key_refs (t : Relation.tuple) = List.map (fun r -> List.assoc r t) key_refs
+
+let index t key_refs =
+  let tbl = KeyTbl.create (max 16 (Relation.cardinality t)) in
+  List.iter
+    (fun tup ->
+      let k = key key_refs tup in
+      match KeyTbl.find_opt tbl k with
+      | Some prev -> KeyTbl.replace tbl k (tup :: prev)
+      | None -> KeyTbl.add tbl k [ tup ])
+    (Relation.tuples t);
+  tbl
+
+let mem_set t =
+  let tbl = Tbl.create (max 16 (Relation.cardinality t)) in
+  List.iter (fun tup -> Tbl.replace tbl tup ()) (Relation.tuples t);
+  fun tup -> Tbl.mem tbl tup
+
+let natural_join r1 r2 =
+  let refs2 = Relation.refs r2 in
+  let shared = List.filter (fun r -> List.mem r refs2) (Relation.refs r1) in
+  let out_refs = List.sort_uniq String.compare (Relation.refs r1 @ refs2) in
+  (* build the hash index on the smaller side, probe with the larger *)
+  let build, probe =
+    if Relation.cardinality r1 <= Relation.cardinality r2 then (r1, r2)
+    else (r2, r1)
+  in
+  let idx = index build shared in
+  Relation.make ~refs:out_refs
+    (List.concat_map
+       (fun tp ->
+         match KeyTbl.find_opt idx (key shared tp) with
+         | None -> []
+         | Some matches ->
+           List.map (fun tb -> Relation.Tuple.merge_sorted tp tb) matches)
+       (Relation.tuples probe))
+
+let union a b =
+  if not (Relation.same_refs a b) then
+    invalid_arg "Eval.union: arguments have differing references";
+  let in_a = mem_set a in
+  Relation.make ~refs:(Relation.refs a)
+    (Relation.tuples a
+    @ List.filter (fun tup -> not (in_a tup)) (Relation.tuples b))
+
+let diff a b =
+  if not (Relation.same_refs a b) then
+    invalid_arg "Eval.diff: arguments have differing references";
+  let in_b = mem_set b in
+  Relation.make ~refs:(Relation.refs a)
+    (List.filter (fun tup -> not (in_b tup)) (Relation.tuples a))
+
+(* ------------------------------------------------------------------ *)
+(* The interpreter                                                     *)
+(* ------------------------------------------------------------------ *)
 
 (* A theta join whose condition is a top-level equality with one side
    ranging over each input evaluates as a hash join: [Some (e1, e2)] with
@@ -52,7 +122,7 @@ let rec run store (t : General.t) : Relation.t =
     out
   | NaturalJoin (s1, s2) ->
     let r1 = run store s1 and r2 = run store s2 in
-    let out = Relation.natural_join r1 r2 in
+    let out = natural_join r1 r2 in
     Counters.add (counters store) Index_probes
       (max (Relation.cardinality r1) (Relation.cardinality r2));
     Counters.add (counters store) Tuples_produced (Relation.cardinality out);
@@ -61,14 +131,14 @@ let rec run store (t : General.t) : Relation.t =
     let r1 = run store s1 and r2 = run store s2 in
     if not (Relation.same_refs r1 r2) then
       error "union arguments have differing references";
-    let out = Relation.union r1 r2 in
+    let out = union r1 r2 in
     Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
   | Diff (s1, s2) ->
     let r1 = run store s1 and r2 = run store s2 in
     if not (Relation.same_refs r1 r2) then
       error "diff arguments have differing references";
-    let out = Relation.diff r1 r2 in
+    let out = diff r1 r2 in
     Counters.add (counters store) Index_probes (Relation.cardinality r1);
     Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
@@ -87,15 +157,15 @@ let rec run store (t : General.t) : Relation.t =
         (* hash equi-join: one key evaluation per input tuple instead of
            one condition evaluation per tuple pair.  Null keys never
            match, mirroring [eval_binop Eq]'s null semantics. *)
-        let idx = Relation.KeyTbl.create (max 16 (Relation.cardinality r2)) in
+        let idx = KeyTbl.create (max 16 (Relation.cardinality r2)) in
         List.iter
           (fun t2 ->
             match eval_expr store t2 e2 with
             | Value.Null -> ()
             | k -> (
-              match Relation.KeyTbl.find_opt idx [ k ] with
-              | Some prev -> Relation.KeyTbl.replace idx [ k ] (t2 :: prev)
-              | None -> Relation.KeyTbl.add idx [ k ] [ t2 ]))
+              match KeyTbl.find_opt idx [ k ] with
+              | Some prev -> KeyTbl.replace idx [ k ] (t2 :: prev)
+              | None -> KeyTbl.add idx [ k ] [ t2 ]))
           (Relation.tuples r2);
         Counters.add (counters store) Index_probes (Relation.cardinality r1);
         List.concat_map
@@ -103,7 +173,7 @@ let rec run store (t : General.t) : Relation.t =
             match eval_expr store t1 e1 with
             | Value.Null -> []
             | k -> (
-              match Relation.KeyTbl.find_opt idx [ k ] with
+              match KeyTbl.find_opt idx [ k ] with
               | None -> []
               | Some matches ->
                 List.map (fun t2 -> Relation.Tuple.merge_sorted t1 t2) matches))
@@ -169,3 +239,13 @@ let rec run store (t : General.t) : Relation.t =
     in
     Counters.add (counters store) Tuples_produced (Relation.cardinality out);
     out
+
+let run_query (database : Soqm_core.Db.t) src =
+  let store = database.Soqm_core.Db.store in
+  let term = Soqm_vql.To_algebra.query_to_algebra (Object_store.schema store) src in
+  let c = Object_store.counters store in
+  Counters.reset c Query;
+  let t0 = Unix.gettimeofday () in
+  let result = run store term in
+  let elapsed_s = Unix.gettimeofday () -. t0 in
+  { Soqm_core.Engine.result; counters = Counters.snapshot c; opt = None; elapsed_s }

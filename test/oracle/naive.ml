@@ -1,10 +1,10 @@
 (* The seed's list-based relational operators, retained verbatim as the
    asymptotically-dumb reference: the property tests check the hash-based
-   operators in [Relation] against these, and bench/scaling.ml uses them
-   as the baseline for the evaluator-overhead comparison.  Nothing in the
-   engine proper should call this module. *)
+   operators in [Eval] against these, and bench/scaling.ml uses them
+   as the baseline for the evaluator-overhead comparison. *)
 
 open Soqm_vml
+open Soqm_algebra
 
 let natural_join r1 r2 =
   let shared =

@@ -1,7 +1,9 @@
 (** The seed's O(n*m) list-based relational operators, retained as the
-    reference the hash-based {!Relation} operators are tested and
+    reference the hash-based {!Eval} operators are tested and
     benchmarked against.  Semantically identical to their hash-based
-    counterparts; never used by the engine itself. *)
+    counterparts. *)
+
+open Soqm_algebra
 
 val natural_join : Relation.t -> Relation.t -> Relation.t
 (** Nested list scans over the shared references. *)

@@ -4,6 +4,7 @@
 
 open Soqm_vml
 open Soqm_algebra
+open Soqm_oracle
 open Soqm_physical
 module F = Soqm_testlib.Fixtures
 
@@ -16,7 +17,7 @@ let stats () = (Lazy.force db).Soqm_core.Db.stats
 let ctx () = Soqm_core.Engine.exec_ctx (Lazy.force db)
 
 let run_phys p = Exec.run (ctx ()) p
-let run_interp p = Exec.Interpreted.run (ctx ()) p
+let run_interp p = Interpreted.run (ctx ()) p
 let run_logical g = Eval.run (store ()) g
 
 (* A restricted term executed via its default physical implementation
@@ -145,7 +146,7 @@ let test_keyed_projection () =
     (fkeyed lone_unkeyed);
   List.iter
     (fun plan ->
-      let reference = Exec.Interpreted.run (ctx ()) plan in
+      let reference = Interpreted.run (ctx ()) plan in
       check F.relation "serial = interpreted" reference
         (Exec.run (ctx ()) plan);
       check F.relation "parallel = interpreted" reference
@@ -243,23 +244,23 @@ let test_repeated_receiver_memoized () =
 (* ------------------------------------------------------------------ *)
 
 let test_iterator_streams () =
-  let iter = Exec.Interpreted.open_plan (ctx ()) (Plan.FullScan ("p", "Paragraph")) in
-  let first = iter.Exec.next () in
+  let iter = Interpreted.open_plan (ctx ()) (Plan.FullScan ("p", "Paragraph")) in
+  let first = iter.Interpreted.next () in
   check Alcotest.bool "first tuple" true (Option.is_some first);
   let rec drain n =
-    match iter.Exec.next () with Some _ -> drain (n + 1) | None -> n
+    match iter.Interpreted.next () with Some _ -> drain (n + 1) | None -> n
   in
   let rest = drain 0 in
   check Alcotest.int "all tuples seen"
     (Object_store.extent_size (store ()) "Paragraph")
     (1 + rest);
-  check Alcotest.bool "exhausted stays exhausted" true (iter.Exec.next () = None)
+  check Alcotest.bool "exhausted stays exhausted" true (iter.Interpreted.next () = None)
 
 let test_iterator_close_stops () =
-  let iter = Exec.Interpreted.open_plan (ctx ()) (Plan.FullScan ("p", "Paragraph")) in
-  ignore (iter.Exec.next ());
-  iter.Exec.close ();
-  check Alcotest.bool "closed iterator yields nothing" true (iter.Exec.next () = None)
+  let iter = Interpreted.open_plan (ctx ()) (Plan.FullScan ("p", "Paragraph")) in
+  ignore (iter.Interpreted.next ());
+  iter.Interpreted.close ();
+  check Alcotest.bool "closed iterator yields nothing" true (iter.Interpreted.next () = None)
 
 let test_filter_streams_lazily () =
   (* a filter pulls from its input only as far as needed *)
@@ -273,9 +274,9 @@ let test_filter_streams_lazily () =
   in
   let _, counters =
     Soqm_core.Db.with_fresh_counters d (fun () ->
-        let iter = Exec.Interpreted.open_plan (ctx ()) plan in
-        let r = iter.Exec.next () in
-        iter.Exec.close ();
+        let iter = Interpreted.open_plan (ctx ()) plan in
+        let r = iter.Interpreted.next () in
+        iter.Interpreted.close ();
         r)
   in
   (* scanning charges the whole extent up front (materialized source),

@@ -4,6 +4,7 @@
 
 open Soqm_vml
 open Soqm_algebra
+open Soqm_oracle
 open Soqm_optimizer
 open Soqm_semantics
 module F = Soqm_testlib.Fixtures

@@ -4,6 +4,7 @@
 
 open Soqm_vml
 open Soqm_algebra
+open Soqm_oracle
 open Soqm_vql
 module Vml_schema = Soqm_vml.Schema
 module F = Soqm_testlib.Fixtures
