@@ -135,7 +135,6 @@ let () =
   let exec_ctx = Soqm_physical.Exec.basic_ctx store in
   let engine =
     Soqm_core.Engine.generate_custom ~specs ~store ~exec_ctx
-      ~has_index:(fun ~cls:_ ~prop:_ -> false)
       ()
   in
   Printf.printf "\ngenerated optimizer: %d rules\n\n" (Soqm_core.Engine.rule_count engine);

@@ -61,37 +61,49 @@ let register_external_methods t =
          | Value.Obj oid, [] -> Object_store.get_prop store oid "word_count"
          | _ -> raise (Runtime.Error "wordCount expects no arguments")))
 
+(* The document database's access paths, declared once: [make] creates
+   the three indexes, and every consumer — [refresh], the maintainers,
+   the derived image, the range counts, the executor's and optimizer's
+   index lookups — iterates these lists. *)
+let hash_indexes t = [ t.title_index ]
+let sorted_indexes t = [ t.word_count_index ]
+let text_indexes t = [ ("Paragraph", "content", t.text_index) ]
+
 let register_range_counts t =
-  Statistics.register_range t.stats ~cls:(Sorted_index.cls t.word_count_index)
-    ~prop:(Sorted_index.prop t.word_count_index)
-    (Sorted_index.count_range t.word_count_index)
+  List.iter
+    (fun idx ->
+      Statistics.register_range t.stats ~cls:(Sorted_index.cls idx)
+        ~prop:(Sorted_index.prop idx) (Sorted_index.count_range idx))
+    (sorted_indexes t)
 
 let refresh t =
-  Hash_index.build t.title_index t.store;
-  Sorted_index.build t.word_count_index t.store;
-  Soqm_ir.Inverted_index.clear t.text_index;
+  List.iter (fun idx -> Hash_index.build idx t.store) (hash_indexes t);
+  List.iter (fun idx -> Sorted_index.build idx t.store) (sorted_indexes t);
   List.iter
-    (fun oid ->
-      match Object_store.peek_prop t.store oid "content" with
-      | Value.Str text -> Soqm_ir.Inverted_index.add t.text_index ~key:oid ~text
-      | _ -> ())
-    (Object_store.extent t.store "Paragraph");
+    (fun (cls, prop, idx) ->
+      Soqm_ir.Inverted_index.clear idx;
+      List.iter
+        (fun oid ->
+          match Object_store.peek_prop t.store oid prop with
+          | Value.Str text -> Soqm_ir.Inverted_index.add idx ~key:oid ~text
+          | _ -> ())
+        (Object_store.extent t.store cls))
+    (text_indexes t);
   (* in place, never reassigned: generated optimizers capture [t.stats];
      resync recollects itself, so don't scan twice *)
   match t.maint with
   | Some m -> Soqm_maintenance.Maintenance.resync m
   | None -> Statistics.recollect t.stats t.store
 
-let attach_maintenance ?set_members t =
+let attach_maintenance ?reconcile t =
   match t.maint with
   | Some _ -> ()
   | None ->
     t.maint <-
       Some
-        (Soqm_maintenance.Maintenance.attach ?set_members
-           ~hash_indexes:[ t.title_index ]
-           ~sorted_indexes:[ t.word_count_index ]
-           ~text_indexes:[ ("Paragraph", "content", t.text_index) ]
+        (Soqm_maintenance.Maintenance.attach ?reconcile
+           ~hash_indexes:(hash_indexes t) ~sorted_indexes:(sorted_indexes t)
+           ~text_indexes:(text_indexes t)
            ~implications:[ Doc_knowledge.word_count_implication ]
            ~stats:t.stats t.store)
 
@@ -143,10 +155,8 @@ module Persist = Soqm_maintenance.Persist
 (* persistent derived state                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Snapshot every derived structure — the three indexes, the maintained
-   implication-set memberships, the statistics — into the persistent
-   image form, stamped with the disk store's current checkpoint
-   sequence. *)
+(* Snapshot every index and the statistics into the persistent image
+   form, stamped with the disk store's current checkpoint sequence. *)
 let derived_image t d =
   let hash_section idx =
     let buckets = ref [] in
@@ -168,25 +178,11 @@ let derived_image t d =
         postings := (w, List.map Oid.id keys) :: !postings);
     (cls, prop, !postings)
   in
-  let sets =
-    match t.maint with
-    | None -> []
-    | Some m ->
-      List.map
-        (fun (name, members) ->
-          ( name,
-            List.map
-              (fun (mem, tgt) ->
-                ((Oid.cls mem, Oid.id mem), (Oid.cls tgt, Oid.id tgt)))
-              members ))
-        (Soqm_maintenance.Maintenance.set_members m)
-  in
   {
     Persist.seq = Disk.checkpoint_seq d;
-    hash = [ hash_section t.title_index ];
-    sorted = [ sorted_section t.word_count_index ];
-    text = [ text_section ("Paragraph", "content", t.text_index) ];
-    sets;
+    hash = List.map hash_section (hash_indexes t);
+    sorted = List.map sorted_section (sorted_indexes t);
+    text = List.map text_section (text_indexes t);
     stats = Some (Statistics.snapshot t.stats);
   }
 
@@ -275,36 +271,45 @@ let events_of_op (op : Soqm_disk.Wal.op) =
    the caller falls back to [refresh], which rebuilds everything from
    base data regardless of what was partially installed. *)
 let load_derived t (img : Persist.image) =
-  let find cls prop xs =
-    List.find_map
-      (fun (c, p, x) ->
-        if String.equal c cls && String.equal p prop then Some x else None)
-      xs
+  let load sections key install indexes =
+    List.for_all
+      (fun idx ->
+        let cls, prop = key idx in
+        match
+          List.find_opt
+            (fun (c, p, _) -> String.equal c cls && String.equal p prop)
+            sections
+        with
+        | Some (_, _, section) ->
+          install idx (fun id -> Oid.make ~cls ~id) section;
+          true
+        | None -> false)
+      indexes
   in
-  let hcls = Hash_index.cls t.title_index in
-  let scls = Sorted_index.cls t.word_count_index in
-  match
-    ( find hcls (Hash_index.prop t.title_index) img.Persist.hash,
-      find scls (Sorted_index.prop t.word_count_index) img.Persist.sorted,
-      find "Paragraph" "content" img.Persist.text )
-  with
-  | Some buckets, Some entries, Some postings -> (
-    try
-      List.iter
-        (fun (v, ids) ->
-          Hash_index.load_bucket t.title_index v
-            (List.map (fun id -> Oid.make ~cls:hcls ~id) ids))
-        buckets;
-      Sorted_index.load_sorted t.word_count_index
-        (Array.map (fun (v, id) -> (v, Oid.make ~cls:scls ~id)) entries);
-      List.iter
-        (fun (w, ids) ->
-          Soqm_ir.Inverted_index.load_postings t.text_index ~word:w
-            ~keys:(List.map (fun id -> Oid.make ~cls:"Paragraph" ~id) ids))
-        postings;
-      true
-    with Invalid_argument _ -> false)
-  | _ -> false
+  try
+    load img.Persist.hash
+      (fun idx -> (Hash_index.cls idx, Hash_index.prop idx))
+      (fun idx oid buckets ->
+        List.iter
+          (fun (v, ids) -> Hash_index.load_bucket idx v (List.map oid ids))
+          buckets)
+      (hash_indexes t)
+    && load img.Persist.sorted
+         (fun idx -> (Sorted_index.cls idx, Sorted_index.prop idx))
+         (fun idx oid entries ->
+           Sorted_index.load_sorted idx
+             (Array.map (fun (v, id) -> (v, oid id)) entries))
+         (sorted_indexes t)
+    && load img.Persist.text
+         (fun (cls, prop, _) -> (cls, prop))
+         (fun (_, _, idx) oid postings ->
+           List.iter
+             (fun (w, ids) ->
+               Soqm_ir.Inverted_index.load_postings idx ~word:w
+                 ~keys:(List.map oid ids))
+             postings)
+         (text_indexes t)
+  with Invalid_argument _ -> false
 
 let of_disk ~attach ~maintain ~jobs ~pool_pages path =
   let counters = Counters.create () in
@@ -342,17 +347,10 @@ let of_disk ~attach ~maintain ~jobs ~pool_pages path =
   (match image with
   | Some img when load_derived t img ->
     if attach then attach_disk t d;
-    attach_maintenance
-      ~set_members:
-        (List.map
-           (fun (name, members) ->
-             ( name,
-               List.map
-                 (fun ((mc, mi), (tc, ti)) ->
-                   (Oid.make ~cls:mc ~id:mi, Oid.make ~cls:tc ~id:ti))
-                 members ))
-           img.Persist.sets)
-      t;
+    (* a maintained database wrote this image at this checkpoint, so
+       the checkpointed set properties were exact; the replay below
+       re-derives every member the WAL tail touched *)
+    attach_maintenance ~reconcile:false t;
     (match t.maint with
     | Some m ->
       List.iter

@@ -33,6 +33,13 @@ type t = {
           of committing each one individually — see {!buffer_disk_ops} *)
 }
 
+val hash_indexes : t -> Hash_index.t list
+val sorted_indexes : t -> Sorted_index.t list
+(** The database's value and ordered indexes — the one declaration of
+    its access paths ([title_index] and [word_count_index]), which
+    [refresh], maintenance, the derived image, the statistics' range
+    counts and the executor context ([Engine.exec_ctx]) all iterate. *)
+
 val create :
   ?schema:Soqm_vml.Schema.t ->
   ?params:Datagen.params ->
@@ -68,8 +75,8 @@ val save : t -> string -> unit
 (** Export the database's data to a paged disk database directory
     ([Soqm_disk]): one slotted-page heap segment per class, a meta file
     with the binary-encoded schema, and an empty WAL.  With maintenance
-    attached, the derived state (index contents, implication-set
-    memberships, statistics) is also persisted as [derived.idx]
+    attached, the derived state (index contents and statistics) is also
+    persisted as [derived.idx]
     ([Soqm_maintenance.Persist]), stamped with the new store's
     checkpoint sequence, so the next open skips the derived rebuild.
     Overwrites any previous database in the directory. *)
@@ -82,8 +89,10 @@ val load : ?maintain:bool -> ?jobs:int -> string -> t
     Re-registers every method implementation of the document schema,
     then restores derived state the O(dirty) way when possible: a
     [derived.idx] image whose stamp matches the store's checkpoint
-    sequence is loaded wholesale and only the recovered WAL tail is
-    replayed through the maintenance observers.  A missing, stale or
+    sequence is loaded wholesale, the maintained sets' member tables are
+    read back from the set properties in the base data, and only the
+    recovered WAL tail is replayed through the maintenance observers.
+    A missing, stale, older-format or
     corrupt image (or [maintain:false]) falls back to the O(extent)
     rebuild of indexes and statistics.  Only meaningful for databases of
     the document schema (possibly with cost-variant method declarations).

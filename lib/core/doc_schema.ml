@@ -11,10 +11,6 @@ let selectivity_contains_string = 0.05
 let selectivity_select_by_index = 0.01
 
 let make ?(cost_contains_string = cost_contains_string)
-    ?(cost_retrieve_by_string = cost_retrieve_by_string)
-    ?(cost_select_by_index = cost_select_by_index)
-    ?(cost_word_count = cost_word_count)
-    ?(selectivity_contains_string = selectivity_contains_string)
     ?(pure_word_count = true) () =
   let open Schema in
   let document =

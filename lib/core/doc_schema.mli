@@ -10,18 +10,10 @@ open Soqm_vml
 
 val schema : Schema.t
 
-val make :
-  ?cost_contains_string:float ->
-  ?cost_retrieve_by_string:float ->
-  ?cost_select_by_index:float ->
-  ?cost_word_count:float ->
-  ?selectivity_contains_string:float ->
-  ?pure_word_count:bool ->
-  unit ->
-  Schema.t
-(** The same schema with overridden method cost/selectivity declarations;
-    used by the expensive-predicate experiments.  [schema] is
-    [make ()]. *)
+val make : ?cost_contains_string:float -> ?pure_word_count:bool -> unit -> Schema.t
+(** The same schema with an overridden [contains_string] cost (the
+    expensive-predicate experiments) or a [wordCount] not declared
+    side-effect free.  [schema] is [make ()]. *)
 
 val install_internal_methods : Object_store.t -> unit
 (** Register the bodies of the internally-encoded methods:

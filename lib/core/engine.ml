@@ -58,22 +58,8 @@ type t = {
 let exec_ctx (database : Db.t) : Soqm_physical.Exec.ctx =
   {
     Soqm_physical.Exec.store = database.Db.store;
-    probe_index =
-      (fun ~cls ~prop key ->
-        if String.equal cls "Document" && String.equal prop "title" then
-          Some
-            (Hash_index.probe database.Db.title_index
-               (Object_store.counters database.Db.store)
-               key)
-        else None);
-    probe_range =
-      (fun ~cls ~prop ~lo ~hi ->
-        if String.equal cls "Paragraph" && String.equal prop "word_count" then
-          Some
-            (Sorted_index.probe_range database.Db.word_count_index
-               (Object_store.counters database.Db.store)
-               ~lo ~hi)
-        else None);
+    hash_indexes = Db.hash_indexes database;
+    sorted_indexes = Db.sorted_indexes database;
     scan_cost =
       (fun ~cls ->
         match database.Db.disk with
@@ -85,11 +71,7 @@ let opt_ctx_of (database : Db.t) : Rule.opt_ctx =
   {
     Rule.schema = Object_store.schema database.Db.store;
     stats = database.Db.stats;
-    has_index =
-      (fun ~cls ~prop -> String.equal cls "Document" && String.equal prop "title");
-    has_range_index =
-      (fun ~cls ~prop ->
-        String.equal cls "Paragraph" && String.equal prop "word_count");
+    exec = exec_ctx database;
   }
 
 (* Compile every knowledge fact into rules.  A {e declared}
@@ -173,9 +155,9 @@ let rebuild_rules t =
   t.implementations <- Builtin_rules.implementations @ derived_i;
   t.knowledge_epoch <- t.knowledge_epoch + 1
 
-let make_engine ~store ~exec ~stats ~has_index ~has_range_index
-    ~builtin_filter ~specs ~inverse_links ~saturate ~config ~cache_capacity
-    ~jobs ~maintained ~checker_install ~epoch_of =
+let make_engine ~store ~exec ~stats ~builtin_filter ~specs ~inverse_links
+    ~saturate ~config ~cache_capacity ~jobs ~maintained ~checker_install
+    ~epoch_of =
   let schema = Object_store.schema store in
   let specs =
     if inverse_links then
@@ -201,18 +183,14 @@ let make_engine ~store ~exec ~stats ~has_index ~has_range_index
       provenance = [];
       rule_consts = [];
       range_types =
-        List.concat_map
-          (fun (c : Schema.class_def) ->
-            List.filter_map
-              (fun (p : Schema.property) ->
-                if has_range_index ~cls:c.Schema.cls_name ~prop:p.Schema.prop_name
-                then Some p.Schema.prop_type
-                else None)
-              c.Schema.properties)
-          (Schema.classes schema);
+        List.filter_map
+          (fun idx ->
+            Schema.property_type schema ~cls:(Sorted_index.cls idx)
+              ~prop:(Sorted_index.prop idx))
+          exec.Soqm_physical.Exec.sorted_indexes;
       checker_install;
       maintained;
-      opt_ctx = { Rule.schema; stats; has_index; has_range_index };
+      opt_ctx = { Rule.schema; stats; exec };
       config;
       plan_cache = Hashtbl.create 32;
       cache_capacity;
@@ -236,11 +214,8 @@ let generate ?(classes = Doc_knowledge.all_classes) ?(extra_specs = [])
      the generic inverse derivation stays off here *)
   let specs = Doc_knowledge.specs ~classes () @ extra_specs in
   make_engine ~store:database.Db.store ~exec:(exec_ctx database)
-      ~stats:database.Db.stats
-      ~has_index:(opt_ctx_of database).Rule.has_index
-      ~has_range_index:(opt_ctx_of database).Rule.has_range_index
-      ~builtin_filter ~specs ~inverse_links:false ~saturate ~config
-      ~cache_capacity ~jobs:database.Db.default_jobs
+      ~stats:database.Db.stats ~builtin_filter ~specs ~inverse_links:false
+      ~saturate ~config ~cache_capacity ~jobs:database.Db.default_jobs
       ~maintained:
         (match Db.maintenance database with
         | Some m -> Soqm_maintenance.Maintenance.maintained_sets m
@@ -260,12 +235,11 @@ let generate ?(classes = Doc_knowledge.all_classes) ?(extra_specs = [])
         | None -> fun () -> 0)
 
 let generate_custom ?(specs = []) ?(inverse_links = true) ?(saturate = false)
-    ?(config = Search.default_config)
-    ?(has_range_index = fun ~cls:_ ~prop:_ -> false) ?(cache_capacity = 128)
-    ?(jobs = 1) ~store ~exec_ctx:exec ~has_index () =
-  make_engine ~store ~exec ~stats:(Statistics.collect store) ~has_index
-    ~has_range_index ~builtin_filter:(fun _ -> true) ~specs ~inverse_links
-    ~saturate ~config ~cache_capacity ~jobs ~maintained:[]
+    ?(config = Search.default_config) ?(cache_capacity = 128) ?(jobs = 1)
+    ~store ~exec_ctx:exec () =
+  make_engine ~store ~exec ~stats:(Statistics.collect store)
+    ~builtin_filter:(fun _ -> true) ~specs ~inverse_links ~saturate ~config
+    ~cache_capacity ~jobs ~maintained:[]
     ~checker_install:(fun _ -> ()) ~epoch_of:(fun () -> 0)
 
 let store t = t.obj_store

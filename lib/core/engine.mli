@@ -41,18 +41,18 @@ val generate_custom :
   ?inverse_links:bool ->
   ?saturate:bool ->
   ?config:Search.config ->
-  ?has_range_index:(cls:string -> prop:string -> bool) ->
   ?cache_capacity:int ->
   ?jobs:int ->
   store:Object_store.t ->
   exec_ctx:Soqm_physical.Exec.ctx ->
-  has_index:(cls:string -> prop:string -> bool) ->
   unit ->
   t
 (** Generate an optimizer for an arbitrary schema/store: predefined rules
     plus the rules derived from [specs] and (when [inverse_links], the
     default) from the schema's inverse-link declarations.  Statistics are
-    collected from the store at generation time.  This is the paper's
+    collected from the store at generation time.  The indexes listed in
+    [exec_ctx] are the access paths plans may use: index-scan and
+    range-scan plan only those ([Exec.basic_ctx] lists none).  This is the paper's
     per-schema optimizer generation for user schemas; {!generate} is the
     document-schema convenience. *)
 
@@ -69,10 +69,12 @@ val set_jobs : t -> int -> unit
 val jobs : t -> int
 
 val exec_ctx : Db.t -> Soqm_physical.Exec.ctx
-(** Execution context exposing the database's value indexes. *)
+(** Execution context listing the database's indexes
+    ({!Db.hash_indexes}, {!Db.sorted_indexes}). *)
 
 val opt_ctx_of : Db.t -> Rule.opt_ctx
-(** Optimizer context (schema, statistics, available indexes). *)
+(** Optimizer context (schema, statistics, and {!exec_ctx} for the
+    available indexes). *)
 
 val logical_of_query : Db.t -> string -> Restricted.t
 (** Parse, typecheck and translate a VQL string into the restricted

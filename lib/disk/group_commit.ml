@@ -8,11 +8,11 @@
    [flush] pile up and are flushed together by the next leader, so under
    concurrent committers the fsync count drops below the batch count.
 
-   An optional [window] makes coalescing robust on fast devices (and on
-   single-core hosts, where a committer is rarely preempted inside a
-   cheap fsync): the leader sleeps [window] seconds before draining, so
-   concurrent committers land in the same flush.  [window = 0.] (the
-   default) flushes immediately. *)
+   A [window] (see [set_window]) makes coalescing robust on fast devices
+   (and on single-core hosts, where a committer is rarely preempted
+   inside a cheap fsync): the leader sleeps [window] seconds before
+   draining, so concurrent committers land in the same flush.  A new
+   queue starts at [window = 0.], flushing immediately. *)
 
 type ticket = int  (* 1-based enqueue index *)
 
@@ -30,12 +30,12 @@ type t = {
          range must see the exception, not a silent success *)
 }
 
-let create ?(window = 0.) ~flush () =
+let create ~flush () =
   {
     m = Mutex.create ();
     c = Condition.create ();
     flush;
-    window;
+    window = 0.;
     queue = [];
     enqueued = 0;
     flushed = 0;

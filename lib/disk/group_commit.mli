@@ -18,12 +18,11 @@ type t
 type ticket
 (** A committed batch's position in the durable order. *)
 
-val create : ?window:float -> flush:(Wal.op list list -> unit) -> unit -> t
+val create : flush:(Wal.op list list -> unit) -> unit -> t
 (** [flush batches] must make every batch durable (one
     {!Wal.commit_many}) and apply it; it runs on exactly one domain at a
-    time.  [window] (seconds, default 0) makes the leader sleep before
-    draining so concurrent committers coalesce even when fsync is fast;
-    see {!set_window}. *)
+    time.  The queue starts with a zero coalescing window; see
+    {!set_window}. *)
 
 val enqueue : t -> Wal.op list -> ticket
 (** Append one batch to the durable order. *)

@@ -18,9 +18,6 @@ type loc = {
 type t = {
   dir : string;
   schema : Schema.t;
-  tagged : bool;
-      (* version-2 record layout: tagged records with overflow chains;
-         version-1 stores keep the bare layout (and its size limit) *)
   counters : Counters.t;
   pool : Buffer_pool.t;
   wal : Wal.t;
@@ -121,14 +118,12 @@ let col_live t cls id =
 (* meta file                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let write_meta ~dir ~version ~schema ~next_id ~columnar ~ckpt_seq =
+let write_meta ~dir ~schema ~next_id ~columnar ~ckpt_seq =
   let buf = Buffer.create 512 in
   Buffer.add_string buf meta_magic;
-  Codec.write_uvarint buf version;
+  Codec.write_uvarint buf meta_version;
   Codec.write_uvarint buf next_id;
   Codec.write_schema buf schema;
-  (* the columnar-class list rides after the schema; metas written before
-     columnar segments existed simply end here, which reads as "none" *)
   Codec.write_uvarint buf (List.length columnar);
   List.iter (Codec.write_string buf) (List.sort String.compare columnar);
   (* the checkpoint sequence rides after the columnar list: it stamps
@@ -159,30 +154,23 @@ let read_meta dir =
   try
     let c = Codec.cursor ~pos:(String.length meta_magic) s in
     let v = Codec.read_uvarint c in
-    if v < 1 || v > meta_version then
-      format_error "%s: unsupported database version %d (want <= %d)" dir v
+    if v <> meta_version then
+      format_error "%s: unsupported database version %d (want %d)" dir v
         meta_version;
     let next_id = Codec.read_uvarint c in
     let schema = Codec.read_schema c in
     let columnar =
-      if Codec.pos c >= String.length s then [] (* pre-columnar meta *)
-      else
-        let n = Codec.read_uvarint c in
-        List.init n (fun _ -> Codec.read_string c)
+      List.init (Codec.read_uvarint c) (fun _ -> Codec.read_string c)
     in
-    let ckpt_seq =
-      if Codec.pos c >= String.length s then 0 (* pre-sequence meta *)
-      else Codec.read_uvarint c
-    in
-    (schema, next_id, columnar, v, ckpt_seq)
+    let ckpt_seq = Codec.read_uvarint c in
+    (schema, next_id, columnar, ckpt_seq)
   with Codec.Corrupt msg -> format_error "%s: corrupt meta file (%s)" dir msg
 
 (* ------------------------------------------------------------------ *)
 (* record codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Version-1 records are a bare [uvarint id ∥ props] and must fit one
-   page.  Version-2 records are tagged:
+(* Records are tagged:
 
      'R' ∥ uvarint id ∥ props-bytes                      inline
      'H' ∥ uvarint id ∥ uvarint nparts ∥ uvarint total ∥ slice   head
@@ -197,49 +185,35 @@ let part_overhead = 16 (* tag + id + nparts/seq + total, conservatively *)
 let max_part = Page.capacity - part_overhead
 
 (* Encode one record as the list of page-sized parts to place. *)
-let encode_parts t oid props =
+let encode_parts oid props =
   let body = Buffer.create 128 in
   Codec.write_props body props;
   let body = Buffer.contents body in
-  if not t.tagged then begin
-    let buf = Buffer.create (String.length body + 8) in
-    Codec.write_uvarint buf (Oid.id oid);
-    Buffer.add_string buf body;
-    let r = Buffer.contents buf in
-    if String.length r > Page.capacity then
-      format_error
-        "record %s exceeds the page capacity (%d > %d bytes; overflow chains \
-         need a version-%d store)"
-        (Oid.to_string oid) (String.length r) Page.capacity meta_version;
-    [ r ]
-  end
+  let inline = Buffer.create (String.length body + 8) in
+  Buffer.add_char inline 'R';
+  Codec.write_uvarint inline (Oid.id oid);
+  Buffer.add_string inline body;
+  if Buffer.length inline <= Page.capacity then [ Buffer.contents inline ]
   else begin
-    let inline = Buffer.create (String.length body + 8) in
-    Buffer.add_char inline 'R';
-    Codec.write_uvarint inline (Oid.id oid);
-    Buffer.add_string inline body;
-    if Buffer.length inline <= Page.capacity then [ Buffer.contents inline ]
-    else begin
-      let total = String.length body in
-      let nparts = (total + max_part - 1) / max_part in
-      List.init nparts (fun i ->
-          let off = i * max_part in
-          let len = min max_part (total - off) in
-          let buf = Buffer.create (len + part_overhead) in
-          if i = 0 then begin
-            Buffer.add_char buf 'H';
-            Codec.write_uvarint buf (Oid.id oid);
-            Codec.write_uvarint buf nparts;
-            Codec.write_uvarint buf total
-          end
-          else begin
-            Buffer.add_char buf 'C';
-            Codec.write_uvarint buf (Oid.id oid);
-            Codec.write_uvarint buf i
-          end;
-          Buffer.add_substring buf body off len;
-          Buffer.contents buf)
-    end
+    let total = String.length body in
+    let nparts = (total + max_part - 1) / max_part in
+    List.init nparts (fun i ->
+        let off = i * max_part in
+        let len = min max_part (total - off) in
+        let buf = Buffer.create (len + part_overhead) in
+        if i = 0 then begin
+          Buffer.add_char buf 'H';
+          Codec.write_uvarint buf (Oid.id oid);
+          Codec.write_uvarint buf nparts;
+          Codec.write_uvarint buf total
+        end
+        else begin
+          Buffer.add_char buf 'C';
+          Codec.write_uvarint buf (Oid.id oid);
+          Codec.write_uvarint buf i
+        end;
+        Buffer.add_substring buf body off len;
+        Buffer.contents buf)
   end
 
 type slot_kind =
@@ -247,29 +221,23 @@ type slot_kind =
   | Head of int * int * int * int  (* id, nparts, total, offset *)
   | Cont of int * int  (* id, seq *)
 
-let parse_slot t s =
-  if not t.tagged then
-    let c = Codec.cursor s in
+let parse_slot s =
+  if String.length s = 0 then raise (Codec.Corrupt "empty record");
+  let c = Codec.cursor ~pos:1 s in
+  match s.[0] with
+  | 'R' ->
     let id = Codec.read_uvarint c in
     Inline (id, Codec.pos c)
-  else begin
-    if String.length s = 0 then raise (Codec.Corrupt "empty record");
-    let c = Codec.cursor ~pos:1 s in
-    match s.[0] with
-    | 'R' ->
-      let id = Codec.read_uvarint c in
-      Inline (id, Codec.pos c)
-    | 'H' ->
-      let id = Codec.read_uvarint c in
-      let nparts = Codec.read_uvarint c in
-      let total = Codec.read_uvarint c in
-      Head (id, nparts, total, Codec.pos c)
-    | 'C' ->
-      let id = Codec.read_uvarint c in
-      let seq = Codec.read_uvarint c in
-      Cont (id, seq)
-    | tag -> raise (Codec.Corrupt (Printf.sprintf "unknown record tag %c" tag))
-  end
+  | 'H' ->
+    let id = Codec.read_uvarint c in
+    let nparts = Codec.read_uvarint c in
+    let total = Codec.read_uvarint c in
+    Head (id, nparts, total, Codec.pos c)
+  | 'C' ->
+    let id = Codec.read_uvarint c in
+    let seq = Codec.read_uvarint c in
+    Cont (id, seq)
+  | tag -> raise (Codec.Corrupt (Printf.sprintf "unknown record tag %c" tag))
 
 let decode_props_at s off = Codec.read_props (Codec.cursor ~pos:off s)
 
@@ -277,7 +245,7 @@ let decode_props_at s off = Codec.read_props (Codec.cursor ~pos:off s)
 (* construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let make ~dir ~schema ~tagged ~pool_pages ~counters ~wal ~lockfd =
+let make ~dir ~schema ~pool_pages ~counters ~wal ~lockfd =
   let segments = Hashtbl.create 8 in
   List.iter
     (fun cls -> Hashtbl.replace segments cls (Segment.open_seg ~dir ~cls))
@@ -297,7 +265,6 @@ let make ~dir ~schema ~tagged ~pool_pages ~counters ~wal ~lockfd =
     {
       dir;
       schema;
-      tagged;
       counters;
       pool;
       wal;
@@ -348,8 +315,8 @@ let create ?(pool_pages = 256) ?counters ~schema dir =
     (Sys.readdir dir);
   let counters = Option.value ~default:(Counters.create ()) counters in
   let wal, _ = Wal.open_log ~counters (wal_file dir) in
-  let t = make ~dir ~schema ~tagged:true ~pool_pages ~counters ~wal ~lockfd in
-  write_meta ~dir ~version:meta_version ~schema ~next_id:t.next_id ~columnar:[]
+  let t = make ~dir ~schema ~pool_pages ~counters ~wal ~lockfd in
+  write_meta ~dir ~schema ~next_id:t.next_id ~columnar:[]
     ~ckpt_seq:0;
   t
 
@@ -463,7 +430,7 @@ let assemble t cls loc ~head ~id ~total ~off =
     (fun (p, s) ->
       match slot_bytes t cls p s with
       | Some part -> (
-        match parse_slot t part with
+        match parse_slot part with
         | Cont (cid, _) when cid = id ->
           let c = Codec.cursor ~pos:1 part in
           ignore (Codec.read_uvarint c);
@@ -491,7 +458,7 @@ let read_record t oid =
     match slot_bytes t cls loc.lpage loc.lslot with
     | None -> None
     | Some s -> (
-      match parse_slot t s with
+      match parse_slot s with
       | Inline (_, off) -> Some (decode_props_at s off)
       | Head (id, _, total, off) ->
         Some (decode_props_at (assemble t cls loc ~head:s ~id ~total ~off) 0)
@@ -528,7 +495,7 @@ let rec cluster_root t oid depth =
 
 let insert_record t oid props =
   let cls = Oid.cls oid in
-  let parts = encode_parts t oid props in
+  let parts = encode_parts oid props in
   let root =
     if t.place_by_parent then
       match Placement.parent_of t.placement ~cls props with
@@ -631,7 +598,7 @@ let rebuild_directory t =
         Segment.read_page seg page scratch;
         if not (Page.is_blank scratch) then
           Page.iter scratch (fun slot record ->
-              match parse_slot t record with
+              match parse_slot record with
               | Inline (id, _) ->
                 let oid = Oid.make ~cls ~id in
                 if wins oid page then begin
@@ -683,7 +650,7 @@ let rebuild_directory t =
 let open_dir ?(pool_pages = 256) ?counters dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     format_error "%s: not a soqm database directory" dir;
-  let schema, meta_next_id, columnar, version, ckpt_seq = read_meta dir in
+  let schema, meta_next_id, columnar, ckpt_seq = read_meta dir in
   let lockfd = acquire_lock dir in
   let counters = Option.value ~default:(Counters.create ()) counters in
   let wal, batches =
@@ -692,9 +659,7 @@ let open_dir ?(pool_pages = 256) ?counters dir =
       Unix.close lockfd;
       raise e
   in
-  let t =
-    make ~dir ~schema ~tagged:(version >= 2) ~pool_pages ~counters ~wal ~lockfd
-  in
+  let t = make ~dir ~schema ~pool_pages ~counters ~wal ~lockfd in
   t.ckpt_seq <- ckpt_seq;
   (* columnar segments load (and verify) before recovery: WAL redo may
      tombstone or shadow their rows *)
@@ -727,8 +692,6 @@ let open_dir ?(pool_pages = 256) ?counters dir =
 let columnar_list t =
   Hashtbl.fold (fun cls () acc -> cls :: acc) t.columnar []
 
-let meta_version_of t = if t.tagged then meta_version else 1
-
 (* WAL truncation makes replay unavailable, so everything the WAL was
    covering must be durable first: dirty heap pages, and the columnar
    tombstones accumulated since the last checkpoint.  Each checkpoint
@@ -742,7 +705,7 @@ let checkpoint_locked t =
     (fun cls () -> Colseg.write_dead ~dir:t.dir ~cls (dead_tbl t cls))
     t.columnar;
   t.ckpt_seq <- t.ckpt_seq + 1;
-  write_meta ~dir:t.dir ~version:(meta_version_of t) ~schema:t.schema
+  write_meta ~dir:t.dir ~schema:t.schema
     ~next_id:t.next_id ~columnar:(columnar_list t) ~ckpt_seq:t.ckpt_seq;
   Wal.truncate t.wal
 
@@ -852,7 +815,7 @@ let page_pass ?(prefetch = false) t cls ~f =
    records fail that check), and continuation parts are served through
    their head.  [k] gets the decoded props and the bytes decoded. *)
 let live_slot t cls page slot record k =
-  match parse_slot t record with
+  match parse_slot record with
   | Cont _ -> ()
   | Inline (id, off) -> (
     let oid = Oid.make ~cls ~id in
@@ -868,22 +831,26 @@ let live_slot t cls page slot record k =
       k oid (decode_props_at body 0) (off + total)
     | _ -> ())
 
+(* One pass over a class's heap pages: [k] gets every live record,
+   charged its bytes and values decoded.  Returns the pages touched. *)
+let heap_rows ?prefetch t cls k =
+  page_pass ?prefetch t cls ~f:(fun page data ->
+      Page.iter data (fun slot record ->
+          match
+            live_slot t cls page slot record (fun oid props bytes ->
+                Counters.add t.counters Bytes_read bytes;
+                Counters.add t.counters Values_decoded (1 + List.length props);
+                k oid props)
+          with
+          | () -> ()
+          | exception Codec.Corrupt msg ->
+            format_error "%s/%s.heap page %d slot %d: %s" t.dir cls page slot
+              msg))
+
 let scan ?prefetch t cls =
   let rows = ref [] in
   let pages =
-    page_pass ?prefetch t cls ~f:(fun page data ->
-        Page.iter data (fun slot record ->
-            match
-              live_slot t cls page slot record (fun oid props bytes ->
-                  Counters.add t.counters Bytes_read bytes;
-                  Counters.add t.counters Values_decoded
-                    (1 + List.length props);
-                  rows := (oid, props) :: !rows)
-            with
-            | () -> ()
-            | exception Codec.Corrupt msg ->
-              format_error "%s/%s.heap page %d slot %d: %s" t.dir cls page slot
-                msg))
+    heap_rows ?prefetch t cls (fun oid props -> rows := (oid, props) :: !rows)
   in
   (* merge in the columnar base image (heap shadows and tombstones win) *)
   let pages =
@@ -970,21 +937,9 @@ let scan_columns t cls props =
   let by_id (a, _) (b, _) = Int.compare (Oid.id a) (Oid.id b) in
   let heap = ref [] in
   ignore
-    (page_pass t cls ~f:(fun page data ->
-         Page.iter data (fun slot record ->
-             match
-               live_slot t cls page slot record (fun oid rprops bytes ->
-                   Counters.add t.counters Bytes_read bytes;
-                   Counters.add t.counters Values_decoded
-                     (1 + List.length rprops);
-                   heap :=
-                     (oid, List.map (fun p -> List.assoc_opt p rprops) props)
-                     :: !heap)
-             with
-             | () -> ()
-             | exception Codec.Corrupt msg ->
-               format_error "%s/%s.heap page %d slot %d: %s" t.dir cls page
-                 slot msg)));
+    (heap_rows t cls (fun oid rprops ->
+         let vals = List.map (fun p -> List.assoc_opt p rprops) props in
+         heap := (oid, vals) :: !heap));
   let heap = List.sort by_id !heap in
   match Hashtbl.find_opt t.cols cls with
   | None -> heap
@@ -1047,10 +1002,6 @@ let traversal_keys t cls rows =
   in
   List.map (fun (oid, props) -> (key cls (Oid.id oid) props 8, (oid, props))) rows
 
-let sort_traversal keyed =
-  List.map snd
-    (List.sort (fun (a, _) (b, _) -> List.compare Int.compare a b) keyed)
-
 (* Chunk-boundary predicate for the columnar writer: break where the
    parent of row [i] differs from the parent of row [i-1]. *)
 let group_breaks t cls rows =
@@ -1083,7 +1034,7 @@ let vacuum_columnar ?break_before t cls =
        with Colseg.Format_error msg -> format_error "%s" msg);
       Hashtbl.replace t.dead cls (Hashtbl.create 16);
       Colseg.write_dead ~dir:t.dir ~cls (dead_tbl t cls);
-      write_meta ~dir:t.dir ~version:(meta_version_of t) ~schema:t.schema
+      write_meta ~dir:t.dir ~schema:t.schema
         ~next_id:t.next_id ~columnar:(columnar_list t) ~ckpt_seq:t.ckpt_seq;
       (* the columnar image is durable and flagged: empty the heap *)
       Buffer_pool.drop_class t.pool ~cls;
@@ -1126,9 +1077,6 @@ let vacuum_cluster t cls =
     keyed;
   let rows = List.map snd keyed in
   let nrows = List.length rows in
-  if not t.tagged then
-    format_error "%s: clustering vacuum needs a version-%d store" t.dir
-      meta_version;
   (* build the new page images and directory off-line *)
   let pages = ref [] in
   let npages = ref 0 in
@@ -1159,7 +1107,7 @@ let vacuum_cluster t cls =
   let new_hints = Hashtbl.create 256 in
   List.iter
     (fun (oid, props) ->
-      match encode_parts t oid props with
+      match encode_parts oid props with
       | [] -> assert false
       | head :: conts ->
         let hpage, hslot = put head in
@@ -1217,17 +1165,11 @@ let vacuum ?(mode = `Columnar) t cls =
       (* a columnar class re-clusters by rewriting its chunks with
          boundaries aligned to parent-group starts *)
       let rows, _ = scan t cls in
-      let sorted = sort_traversal (traversal_keys t cls rows) in
-      let arr = Array.of_list sorted in
-      ignore arr;
       (* columnar chunks must keep ascending disjoint OID ranges, so the
          rewrite stays in OID order; traversal-created data already has
          OID order = traversal order, and the boundary predicate aligns
          chunk cuts to parent-group starts within it *)
-      let rows_arr =
-        Array.of_list (List.map (fun (oid, props) -> (oid, props)) rows)
-      in
-      vacuum_columnar ~break_before:(group_breaks t cls rows_arr) t cls
+      vacuum_columnar ~break_before:(group_breaks t cls (Array.of_list rows)) t cls
     end
     else vacuum_cluster t cls
 

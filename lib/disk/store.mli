@@ -12,8 +12,8 @@
     records hold the whole property list; a record larger than one page
     splits into an ['H'] head plus ['C'] continuation parts — an
     overflow chain — each of which fits a page, lifting the old ~4 KB
-    per-record limit.  Version-1 directories (bare untagged records)
-    still open read/write with their original size limit.
+    per-record limit.  Only this version opens: a [meta] of any other
+    version raises {!Format_error}.
 
     {b Clustered placement.}  Inserts place a record on (or near) the
     page of its path-expression parent — the first object-valued
@@ -46,8 +46,8 @@
 open Soqm_vml
 
 exception Format_error of string
-(** Missing/foreign/corrupt database directory, or (version-1 stores
-    only) a record too large for a 4 KiB page. *)
+(** Missing/foreign/corrupt database directory, or a [meta] file of an
+    unsupported format version. *)
 
 exception Locked of string
 (** The directory's [lock] file is held by another process.  {!create}
@@ -159,8 +159,7 @@ val vacuum : ?mode:[ `Columnar | `Cluster ] -> t -> string -> int
     class the pages are repacked so each parent's children are
     contiguous (and overflow chains compacted); for a columnar class the
     chunks are rewritten with boundaries aligned to parent-group starts.
-    @raise Format_error for a class not in the schema, or a clustering
-    vacuum on a version-1 store. *)
+    @raise Format_error for a class not in the schema. *)
 
 val bulk_load :
   t -> next_id:int -> (Oid.t * (string * Value.t) list) list -> unit

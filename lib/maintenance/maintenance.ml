@@ -1,9 +1,9 @@
 open Soqm_vml
 open Soqm_storage
 
-type policy = { staleness_threshold : float }
-
-let default_policy = { staleness_threshold = 0.10 }
+(* fraction of the base population that may be written between full
+   statistics recollects *)
+let staleness_threshold = 0.10
 
 (* A maintained-shape implication ([Equivalence.maintained]) and the
    membership it currently holds. *)
@@ -15,7 +15,6 @@ type maintained_set = {
 type t = {
   store : Object_store.t;
   stats : Statistics.t;
-  policy : policy;
   hash_indexes : Hash_index.t list;
   sorted_indexes : Sorted_index.t list;
   text_indexes : (string * string * Oid.t Soqm_ir.Inverted_index.t) list;
@@ -193,6 +192,26 @@ let reconcile_set store m =
         (Object_store.extent store cls))
     (target_classes store m)
 
+(* The members table of one maintained set as the base data states it:
+   each owner's set property lists the members it holds.  O(owners +
+   members), against [reconcile_set]'s antecedent evaluation per
+   member-class instance. *)
+let seed_set store m =
+  List.iter
+    (fun cls ->
+      List.iter
+        (fun target ->
+          match Object_store.peek_prop store target m.spec.set_prop with
+          | Value.Set xs ->
+            List.iter
+              (function
+                | Value.Obj mem -> Hashtbl.replace m.members mem target
+                | _ -> ())
+              xs
+          | _ -> ())
+        (Object_store.extent store cls))
+    (target_classes store m)
+
 (* ------------------------------------------------------------------ *)
 (* Index maintainers                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -310,7 +329,7 @@ let stats_observer store stats ev =
 (* ------------------------------------------------------------------ *)
 
 let maybe_recollect t =
-  if Statistics.staleness t.stats >= t.policy.staleness_threshold then (
+  if Statistics.staleness t.stats >= staleness_threshold then (
     Statistics.recollect t.stats t.store;
     t.recollects <- t.recollects + 1;
     bump_epoch t)
@@ -346,9 +365,8 @@ let resync t =
   t.recollects <- t.recollects + 1;
   bump_epoch t
 
-let attach ?(policy = default_policy) ?(hash_indexes = [])
-    ?(sorted_indexes = []) ?(text_indexes = []) ?(implications = [])
-    ?set_members ~stats store =
+let attach ?(hash_indexes = []) ?(sorted_indexes = []) ?(text_indexes = [])
+    ?(implications = []) ?(reconcile = true) ~stats store =
   let sets = List.filter_map compile_implication implications in
   (* each set writes its own members over the whole set property, so two
      specs filling one property on a shared owner class would erase each
@@ -376,7 +394,6 @@ let attach ?(policy = default_policy) ?(hash_indexes = [])
     {
       store;
       stats;
-      policy;
       hash_indexes;
       sorted_indexes;
       text_indexes;
@@ -397,21 +414,13 @@ let attach ?(policy = default_policy) ?(hash_indexes = [])
     sets;
   (* bring the maintained sets in line with base data before observing —
      attach is the rebuild-from-scratch moment; indexes and statistics
-     are the caller's to have built (Db does both in [refresh]).  With
-     [set_members] (the persisted-image fast path) a named set's members
-     table is seeded wholesale instead: the base data's derived set
-     props already hold these memberships, so the O(extent) reconcile
-     (an antecedent evaluation per member-class instance) is skipped. *)
+     are the caller's to have built (Db does both in [refresh]).  Without
+     [reconcile] (the derived-image fast path) the base data's set
+     properties are trusted and only read back, so the O(extent)
+     reconcile (an antecedent evaluation per member-class instance) is
+     skipped. *)
   List.iter
-    (fun m ->
-      match
-        Option.bind set_members (fun seeds -> List.assoc_opt m.spec.m_name seeds)
-      with
-      | Some members ->
-        List.iter
-          (fun (mem, tgt) -> Hashtbl.replace m.members mem tgt)
-          members
-      | None -> reconcile_set store m)
+    (fun m -> if reconcile then reconcile_set store m else seed_set store m)
     sets;
   Object_store.subscribe store (observe t);
   t

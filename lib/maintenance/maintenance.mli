@@ -14,8 +14,8 @@
       [x IS-IN target(x).set_prop] — the antecedent is re-evaluated for
       the touched object and its membership moved between targets;
     - {b statistics} receive cheap exact deltas (cardinalities, fanout
-      totals); once accumulated writes cross the policy's staleness
-      threshold a full in-place [Statistics.recollect] runs.
+      totals); once accumulated writes cross {!staleness_threshold} a
+      full in-place [Statistics.recollect] runs.
 
     Maintenance distinguishes {e knowledge-preserving} updates (the
     normal case: all derived artifacts patched in place, cached query
@@ -26,23 +26,18 @@
 open Soqm_vml
 open Soqm_storage
 
-type policy = { staleness_threshold : float }
-(** [staleness_threshold]: fraction of the base population that may be
-    written between full statistics recollects (see
-    [Statistics.staleness]). *)
-
-val default_policy : policy
-(** [{ staleness_threshold = 0.10 }]. *)
+val staleness_threshold : float
+(** 0.10: the fraction of the base population that may be written
+    between full statistics recollects (see [Statistics.staleness]). *)
 
 type t
 
 val attach :
-  ?policy:policy ->
   ?hash_indexes:Hash_index.t list ->
   ?sorted_indexes:Sorted_index.t list ->
   ?text_indexes:(string * string * Oid.t Soqm_ir.Inverted_index.t) list ->
   ?implications:Soqm_semantics.Equivalence.t list ->
-  ?set_members:(string * (Oid.t * Oid.t) list) list ->
+  ?reconcile:bool ->
   stats:Statistics.t ->
   Object_store.t ->
   t
@@ -52,10 +47,13 @@ val attach :
     membership-shaped consequent are compiled into maintained sets; the
     rest are ignored.  Indexes and [stats] must already reflect the
     store's current contents (the caller builds them); maintained sets
-    are reconciled against base data at attach time — unless
-    [set_members] supplies a spec's [(member, target)] pairs (from
-    {!set_members} persisted at checkpoint), in which case that set is
-    seeded wholesale and the O(extent) reconcile skipped.  Inverse links
+    are reconciled against base data at attach time.  With
+    [~reconcile:false] the set properties already in the base data are
+    trusted instead: each set's member table is read back from them in
+    O(owners + members), skipping the O(extent) reconcile.  The
+    derived-image fast open does this — the base data's derived writes
+    went through the WAL like any other, and replaying the recovered
+    tail through {!observe} re-derives every member it touched.  Inverse links
     need no registration — the store itself maintains them.
     @raise Invalid_argument naming both specs when two maintained
     implications fill the same set property on a shared owner class
@@ -91,6 +89,4 @@ val maintained_sets : t -> string list
 (** Names of the implication specs compiled into maintained sets. *)
 
 val set_members : t -> (string * (Oid.t * Oid.t) list) list
-(** Every maintained set's current [(member, target)] pairs — the dump
-    feed for index persistence; feed back through [attach
-    ~set_members]. *)
+(** Every maintained set's current [(member, target)] pairs. *)

@@ -1,7 +1,9 @@
 (* The persistent derived-state image: [derived.idx] inside a database
    directory, holding every index the Db keeps in memory (hash, sorted,
-   inverted), the maintained implication-set memberships and a
-   statistics snapshot, stamped with the store's checkpoint sequence.
+   inverted) and a statistics snapshot, stamped with the store's
+   checkpoint sequence.  The maintained implication sets are not in it:
+   their members are base data (the set properties), which the open
+   reads back.
 
    Layout:
 
@@ -9,9 +11,9 @@
 
    — one frame over the whole body, same framing discipline as the WAL
    and the columnar segments, written atomically (temp ∥ fsync ∥
-   rename).  The payload is codec-encoded; OIDs are stored as bare ids
-   where the class is implied by the section and as (cls, id) pairs
-   where it is not (set members can cross classes).
+   rename).  The payload is codec-encoded; OIDs are stored as bare ids,
+   the class being implied by the section.  Version 1 images also
+   carried the set memberships; they read as unusable.
 
    The stamp is the consistency protocol: the image is valid iff its
    sequence equals the meta file's checkpoint sequence, which proves it
@@ -25,7 +27,7 @@ open Soqm_vml
 module Codec = Soqm_disk.Codec
 
 let magic = "SOQM-IDX"
-let version = 1
+let version = 2
 let file = "derived.idx"
 let path ~dir = Filename.concat dir file
 
@@ -37,8 +39,6 @@ type image = {
       (* entries in index order *)
   text : (string * string * (string * int list) list) list;
       (* (cls, prop, postings); posting keys are ids of cls *)
-  sets : (string * ((string * int) * (string * int)) list) list;
-      (* spec name, (member, target) oid pairs as (cls, id) *)
   stats : Soqm_storage.Statistics.snapshot option;
 }
 
@@ -107,17 +107,6 @@ let encode img =
           write_ids buf ids)
         postings)
     img.text;
-  write_list buf
-    (fun buf (name, members) ->
-      Codec.write_string buf name;
-      write_list buf
-        (fun buf ((mcls, mid), (tcls, tid)) ->
-          Codec.write_string buf mcls;
-          Codec.write_uvarint buf mid;
-          Codec.write_string buf tcls;
-          Codec.write_uvarint buf tid)
-        members)
-    img.sets;
   (match img.stats with
   | None -> Codec.write_uvarint buf 0
   | Some snap ->
@@ -217,19 +206,6 @@ let decode payload =
         in
         (cls, prop, postings))
   in
-  let sets =
-    read_list c (fun c ->
-        let name = Codec.read_string c in
-        let members =
-          read_list c (fun c ->
-              let mcls = Codec.read_string c in
-              let mid = Codec.read_uvarint c in
-              let tcls = Codec.read_string c in
-              let tid = Codec.read_uvarint c in
-              ((mcls, mid), (tcls, tid)))
-        in
-        (name, members))
-  in
   let stats =
     match Codec.read_uvarint c with
     | 0 -> None
@@ -259,7 +235,7 @@ let decode payload =
         }
     | _ -> raise (Codec.Corrupt "bad stats flag")
   in
-  { seq; hash; sorted; text; sets; stats }
+  { seq; hash; sorted; text; stats }
 
 (* A pure cache: any defect — absence, foreign file, bad frame, CRC
    mismatch, truncated body — reads as [None] and the caller rebuilds. *)

@@ -1,11 +1,14 @@
 (** Persistent derived-state image: [derived.idx] in a database
     directory.
 
-    Everything the Db derives from base data — hash / sorted / inverted
-    index contents, maintained implication-set memberships, the
-    statistics snapshot — serialized as one CRC-framed, atomically
+    The Db's indexes — hash / sorted / inverted index contents — and the
+    statistics snapshot, serialized as one CRC-framed, atomically
     replaced file, stamped with the store's checkpoint sequence
-    ([Soqm_disk.Store.checkpoint_seq]).
+    ([Soqm_disk.Store.checkpoint_seq]).  Maintained implication-set
+    memberships are not stored: the sets are properties of the base
+    data, which the open reads back ([Maintenance.attach
+    ~reconcile:false]).  An image of an older format version (version 1
+    also held the memberships) reads as [None].
 
     Consistency protocol: the writer emits the image immediately after a
     checkpoint, carrying that checkpoint's sequence.  A reader accepts
@@ -28,8 +31,6 @@ type image = {
       (** sorted indexes: entries in index order *)
   text : (string * string * (string * int list) list) list;
       (** inverted indexes: (cls, prop, word postings) *)
-  sets : (string * ((string * int) * (string * int)) list) list;
-      (** maintained sets: spec name, (member, target) as (cls, id) *)
   stats : Soqm_storage.Statistics.snapshot option;
 }
 

@@ -322,7 +322,9 @@ let index_scan_impl =
       let p = List.assoc "p" b.Pattern.names in
       let cls = List.assoc "C" b.Pattern.names in
       match List.assoc "v" b.Pattern.operands with
-      | Restricted.OConst key when ctx.Rule.has_index ~cls ~prop:p ->
+      | Restricted.OConst key
+        when Option.is_some
+               (Soqm_physical.Exec.hash_index ctx.Rule.exec ~cls ~prop:p) ->
         Some
           (Soqm_physical.Plan.MapProp
              (t, p, a, Soqm_physical.Plan.IndexScan (a, cls, p, key)))
@@ -347,7 +349,9 @@ let range_scan_impl =
       let cls = List.assoc "C" b.Pattern.names in
       let c = List.assoc "c" b.Pattern.cmps in
       match List.assoc "v" b.Pattern.operands with
-      | Restricted.OConst key when ctx.Rule.has_range_index ~cls ~prop:p ->
+      | Restricted.OConst key
+        when Option.is_some
+               (Soqm_physical.Exec.sorted_index ctx.Rule.exec ~cls ~prop:p) ->
         let module B = Soqm_storage.Sorted_index in
         let bounds =
           match c with

@@ -55,8 +55,7 @@ let root_rewrites schema rule term =
 type opt_ctx = {
   schema : Schema.t;
   stats : Statistics.t;
-  has_index : cls:string -> prop:string -> bool;
-  has_range_index : cls:string -> prop:string -> bool;
+  exec : Soqm_physical.Exec.ctx;
 }
 
 type implementation = {

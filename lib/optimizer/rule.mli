@@ -50,12 +50,16 @@ val root_rewrites : Schema.t -> transformation -> Restricted.t -> Restricted.t l
     search validates, canonicalizes and deduplicates them. *)
 
 (** Context available to implementation rules: statistics for costing and
-    the available access paths. *)
+    the executor context, whose index lists are the available access
+    paths.  Index-scan and range-scan fire only where
+    {!Soqm_physical.Exec.hash_index} / {!Soqm_physical.Exec.sorted_index}
+    find an index in [exec] — the lookup the executor makes when it runs
+    the scan — so a plan never names an index the executor cannot
+    probe. *)
 type opt_ctx = {
   schema : Schema.t;
   stats : Statistics.t;
-  has_index : cls:string -> prop:string -> bool;
-  has_range_index : cls:string -> prop:string -> bool;
+  exec : Soqm_physical.Exec.ctx;
 }
 
 (** An implementation rule maps a logical expression whose root matches

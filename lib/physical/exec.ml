@@ -7,23 +7,30 @@ let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 type ctx = {
   store : Object_store.t;
-  probe_index : cls:string -> prop:string -> Value.t -> Oid.t list option;
-  probe_range :
-    cls:string ->
-    prop:string ->
-    lo:Soqm_storage.Sorted_index.bound ->
-    hi:Soqm_storage.Sorted_index.bound ->
-    Oid.t list option;
+  hash_indexes : Soqm_storage.Hash_index.t list;
+  sorted_indexes : Soqm_storage.Sorted_index.t list;
   scan_cost : cls:string -> (int * int) option;
 }
 
 let basic_ctx store =
   {
     store;
-    probe_index = (fun ~cls:_ ~prop:_ _ -> None);
-    probe_range = (fun ~cls:_ ~prop:_ ~lo:_ ~hi:_ -> None);
+    hash_indexes = [];
+    sorted_indexes = [];
     scan_cost = (fun ~cls:_ -> None);
   }
+
+let find_index cls_of prop_of ~cls ~prop =
+  List.find_opt (fun i ->
+      String.equal (cls_of i) cls && String.equal (prop_of i) prop)
+
+let hash_index ctx =
+  find_index Soqm_storage.Hash_index.cls Soqm_storage.Hash_index.prop
+    ctx.hash_indexes
+
+let sorted_index ctx =
+  find_index Soqm_storage.Sorted_index.cls Soqm_storage.Sorted_index.prop
+    ctx.sorted_indexes
 
 let counters ctx = Object_store.counters ctx.store
 
@@ -752,12 +759,13 @@ let shape_of ctx (mk : memoizer) sink (c : Plan.compiled) : shape =
     | _ -> ());
     Scan { items = oids; row = obj; fetch = true }
   | Plan.CIndexScan (cls, prop, key) -> (
-    match ctx.probe_index ~cls ~prop key with
-    | Some oids -> leaf obj oids
+    match hash_index ctx ~cls ~prop with
+    | Some idx -> leaf obj (Soqm_storage.Hash_index.probe idx (counters ctx) key)
     | None -> error "no index on %s.%s" cls prop)
   | Plan.CRangeScan (cls, prop, lo, hi) -> (
-    match ctx.probe_range ~cls ~prop ~lo ~hi with
-    | Some oids -> leaf obj oids
+    match sorted_index ctx ~cls ~prop with
+    | Some idx ->
+      leaf obj (Soqm_storage.Sorted_index.probe_range idx (counters ctx) ~lo ~hi)
     | None -> error "no ordered index on %s.%s" cls prop)
   | Plan.CMethodScan (cls, m, args) -> (
     match

@@ -14,6 +14,12 @@
     {!memoized1} so both paths share one comparison, operator and memo
     semantics.
 
+    The context lists the database's access paths as data: the hash and
+    sorted indexes.  {!hash_index} and {!sorted_index} find the one an
+    index or range scan names, and the optimizer's index-scan and
+    range-scan rules ask the same lookup (through [Rule.opt_ctx]), so a
+    plan can only name an index the executor can probe.
+
     Per-operator memo tables cache method invocations and property
     accesses keyed by receiver and argument {e values}: safe because
     optimized queries are side-effect free, and exactly what makes
@@ -28,16 +34,12 @@ exception Error of string
 
 type ctx = {
   store : Object_store.t;
-  probe_index : cls:string -> prop:string -> Value.t -> Oid.t list option;
-      (** probe a value index if one exists on [cls.prop]; implementations
-          charge the index-probe counter themselves *)
-  probe_range :
-    cls:string ->
-    prop:string ->
-    lo:Soqm_storage.Sorted_index.bound ->
-    hi:Soqm_storage.Sorted_index.bound ->
-    Oid.t list option;
-      (** probe an ordered index if one exists on [cls.prop] *)
+  hash_indexes : Soqm_storage.Hash_index.t list;
+      (** the value indexes [IndexScan] leaves probe — also the ones the
+          optimizer's index-scan rule may name *)
+  sorted_indexes : Soqm_storage.Sorted_index.t list;
+      (** the ordered indexes [RangeScan] leaves probe (and range-scan
+          may name) *)
   scan_cost : cls:string -> (int * int) option;
       (** drive the class extent's traffic through an attached paged disk
           store ([Soqm_disk]), returning [(pages touched, bytes decoded)]
@@ -50,6 +52,13 @@ type ctx = {
 
 val basic_ctx : Object_store.t -> ctx
 (** A context with no indexes (index and range scans fail to resolve). *)
+
+val hash_index : ctx -> cls:string -> prop:string -> Soqm_storage.Hash_index.t option
+(** The value index on [cls.prop] listed in [ctx], if any. *)
+
+val sorted_index :
+  ctx -> cls:string -> prop:string -> Soqm_storage.Sorted_index.t option
+(** The ordered index on [cls.prop] listed in [ctx], if any. *)
 
 val eval_cmp : Restricted.cmp -> Value.t -> Value.t -> Value.t
 (** Apply a comparison.  @raise Error when the operands do not

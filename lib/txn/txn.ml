@@ -396,7 +396,10 @@ let commit t =
       Ok ts
   end
 
-let run ?(retries = 8) m f =
+(* conflicting auto-commit attempts re-run this many times *)
+let retries = 8
+
+let run m f =
   let rec go n =
     let txn = begin_ m in
     match f txn with

@@ -133,12 +133,8 @@ val abort : t -> unit
 (** Discard the buffers.  Nothing was applied, so there is nothing to
     roll back — maintenance observers never saw the writes. *)
 
-val run :
-  ?retries:int ->
-  manager ->
-  (t -> 'a) ->
-  ('a * int, [ `Conflict of string ]) result
+val run : manager -> (t -> 'a) -> ('a * int, [ `Conflict of string ]) result
 (** [run m f] executes [f] in a fresh transaction and commits,
-    re-running it (up to [retries] times, default 8) when the commit
+    re-running it (up to 8 times) when the commit
     conflicts — the auto-commit building block.  [f] must not commit or
     abort itself.  An exception from [f] aborts and re-raises. *)

@@ -139,6 +139,30 @@ let test_query_errors () =
       ("ACCESS x FROM x IN Nope", "type error: ");
     ]
 
+(* A database directory whose [meta] carries format version 1 (the
+   untagged record layout, which nothing writes any more) does not open:
+   [soqm open] exits non-zero with one line naming the version. *)
+let test_old_meta_version_rejected () =
+  F.with_temp_dir "soqm_cli" (fun dir ->
+      ignore (soqm [ "save"; "--docs"; "5"; dir ]);
+      let meta = Filename.concat dir "meta" in
+      let s = Bytes.of_string (In_channel.with_open_bin meta In_channel.input_all) in
+      (* the version varint follows the 9-byte magic *)
+      Bytes.set s 9 '\001';
+      Out_channel.with_open_bin meta (fun oc -> Out_channel.output_bytes oc s);
+      let msg = soqm_fails [ "open"; dir ] in
+      match String.split_on_char '\n' (String.trim msg) with
+      | [ line ] ->
+        Alcotest.(check bool) ("names the version: " ^ line) true
+          (try
+             ignore
+               (Str.search_forward
+                  (Str.regexp_string "unsupported database version 1") line 0);
+             true
+           with Not_found -> false)
+      | lines ->
+        Alcotest.failf "%d lines on stderr:\n%s" (List.length lines) msg)
+
 let () =
   cli := Sys.argv.(1);
   Alcotest.run ~argv:[| Sys.argv.(0) |] "cli"
@@ -154,5 +178,9 @@ let () =
             test_update_refuses_maintained_set;
         ] );
       ("explain", [ F.case "analyze prints q-error" test_explain_q_error ]);
-      ("errors", [ F.case "bad queries end in one line" test_query_errors ]);
+      ( "errors",
+        [
+          F.case "bad queries end in one line" test_query_errors;
+          F.case "old meta version rejected" test_old_meta_version_rejected;
+        ] );
     ]

@@ -254,7 +254,6 @@ let test_custom_engine_end_to_end () =
   let engine =
     Engine.generate_custom ~specs ~store
       ~exec_ctx:(Soqm_physical.Exec.basic_ctx store)
-      ~has_index:(fun ~cls:_ ~prop:_ -> false)
       ()
   in
   let q = "ACCESS b.title FROM b IN Book WHERE b->author_name() == 'Liskov'" in
@@ -286,7 +285,6 @@ let test_custom_engine_inverse_links () =
   let engine =
     Engine.generate_custom ~store
       ~exec_ctx:(Soqm_physical.Exec.basic_ctx store)
-      ~has_index:(fun ~cls:_ ~prop:_ -> false)
       ()
   in
   let q =
@@ -296,6 +294,38 @@ let test_custom_engine_inverse_links () =
      class object *)
   let r = Engine.run_optimized engine q in
   check Alcotest.int "all books" 30 (Relation.cardinality r.Engine.result)
+
+(* The executor context's index lists are the access paths a custom
+   engine may plan: a listed hash index turns the title lookup into an
+   index scan, and an empty context plans a scan and filter instead. *)
+let test_custom_engine_plans_listed_indexes () =
+  let store = make_library () in
+  let title = Soqm_storage.Hash_index.create ~cls:"Book" ~prop:"title" in
+  Soqm_storage.Hash_index.build title store;
+  let q = "ACCESS b FROM b IN Book WHERE b.title == 'Liskov-3'" in
+  let reference =
+    Eval.run store
+      (Soqm_vql.To_algebra.query_to_algebra (Object_store.schema store) q)
+  in
+  let rec index_scans = function
+    | Soqm_physical.Plan.IndexScan _ -> 1
+    | p ->
+      List.fold_left ( + ) 0
+        (List.map index_scans (Soqm_physical.Plan.inputs p))
+  in
+  let planned exec_ctx =
+    let engine = Engine.generate_custom ~store ~exec_ctx () in
+    let r = Engine.run_optimized engine q in
+    check F.relation "optimized = Eval oracle" reference r.Engine.result;
+    match r.Engine.opt with
+    | Some o -> index_scans o.Soqm_optimizer.Search.best_plan
+    | None -> Alcotest.fail "expected an optimization result"
+  in
+  let basic = Soqm_physical.Exec.basic_ctx store in
+  check Alcotest.int "one matching book" 1 (Relation.cardinality reference);
+  check Alcotest.int "listed hash index: index scan planned" 1
+    (planned { basic with Soqm_physical.Exec.hash_indexes = [ title ] });
+  check Alcotest.int "no index lists: no index scan" 0 (planned basic)
 
 let test_derived_data_knowledge_enables_range_scan () =
   (* §5.1: "the return values of methods constitute derived data" — told
@@ -468,6 +498,7 @@ let () =
         [
           F.case "library engine end to end" test_custom_engine_end_to_end;
           F.case "inverse links derived" test_custom_engine_inverse_links;
+          F.case "listed indexes planned" test_custom_engine_plans_listed_indexes;
         ] );
       ( "tooling",
         [

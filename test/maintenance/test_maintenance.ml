@@ -9,6 +9,7 @@ open Soqm_storage
 open Soqm_core
 module F = Soqm_testlib.Fixtures
 module Maint = Soqm_maintenance.Maintenance
+module Persist = Soqm_maintenance.Persist
 
 let check = Alcotest.check
 
@@ -292,7 +293,7 @@ let test_staleness_triggers_recollect_and_epoch () =
   check Alcotest.bool "recollect ran" true (Maint.recollects m > r0);
   check Alcotest.bool "epoch bumped" true (Maint.epoch m > e0);
   check Alcotest.bool "staleness reset below threshold" true
-    (Maint.staleness m < Maint.default_policy.Maint.staleness_threshold)
+    (Maint.staleness m < Maint.staleness_threshold)
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache                                                          *)
@@ -965,6 +966,76 @@ let test_attach_rejects_two_feeders () =
     check Alcotest.bool "no set was rewritten" true
       (List.for_all2 Value.equal sets0 (sets ()))
 
+(* A derived image in the previous format (version 1, which also held
+   the set memberships) is unusable: the open rebuilds and reconciles the
+   sets against their definition.  The base data's set on one document
+   is emptied behind maintenance's back and the old image agrees with
+   it, so only a reconcile leaves the sets exact. *)
+let test_old_image_format_rebuilds () =
+  F.with_temp_dir "soqm_v1img" (fun dir ->
+      let db0 = Db.create ~params:F.tiny_params () in
+      Db.save db0 dir;
+      let doc =
+        List.find
+          (fun d ->
+            Object_store.peek_prop db0.Db.store d "largeParagraphs"
+            <> Value.Set [])
+          (Object_store.extent db0.Db.store "Document")
+      in
+      let st = Soqm_disk.Store.open_dir dir in
+      Soqm_disk.Store.apply st
+        [
+          Soqm_disk.Wal.Update
+            {
+              oid = doc;
+              prop = "largeParagraphs";
+              value = Value.Set [];
+              old_value = Object_store.peek_prop db0.Db.store doc "largeParagraphs";
+            };
+        ];
+      Soqm_disk.Store.checkpoint st;
+      let seq = Soqm_disk.Store.checkpoint_seq st in
+      Soqm_disk.Store.close ~checkpoint:false st;
+      (* the version-1 payload: the current one without statistics (whose
+         flag is its last byte), version 1 in front and a sets section
+         before the flag, here listing no members at all *)
+      let img = Option.get (Persist.read ~dir) in
+      Persist.write ~dir { img with Persist.seq; stats = None };
+      let file = Persist.path ~dir in
+      let s = In_channel.with_open_bin file In_channel.input_all in
+      let len = String.get_int32_le s 8 |> Int32.to_int in
+      let v2 = String.sub s 12 len in
+      let buf = Buffer.create (len + 64) in
+      Soqm_disk.Codec.write_uvarint buf 1;
+      Buffer.add_string buf (String.sub v2 1 (len - 2));
+      Soqm_disk.Codec.write_uvarint buf 1;
+      Soqm_disk.Codec.write_string buf
+        (Soqm_semantics.Equivalence.name Doc_knowledge.word_count_implication);
+      Soqm_disk.Codec.write_uvarint buf 0;
+      Soqm_disk.Codec.write_uvarint buf 0;
+      let v1 = Buffer.contents buf in
+      let u32 n =
+        let b = Bytes.create 4 in
+        Bytes.set_int32_le b 0 (Int32.of_int n);
+        Bytes.to_string b
+      in
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc
+            (String.sub s 0 8 ^ u32 (String.length v1) ^ v1
+            ^ u32 (Soqm_disk.Wal.crc32 v1)));
+      check Alcotest.bool "version-1 image reads as unusable" true
+        (Persist.read ~dir = None);
+      let db = Db.open_disk dir in
+      check Alcotest.bool "sets exact after the rebuild" true (exact_sets_ok db);
+      check Alcotest.bool "the emptied set was refilled" true
+        (Object_store.peek_prop db.Db.store doc "largeParagraphs" <> Value.Set []);
+      Db.close db;
+      let reopened = Db.load dir in
+      check Alcotest.bool "the rewritten image is usable" true
+        (Persist.read ~dir <> None);
+      check Alcotest.bool "sets exact after a fast reopen" true
+        (exact_sets_ok reopened))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1036,5 +1107,6 @@ let () =
             test_exact_rule_needs_maintenance;
           F.case "attach rejects two specs filling one set"
             test_attach_rejects_two_feeders;
+          F.case "an old-format image rebuilds" test_old_image_format_rebuilds;
         ] );
     ]

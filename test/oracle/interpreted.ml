@@ -98,12 +98,16 @@ let rec open_plan (ctx : Exec.ctx) (plan : Plan.t) : iter =
     in
     of_list tuples
   | Plan.IndexScan (a, cls, prop, key) -> (
-    match ctx.probe_index ~cls ~prop key with
-    | Some oids -> of_list (List.map (fun o -> [ (a, Value.Obj o) ]) oids)
+    match Exec.hash_index ctx ~cls ~prop with
+    | Some idx ->
+      let oids = Soqm_storage.Hash_index.probe idx (counters ctx) key in
+      of_list (List.map (fun o -> [ (a, Value.Obj o) ]) oids)
     | None -> error "no index on %s.%s" cls prop)
   | Plan.RangeScan (a, cls, prop, lo, hi) -> (
-    match ctx.probe_range ~cls ~prop ~lo ~hi with
-    | Some oids -> of_list (List.map (fun o -> [ (a, Value.Obj o) ]) oids)
+    match Exec.sorted_index ctx ~cls ~prop with
+    | Some idx ->
+      let oids = Soqm_storage.Sorted_index.probe_range idx (counters ctx) ~lo ~hi in
+      of_list (List.map (fun o -> [ (a, Value.Obj o) ]) oids)
     | None -> error "no ordered index on %s.%s" cls prop)
   | Plan.MethodScan (a, cls, m, args) -> (
     match
